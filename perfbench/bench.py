@@ -6,6 +6,11 @@ and returns a :class:`Measurement`.  The program is driven only through its
 public entry points: ``BatchRepairEngine.from_store`` (in process and, with
 ``processes=2``, the ``ProcessBatchEngine``), the ``serve`` CLI with
 ``ServiceClient``, and ``ClusterStore.open_indexed`` for store updates.
+
+Runs report their timings in reference seconds (``speed.py``): in process,
+a speed probe runs after every set-up and (``fresh-ilp``) every attempt;
+around worker and server processes, pinned sampler processes probe
+throughout the measured run.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from repro.interpreter.executor import execute_interpreted
 from repro.model import clear_intern_table
 from repro.service import ServiceClient
 
+import speed
 import tracing
 import workloads
 
@@ -46,7 +52,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 
 #: Set-ups per untraced run; ``setup_s`` is their median.
-SETUP_REPS = 3
+SETUP_REPS = 15
 
 #: Record statuses that count as failed operations (no budget is set, so a
 #: timeout is a failure, not a legitimate outcome).
@@ -109,27 +115,41 @@ END_TO_END = {
 
 @dataclass
 class Measurement:
-    """What one workload run saw: timings, per-operation outcomes, checks."""
+    """What one workload run saw: timings, per-operation outcomes, checks.
+
+    A run repeats its work in one or more passes, each from its own set-up
+    (cold caches, fresh store); ``walls`` and ``latencies`` hold one entry
+    per pass.  ``attempts_per_s`` is the median over the passes, and each
+    operation's latency is its median over the passes before the
+    percentiles are taken.  Every pass must produce the first pass's
+    outcomes.
+    """
 
     setup_s: list[float]
-    wall: float
-    latencies: list[float]
+    walls: list[float]
+    latencies: list[list[float]]
     statuses: list[str]
     rel_sizes: list[float]
     operations: int
     errors: int
     peak_rss_mb: float
     digest: str
+    #: The run's machine speed relative to the reference (``speed.py``);
+    #: ``None`` where the run probed none.
+    speed: float | None = None
     failures: list[str] = field(default_factory=list)
     layers: dict[str, float] = field(default_factory=dict)
 
     def end_to_end(self) -> dict[str, float]:
+        latencies = [statistics.median(each) for each in zip(*self.latencies, strict=True)]
         repaired = [size for size in self.rel_sizes if math.isfinite(size)]
         return {
             "setup_s": statistics.median(self.setup_s),
-            "attempts_per_s": len(self.latencies) / self.wall,
-            "latency_p50_s": tracing.percentile(self.latencies, 0.5),
-            "latency_p90_s": tracing.percentile(self.latencies, 0.9),
+            "attempts_per_s": statistics.median(
+                len(lat) / wall for wall, lat in zip(self.walls, self.latencies)
+            ),
+            "latency_p50_s": tracing.percentile(latencies, 0.5),
+            "latency_p90_s": tracing.percentile(latencies, 0.9),
             "repaired_frac": self.statuses.count("repaired") / len(self.statuses),
             "rel_size_mean": statistics.fmean(repaired) if repaired else 0.0,
             "ok_frac": 1.0 - self.errors / self.operations,
@@ -176,22 +196,45 @@ def _frac(part: float, whole: float) -> float:
     return part / whole if whole else 0.0
 
 
-def _timed_setups(reps: int, workdir: Path, make, dispose=None):
-    """Run ``make(directory, last)`` ``reps`` times; time each, keep the last.
+def _timed_setups(reps: int, workdir: Path, make, dispose=None, after=None, keep: int = 1):
+    """Run ``make(directory, last)`` ``reps`` times and time each.
 
-    ``dispose(handle)`` tears an earlier set-up down, outside the timing.
+    Returns each set-up's ``(start, end)`` on ``time.monotonic()`` and the
+    handles of the last ``keep`` set-ups.  ``dispose(handle)`` tears each
+    earlier set-up down and ``after()`` runs after each set-up, both
+    outside the timing.
     """
-    times = []
-    handle = None
+    intervals = []
+    handles = []
     for rep in range(reps):
-        if handle is not None and dispose is not None:
-            dispose(handle)
         directory = workdir / f"setup{rep}"
         directory.mkdir(parents=True)
-        started = time.perf_counter()
-        handle = make(directory, rep == reps - 1)
-        times.append(time.perf_counter() - started)
-    return times, handle
+        started = time.monotonic()
+        handles.append(make(directory, rep == reps - 1))
+        intervals.append((started, time.monotonic()))
+        if after is not None:
+            after()
+        if len(handles) > keep:
+            old = handles.pop(0)
+            if dispose is not None:
+                dispose(old)
+    return intervals, handles
+
+
+def _pass_failures(digests: list[str]) -> list[str]:
+    """Every pass must repeat the first pass's outcomes exactly."""
+    return [
+        f"pass {index} repaired differently from pass 0"
+        for index, digest in enumerate(digests)
+        if digest != digests[0]
+    ]
+
+
+def _seconds(intervals, samples: speed.Samples | None = None) -> list[float]:
+    """Interval lengths, in reference seconds when ``samples`` are given."""
+    if samples is None:
+        return [end - start for start, end in intervals]
+    return [(end - start) * samples.factor(start, end) for start, end in intervals]
 
 
 def _cold_start() -> None:
@@ -356,12 +399,14 @@ def _parallel_layers(shards, records, wall: float) -> dict[str, float]:
 # -- in-process workload (fresh-ilp) ---------------------------------------------------
 
 
-def run_in_process(inputs: workloads.Batch, workdir: Path, reps: int, tracer=None) -> Measurement:
+def run_in_process(
+    inputs: workloads.Batch, workdir: Path, reps: int, tracer=None, passes: int = 1
+) -> Measurement:
     """Repair the attempts in this process, single-threaded, cold caches.
 
-    Traced, a second engine on its own store runs untraced, attempt by
-    attempt in alternation with the traced one, so both see the same
-    process warm-up and their wall-time ratio is the tracing overhead.
+    Traced (one pass), a second engine on its own store runs untraced,
+    attempt by attempt in alternation with the traced one, so both see the
+    same process warm-up and their wall-time ratio is the tracing overhead.
     """
     profiler = PhaseProfiler() if tracer is not None else None
 
@@ -372,43 +417,64 @@ def run_in_process(inputs: workloads.Batch, workdir: Path, reps: int, tracer=Non
 
     items = [BatchAttempt(f"attempt-{i}", source) for i, source in enumerate(inputs.attempts)]
     if tracer is None:
-        setup_s, engine = _timed_setups(reps, workdir, make)
-        _cold_start()
-        report = engine.run(items)
-        gc.unfreeze()
-        wall, records, outcomes = report.wall_time, report.records, report.outcomes
+        samples = speed.Samples()
+        setups, engines = _timed_setups(reps, workdir, make, after=samples.probe, keep=passes)
+        runs = []
+        while engines:
+            # A pass's engine is released before the next pass starts, so
+            # the peak memory is that of one engine, as in a real process.
+            runs.append(_in_process_pass(engines.pop(0), items, samples))
+        setup_s = _seconds(setups, samples)
+        walls = [wall for _, _, wall, _ in runs]
+        latencies = [lat for _, _, _, lat in runs]
+        records, outcomes = runs[0][0], runs[0][1]
+        every = [record for run in runs for record in run[0]]
+        digests = [_digest([_record_row(record) for record in run[0]]) for run in runs]
     else:
         tracer.enabled = False
         store = build_store(workdir, inputs.problem, inputs.correct)
         plain = BatchRepairEngine.from_store(store, _clara(inputs.problem), workers=1)
         tracer.enabled = True
-        setup_s, engine = _timed_setups(reps, workdir, make)
+        setups, (engine,) = _timed_setups(reps, workdir, make)
+        setup_s = _seconds(setups)
+        samples = None
         _cold_start()
         wall = plain_wall = 0.0
         records, outcomes = [], []
-        for item in items:
-            tracer.enabled = False
-            plain_wall += plain.run([item]).wall_time
-            tracer.enabled = True
+        for index, item in enumerate(items):
+            # Whichever engine repairs an attempt first warms process-wide
+            # state (the expression intern table) for the other, so the
+            # order alternates.
+            if index % 2 == 0:
+                tracer.enabled = False
+                plain_wall += plain.run([item]).wall_time
+                tracer.enabled = True
             tracer.phase = "measure"
             report = engine.run([item])
             tracer.phase = "check"
+            if index % 2 == 1:
+                tracer.enabled = False
+                plain_wall += plain.run([item]).wall_time
+                tracer.enabled = True
             wall += report.wall_time
             records += report.records
             outcomes += report.outcomes
         gc.unfreeze()
-    failures = _replay_failures(outcomes, inputs.problem)
-    statuses = [record.status for record in records]
+        walls, latencies, every = [wall], [[record.elapsed for record in records]], records
+        digests = [_digest([_record_row(record) for record in records])]
+    failures = _replay_failures(outcomes, inputs.problem) + _pass_failures(digests)
+    statuses = [record.status for record in every]
     measurement = Measurement(
         setup_s=setup_s,
-        wall=wall,
-        latencies=[record.elapsed for record in records],
+        walls=walls,
+        latencies=latencies,
         statuses=statuses,
-        rel_sizes=[r.relative_size for r in records if r.status == "repaired"],
+        rel_sizes=[r.relative_size for r in every if r.status == "repaired"],
         operations=len(statuses),
         errors=sum(status in ERROR_STATUSES for status in statuses),
         peak_rss_mb=_rss_mb(resource.RUSAGE_SELF),
-        digest=_digest([_record_row(record) for record in records]),
+        digest=digests[0],
+        speed=samples.speed() if samples is not None else None,
         failures=failures,
     )
     if tracer is not None:
@@ -427,6 +493,28 @@ def run_in_process(inputs: workloads.Batch, workdir: Path, reps: int, tracer=Non
         measurement.layers = layers
         measurement.failures += _coverage_failures(tracer.spans, profiler, caches.ted.counters())
     return measurement
+
+
+def _in_process_pass(engine, items, samples: speed.Samples):
+    """One cold pass, attempt by attempt, a speed probe after each.
+
+    Returns the records, the outcomes, the wall time and the latencies,
+    both in reference seconds.
+    """
+    _cold_start()
+    records, outcomes, walls, spans = [], [], [], []
+    for item in items:
+        started = time.monotonic()
+        report = engine.run([item])
+        spans.append((started, time.monotonic()))
+        samples.probe()
+        walls.append(report.wall_time)
+        records += report.records
+        outcomes += report.outcomes
+    gc.unfreeze()
+    factors = [samples.factor(start, end) for start, end in spans]
+    wall = sum(w * f for w, f in zip(walls, factors))
+    return records, outcomes, wall, [r.elapsed * f for r, f in zip(records, factors)]
 
 
 # -- sharded-batch ---------------------------------------------------------------------
@@ -464,12 +552,19 @@ _DISJOINT_PHASES = ("parse", "exec", "match", "candidate_gen", "ilp")
 
 
 def run_sharded(
-    inputs: workloads.Batch, workdir: Path, reps: int, tracer=None, check: bool = True
+    inputs: workloads.Batch,
+    workdir: Path,
+    reps: int,
+    tracer=None,
+    check: bool = True,
+    passes: int = 1,
 ) -> Measurement:
     """Repair through ``ProcessBatchEngine``; check against an in-process engine.
 
-    Traced, an untraced run goes first for the overhead; its records must
-    equal the traced run's, which is checked against the reference.
+    Traced (one pass), an untraced run goes first for the overhead; its
+    records must equal the traced run's, which is checked against the
+    reference.  The workers' speed is not observable attempt by attempt, so
+    a pass's wall time and latencies share the pass's speed factor.
     """
     baseline = None
     if tracer is not None:
@@ -485,16 +580,26 @@ def run_sharded(
         clara = _clara(inputs.problem, profiler if last else None)
         return BatchRepairEngine.from_store(store, clara, processes=PROCESSES)
 
-    setup_s, engine = _timed_setups(reps, workdir, make)
     items = [BatchAttempt(f"attempt-{i}", source) for i, source in enumerate(inputs.attempts)]
-    if tracer is not None:
-        tracer.phase = "measure"
-    _cold_start()
-    report = engine.run(items)
-    gc.unfreeze()
+    probes = speed.Samples()
+    sampler = speed.Sampler()
+    runs = []
+    try:
+        setups, engines = _timed_setups(reps, workdir, make, after=probes.probe, keep=passes)
+        for engine in engines:
+            if tracer is not None:
+                tracer.phase = "measure"
+            _cold_start()
+            started = time.monotonic()
+            report = engine.run(items)
+            runs.append((report, started, time.monotonic()))
+            gc.unfreeze()
+    finally:
+        samples = sampler.stop()
     peak = _rss_mb(resource.RUSAGE_CHILDREN)
     if tracer is not None:
         tracer.phase = "check"
+    report = runs[0][0]
     failures = []
     if check:
         engine = BatchRepairEngine.from_store(stores[-1], _clara(inputs.problem), workers=1)
@@ -506,17 +611,25 @@ def run_sharded(
         ]
     if len(report.records) != len(items):
         failures.append(f"{len(report.records)} records for {len(items)} attempts")
-    statuses = [record.status for record in report.records]
+    digests = [_digest([_record_row(record) for record in run.records]) for run, _, _ in runs]
+    failures += _pass_failures(digests)
+    factors = [samples.factor(start, end) for _, start, end in runs]
+    every = [record for run, _, _ in runs for record in run.records]
+    statuses = [record.status for record in every]
     measurement = Measurement(
-        setup_s=setup_s,
-        wall=report.wall_time,
-        latencies=[record.elapsed for record in report.records],
+        setup_s=_seconds(setups, probes),
+        walls=[run.wall_time * factor for (run, _, _), factor in zip(runs, factors)],
+        latencies=[
+            [record.elapsed * factor for record in run.records]
+            for (run, _, _), factor in zip(runs, factors)
+        ],
         statuses=statuses,
-        rel_sizes=[r.relative_size for r in report.records if r.status == "repaired"],
-        operations=len(items),
+        rel_sizes=[r.relative_size for r in every if r.status == "repaired"],
+        operations=len(statuses),
         errors=sum(status in ERROR_STATUSES for status in statuses),
         peak_rss_mb=peak,
-        digest=_digest([_record_row(record) for record in report.records]),
+        digest=digests[0],
+        speed=samples.speed(),
         failures=failures,
     )
     if tracer is not None:
@@ -539,7 +652,7 @@ def run_sharded(
 
 def _add_overhead(measurement: Measurement, layers: dict, baseline: Measurement) -> None:
     """Attach the layers and the traced-over-untraced wall-time overhead."""
-    layers["trace.overhead_frac"] = measurement.wall / baseline.wall - 1.0
+    layers["trace.overhead_frac"] = measurement.walls[0] / baseline.walls[0] - 1.0
     measurement.layers = layers
     if baseline.digest != measurement.digest:
         measurement.failures.append("traced and untraced runs repaired differently")
@@ -601,12 +714,20 @@ def _snapshot(store: Path, destination: Path) -> Path:
 
 
 def run_stream(
-    inputs: workloads.Stream, workdir: Path, reps: int, tracer=None, check: bool = True
+    inputs: workloads.Stream,
+    workdir: Path,
+    reps: int,
+    tracer=None,
+    check: bool = True,
+    passes: int = 1,
 ) -> Measurement:
     """Closed loop of :data:`CONNECTIONS` clients against one ``serve``.
 
-    Traced, an untraced run (plain ``serve``) goes first for the overhead,
-    then a run whose server starts through ``serve_boot.py``.
+    Each pass drives its own server on its own stores.  Traced (one pass),
+    an untraced run (plain ``serve``) goes first for the overhead, then a
+    run whose server starts through ``serve_boot.py``.  As for
+    ``sharded-batch``, a pass's wall time and latencies share the pass's
+    speed factor.
     """
     baseline = None
     if tracer is not None:
@@ -619,86 +740,129 @@ def run_stream(
     def make(directory: Path, last: bool):
         stores = {p: build_store(directory, p, pool) for p, pool in inputs.correct.items()}
         servers.append(_Server(list(stores.values()), directory, spans_path if last else None))
-        return stores
+        return stores, servers[-1]
 
+    probes = speed.Samples()
+    sampler = speed.Sampler()
+    runs = []
     try:
-        setup_s, stores = _timed_setups(reps, workdir, make, lambda _: servers[-1].stop())
-        server = servers[-1]
-        snapshots = {
-            (problem, 0): _snapshot(store, workdir / "snapshots" / problem / "0")
-            for problem, store in stores.items()
-        }
-        requests = inputs.requests
-        responses: list[dict | None] = [None] * len(requests)
-        latencies: list[float] = [0.0] * len(requests)
-        reload_times: list[float] = []
-        reload_errors = 0
-        clients = [ServiceClient(server.host, server.port, timeout=120) for _ in range(CONNECTIONS)]
-        bounds = sorted(set(inputs.updates) | {0, len(requests)})
-        if tracer is not None:
-            tracer.phase = "measure"
-        started = time.perf_counter()
-        for start, end in zip(bounds, bounds[1:]):
-            if start in inputs.updates:
-                problem, source = inputs.updates[start]
-                handle = ClusterStore.open_indexed(stores[problem], get_problem(problem).cases)
-                handle.add_correct_source(source)
-                handle.save()
-                sent = time.perf_counter()
-                answer = clients[0].reload(problem)
-                reload_times.append(time.perf_counter() - sent)
-                if not answer.get("ok"):
-                    reload_errors += 1
-                else:
-                    key = (problem, answer["revision"])
-                    snapshots[key] = _snapshot(
-                        stores[problem], workdir / "snapshots" / problem / str(answer["revision"])
-                    )
-            _drive(clients, requests, start, end, responses, latencies)
-        wall = time.perf_counter() - started
-        stats = clients[0].stats() if tracer is not None else None
-        for client in clients:
-            client.close()
-        server.stop()
+        setups, kept = _timed_setups(
+            reps, workdir, make, lambda handle: handle[1].stop(), after=probes.probe, keep=passes
+        )
+        for index, (stores, server) in enumerate(kept):
+            snapshots = workdir / "snapshots" / str(index)
+            runs.append(_stream_pass(inputs, stores, server, snapshots, tracer))
     finally:
         for server in servers:
             server.stop()
+        samples = sampler.stop()
     peak = _rss_mb(resource.RUSAGE_CHILDREN)
     if tracer is not None:
         tracer.phase = "check"
 
-    failures = _stream_reference_failures(requests, responses, snapshots) if check else []
+    requests = inputs.requests
+    first = runs[0]
+    failures = _stream_reference_failures(requests, first.responses, first.snapshots) if check else []
+    digests = [_digest(_stream_rows(requests, run.responses)) for run in runs]
+    failures += _pass_failures(digests)
+    responses = [resp for run in runs for resp in run.responses]
     statuses = [resp.get("status", "error") if resp.get("ok") else "error" for resp in responses]
     errors = sum(
         (not resp.get("ok")) or resp.get("status") in ERROR_STATUSES for resp in responses
     )
-    rows = [
-        [index, problem]
-        + [resp.get(key) for key in ("revision", "status", "cost", "relative_size", "num_modified", "feedback")]
-        for index, ((problem, _), resp) in enumerate(zip(requests, responses))
-    ]
+    factors = [samples.factor(run.started, run.finished) for run in runs]
     measurement = Measurement(
-        setup_s=setup_s,
-        wall=wall,
-        latencies=latencies,
+        setup_s=_seconds(setups, probes),
+        walls=[(run.finished - run.started) * f for run, f in zip(runs, factors)],
+        latencies=[[latency * f for latency in run.latencies] for run, f in zip(runs, factors)],
         statuses=statuses,
         rel_sizes=[
             resp["relative_size"] for resp in responses if resp.get("status") == "repaired"
         ],
-        operations=len(requests) + len(reload_times),
-        errors=errors + reload_errors,
+        operations=len(responses) + sum(len(run.reload_times) for run in runs),
+        errors=errors + sum(run.reload_errors for run in runs),
         peak_rss_mb=peak,
-        digest=_digest(rows),
+        digest=digests[0],
+        speed=samples.speed(),
         failures=failures,
     )
     if tracer is not None:
         served = tracing.load_spans(spans_path)
-        layers = _stream_layers(tracer.spans, served, stats, responses, latencies, reload_times)
+        layers = _stream_layers(
+            tracer.spans, served, first.stats, first.responses, first.latencies, first.reload_times
+        )
         measurement.failures += _ted_coverage(
-            served, [p["ted"] for p in stats["problems"].values()], concurrent=True
+            served, [p["ted"] for p in first.stats["problems"].values()], concurrent=True
         )
         _add_overhead(measurement, layers, baseline)
     return measurement
+
+
+@dataclass
+class _StreamPass:
+    """What one pass of ``resubmit-stream`` saw (times on ``time.monotonic()``)."""
+
+    responses: list[dict]
+    latencies: list[float]
+    reload_times: list[float]
+    reload_errors: int
+    #: ``(problem, revision)`` -> a copy of that store generation.
+    snapshots: dict[tuple[str, int], Path]
+    started: float
+    finished: float
+    stats: dict | None
+
+
+def _stream_pass(inputs: workloads.Stream, stores, server: _Server, snapshot_dir: Path, tracer):
+    """Send the request stream, with its store updates, to ``server``; stop it."""
+    snapshots = {
+        (problem, 0): _snapshot(store, snapshot_dir / problem / "0")
+        for problem, store in stores.items()
+    }
+    requests = inputs.requests
+    responses: list[dict | None] = [None] * len(requests)
+    latencies: list[float] = [0.0] * len(requests)
+    reload_times: list[float] = []
+    reload_errors = 0
+    clients = [ServiceClient(server.host, server.port, timeout=120) for _ in range(CONNECTIONS)]
+    bounds = sorted(set(inputs.updates) | {0, len(requests)})
+    if tracer is not None:
+        tracer.phase = "measure"
+    started = time.monotonic()
+    for start, end in zip(bounds, bounds[1:]):
+        if start in inputs.updates:
+            problem, source = inputs.updates[start]
+            handle = ClusterStore.open_indexed(stores[problem], get_problem(problem).cases)
+            handle.add_correct_source(source)
+            handle.save()
+            sent = time.perf_counter()
+            answer = clients[0].reload(problem)
+            reload_times.append(time.perf_counter() - sent)
+            if not answer.get("ok"):
+                reload_errors += 1
+            else:
+                key = (problem, answer["revision"])
+                snapshots[key] = _snapshot(
+                    stores[problem], snapshot_dir / problem / str(answer["revision"])
+                )
+        _drive(clients, requests, start, end, responses, latencies)
+    finished = time.monotonic()
+    stats = clients[0].stats() if tracer is not None else None
+    for client in clients:
+        client.close()
+    server.stop()
+    return _StreamPass(
+        responses, latencies, reload_times, reload_errors, snapshots, started, finished, stats
+    )
+
+
+def _stream_rows(requests, responses) -> list:
+    """The digest rows of one pass: each response without its timing."""
+    return [
+        [index, problem]
+        + [resp.get(key) for key in ("revision", "status", "cost", "relative_size", "num_modified", "feedback")]
+        for index, ((problem, _), resp) in enumerate(zip(requests, responses))
+    ]
 
 
 def _drive(clients, requests, start, end, responses, latencies) -> None:

@@ -1,6 +1,6 @@
-"""The repository benchmark: four repair workloads, one command.
+"""The repository benchmark: three repair workloads, one command.
 
-    python3 perfbench/run.py --workload fresh-ilp --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload fresh-ilp --seed 1 --seconds 20 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` runs the
@@ -11,9 +11,10 @@ standard output is one JSON object with ``correct``, ``attempted``,
 which is identical across commits that repair field-identically.  The exit
 code is 1 when an output check fails and 2 on a usage or set-up error.
 
-``--seconds`` sets the work, not a deadline: every ``BLOCK_SECONDS`` of it
-is one block of work (at least one block), sized to take about that long on
-the machine the baseline was recorded on.  The work is fixed per seed, so
+``--seconds`` sets the work, not a deadline: every :data:`PASS_SECONDS` of
+it is one pass over the workload's inputs (at least one pass), each from
+its own set-up, and the timing metrics are medians over the passes (for
+latencies, each operation's median).  The inputs are fixed per seed, so
 two commits of a comparison repair identical inputs.
 See ``perfbench/README.md`` for the workloads, metrics and baseline.
 """
@@ -34,18 +35,17 @@ SRC = ROOT / "src"
 
 WORKLOADS = ("fresh-ilp", "sharded-batch", "resubmit-stream")
 
-#: Nominal seconds of work per block: 100 timed attempts (``fresh-ilp``,
-#: ``sharded-batch``) or 512 requests (``resubmit-stream``).  A
-#: ``sharded-batch`` block is half the cost of the others, since each also
-#: pays for a second, in-process run of the attempts as its check.
-BLOCK_SECONDS = {"fresh-ilp": 15, "sharded-batch": 7, "resubmit-stream": 15}
+#: Timed seconds of one pass, in reference seconds (``speed.py``): 100
+#: attempts (``fresh-ilp`` 12 s, ``sharded-batch`` 11 s) or 512 requests
+#: (``resubmit-stream`` 10 s).
+PASS_SECONDS = 10
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=15)
+    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 
@@ -85,12 +85,12 @@ def main(argv: list[str]) -> int:
     import tracing
     import workloads
 
-    blocks = max(1, round(args.seconds / BLOCK_SECONDS[args.workload]))
+    passes = max(1, round(args.seconds / PASS_SECONDS))
     if args.workload == "resubmit-stream":
-        inputs = workloads.stream_inputs(args.seed, blocks)
+        inputs = workloads.stream_inputs(args.seed)
         runner = bench.run_stream
     else:
-        inputs = workloads.batch_inputs(args.workload, args.seed, blocks)
+        inputs = workloads.batch_inputs(args.workload, args.seed)
         runner = bench.run_sharded if args.workload == "sharded-batch" else bench.run_in_process
 
     scratch = ROOT / ".perfbench_work" / f"{args.workload}-s{args.seed}-p{os.getpid()}"
@@ -103,7 +103,7 @@ def main(argv: list[str]) -> int:
             layers.update(measurement.layers)
             metrics = {name: {"value": layers[name], "unit": unit} for name, unit in bench.PER_LAYER.items()}
         else:
-            measurement = runner(inputs, scratch, bench.SETUP_REPS)
+            measurement = runner(inputs, scratch, bench.SETUP_REPS, passes=passes)
             values = measurement.end_to_end()
             metrics = {name: {"value": values[name], "unit": unit} for name, unit in bench.END_TO_END.items()}
     finally:
@@ -117,8 +117,9 @@ def main(argv: list[str]) -> int:
         print(f"check failed: {failure}", file=sys.stderr)
     correct = not measurement.failures and measurement.errors == 0
     print(
-        f"records {args.workload} seed={args.seed} blocks={blocks} "
-        f"timed={len(measurement.latencies)} digest={measurement.digest}"
+        f"records {args.workload} seed={args.seed} passes={len(measurement.walls)} "
+        f"timed={len(measurement.latencies[0])} speed={measurement.speed or 0:.3f} "
+        f"digest={measurement.digest}"
     )
     print(
         json.dumps(

@@ -7,6 +7,7 @@ the repository's default test collection).
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
+import speed  # noqa: E402
 import tracing  # noqa: E402
 from tracing import Span  # noqa: E402
 
@@ -88,6 +90,29 @@ def test_covered_length_of_disjoint_and_nested_intervals():
     assert tracing.covered_length([(-1, 2)], 0, 1) == 1
 
 
+# -- reference seconds --------------------------------------------------------------------
+
+
+def test_speed_factor_averages_the_probes_inside_the_interval():
+    ref = speed.REFERENCE_PROBE_S
+    points = [(float(t), ref * (2 if t < 20 else 1)) for t in range(40)]
+    samples = speed.Samples(points)
+    assert math.isclose(samples.factor(0, 19), 0.5)  # probes twice as slow: half the seconds
+    assert math.isclose(samples.factor(20, 39), 1.0)
+    assert math.isclose(samples.factor(15, 24), 1 / 1.5)
+
+
+def test_speed_factor_falls_back_to_the_nearest_probes():
+    ref = speed.REFERENCE_PROBE_S
+    samples = speed.Samples([(float(t), ref * (1 + t)) for t in range(20)])
+    # No probe inside: the NEAREST closest to the midpoint (10.5) count.
+    nearest = [ref * (1 + t) for t in range(7, 7 + speed.NEAREST)]
+    assert math.isclose(samples.factor(10.4, 10.6), ref / (sum(nearest) / len(nearest)))
+    # At the edge of the run the window shifts inwards.
+    first = [ref * (1 + t) for t in range(speed.NEAREST)]
+    assert math.isclose(samples.factor(-5, -4), ref / (sum(first) / len(first)))
+
+
 # -- seeded, hash-salt-independent inputs ------------------------------------------------
 
 _DIGEST_SCRIPT = """
@@ -96,9 +121,9 @@ sys.path[:0] = [{here!r}, {src!r}]
 import workloads
 parts = []
 for name in ("fresh-ilp", "sharded-batch"):
-    batch = workloads.batch_inputs(name, {seed}, 1)
+    batch = workloads.batch_inputs(name, {seed})
     parts.append(repr((batch.problem, batch.correct, batch.attempts)))
-stream = workloads.stream_inputs({seed}, 1)
+stream = workloads.stream_inputs({seed})
 parts.append(repr((sorted(stream.correct.items()), stream.requests, sorted(stream.updates.items()))))
 print(hashlib.sha256("\\n".join(parts).encode()).hexdigest())
 """

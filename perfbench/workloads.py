@@ -1,4 +1,4 @@
-"""Seeded inputs for the four workloads.
+"""Seeded inputs for the three workloads.
 
 Every generator is a pure function of its arguments: randomness comes from
 :func:`rng_for`, which mixes the stream name in with CRC-32 rather than the
@@ -8,31 +8,31 @@ strings built here.
 
 Which mistakes the students make is a fixed plan per workload (drawn with
 :data:`PLAN_SEED`); the workload seed renames every attempt's identifiers
-and sets the order of submission.  Renaming keeps the mistakes, so every
-seed does nearly the same repair work and the spread between seeds is
-mostly the machine's, not the inputs'.
+and sets the order of submission (for ``resubmit-stream``, of the
+resubmissions).  Renaming keeps the mistakes, so every seed does nearly
+the same repair work and the spread between seeds is mostly the
+machine's, not the inputs'.
 
-Incorrect attempts are fault-injected variants of correct ones (the
-dataset's own mutation operators), kept only if the spec interpreter
-(``execute_interpreted``, bounded at :data:`PROBE_STEPS` steps) shows they
-terminate on every case and fail at least one.
+Incorrect attempts are the dataset's own (``generate_corpus``: fault-injected
+variants of the correct pool), kept only if they are distinct and the spec
+interpreter (``execute_interpreted``, bounded at :data:`PROBE_STEPS` steps)
+shows they terminate on every case.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
 from dataclasses import dataclass
 
 from repro.core.inputs import trace_passes_case
 from repro.datasets import generate_corpus, get_problem
-from repro.datasets.mutations import make_empty_attempt, make_unsupported_attempt, mutate_source
 from repro.datasets.variants import rename_c_variables, rename_python_variables
 from repro.frontend import FrontendError, parse_source
 from repro.interpreter.executor import ExecutionLimits, execute_interpreted
 
 __all__ = [
-    "BLOCK",
     "Batch",
     "Stream",
     "rng_for",
@@ -45,16 +45,17 @@ __all__ = [
 #: few dozen steps, so anything reaching it loops.
 PROBE_STEPS = 500
 
-#: Timed attempts per ``block`` of work; a run holds ``blocks`` of them.
-BLOCK = 100
+#: Attempts of ``fresh-ilp`` and ``sharded-batch``: 100, so that p90 has
+#: ten samples beyond it.
+ATTEMPTS = 100
 
 #: Correct-pool size of ``fresh-ilp`` and ``sharded-batch``: small enough
-#: that a block fits the run budget (``sharded-batch`` repairs it twice,
-#: the second time as its check), large enough that the ILP dominates.
+#: that a run fits its budget (``sharded-batch`` repairs its attempts once
+#: more, in process, as its check), large enough that the ILP dominates.
 DERIVATIVES_POOL = 10
 
-#: Problems of ``resubmit-stream``, with their correct-pool size and the
-#: unique attempts per block.
+#: Problems of ``resubmit-stream``, with their correct-pool size and their
+#: unique attempts.
 STREAM_PROBLEMS = (
     ("derivatives", DERIVATIVES_POOL, 24),
     ("special_number", 8, 20),
@@ -85,10 +86,14 @@ def correct_pool(problem: str, count: int, seed: int = POOL_SEED) -> list[str]:
     return generate_corpus(get_problem(problem), count, 0, seed=seed).correct_sources
 
 
-def extra_correct(problem: str, pool: list[str], seed: int) -> str:
-    """A correct solution that is not in ``pool``, for a store update."""
+def extra_correct(problem: str, pool: list[str]) -> str:
+    """A correct solution that is not in ``pool``, for a store update.
+
+    It is the same for every seed: which solution a store gains decides
+    the cost of the repairs after it.
+    """
     known = set(pool)
-    for source in correct_pool(problem, len(pool) + 20, POOL_SEED + 1 + seed):
+    for source in correct_pool(problem, len(pool) + 20, POOL_SEED + 1):
         if source not in known:
             return source
     raise RuntimeError(f"no fresh correct solution for {problem}")
@@ -113,51 +118,31 @@ def _verdict(problem, source: str) -> str:
     return "correct" if passed else "incorrect"
 
 
-#: Extra mutations stacked on each attempt, cycled by attempt index: 55% of
-#: attempts carry one mistake, 30% two and 15% three.
-STACKING = (0,) * 11 + (1,) * 6 + (2,) * 3
+def incorrect_attempts(problem_name: str, pool: int, count: int) -> list[str]:
+    """The first ``count`` distinct, terminating attempts of the dataset's
+    incorrect pool (``generate_corpus`` with :data:`PLAN_SEED`).
 
-
-def incorrect_attempts(
-    problem_name: str, count: int, rng: random.Random, correct: list[str], *, specials: int
-) -> list[str]:
-    """``count`` distinct, terminating, incorrect attempts.
-
-    ``specials`` of them are the empty and the unsupported-feature attempt
-    (legitimate ``no-structural-match`` / ``unsupported`` outcomes).  The
-    rest are stratified: attempt ``i`` mutates ``correct[i % len(correct)]``
-    and stacks ``STACKING[i % 20]`` further mutations on the first, as
-    students often make more than one mistake at a time.
+    The pool includes the empty and the unsupported-feature attempt
+    (legitimate ``no-structural-match`` / ``unsupported`` outcomes).  It
+    repeats itself on a small correct pool, so more is drawn than needed;
+    a larger draw extends a smaller one, so the attempts kept do not depend
+    on how much was drawn.
     """
     problem = get_problem(problem_name)
-    chosen = [make_empty_attempt(problem).source, make_unsupported_attempt(problem).source]
-    chosen = chosen[:specials]
-    seen = set(chosen)
-    for index in range(count - len(chosen)):
-        base = correct[index % len(correct)]
-        for tries in range(1000):
-            mutation = mutate_source(problem, base, rng, allow_special=False)
-            if mutation is None:
-                continue
-            # A small pool runs out of distinct single mistakes per solution;
-            # every 100 failed tries stack one more.
-            for _ in range(STACKING[index % len(STACKING)] + tries // 100):
-                follow_up = mutate_source(problem, mutation.source, rng, allow_special=False)
-                if follow_up is not None:
-                    mutation = follow_up
-            source = mutation.source
-            if source not in seen and _verdict(problem, source) not in ("correct", "runaway"):
-                break
-        else:
-            raise RuntimeError(f"no incorrect variant of {problem_name} solution {index}")
-        seen.add(source)
-        chosen.append(source)
-    rng.shuffle(chosen)
-    return chosen
+    drawn = 2 * count
+    while True:
+        corpus = generate_corpus(problem, pool, drawn, seed=PLAN_SEED)
+        chosen = list(dict.fromkeys(corpus.incorrect_sources))
+        chosen = [source for source in chosen if _verdict(problem, source) != "runaway"]
+        if len(chosen) >= count:
+            return chosen[:count]
+        if drawn >= 32 * count:
+            raise RuntimeError(f"{problem_name}: {len(chosen)} distinct attempts, {count} needed")
+        drawn *= 2
 
 
 def renamed(problem_name: str, sources: list[str], rng: random.Random) -> list[str]:
-    """Rename each source's identifiers and shuffle; behaviour is unchanged.
+    """Rename each source's identifiers; behaviour and order are unchanged.
 
     A renaming that would change an attempt's verdict (a fresh name that
     shadows a parameter) or duplicate another attempt is retried, and after
@@ -179,7 +164,6 @@ def renamed(problem_name: str, sources: list[str], rng: random.Random) -> list[s
             raise RuntimeError(f"cannot keep the {problem_name} attempts distinct")
         taken.add(pick)
         chosen.append(pick)
-    rng.shuffle(chosen)
     return chosen
 
 
@@ -208,46 +192,50 @@ class Stream:
     updates: dict[int, tuple[str, str]]
 
 
-def batch_inputs(workload: str, seed: int, blocks: int) -> Batch:
+def batch_inputs(workload: str, seed: int) -> Batch:
     """Inputs of ``fresh-ilp`` or ``sharded-batch``.
 
-    Both draw from one mistake plan (a run of ``sharded-batch`` holds more
-    blocks), so their ``attempts_per_s`` ratio is the process engine's
-    speed-up over one in-process thread.
+    Both get the same attempts for the same seed, so their
+    ``attempts_per_s`` ratio is the process engine's speed-up over one
+    in-process thread.
     """
-    count = BLOCK * blocks
     if workload in ("fresh-ilp", "sharded-batch"):
         correct = correct_pool("derivatives", DERIVATIVES_POOL)
-        attempts = incorrect_attempts(
-            "derivatives", count, rng_for(PLAN_SEED, "derivatives"), correct, specials=2
-        )
-        return Batch("derivatives", correct, renamed("derivatives", attempts, rng_for(seed, "derivatives")))
+        rng = rng_for(seed, "derivatives")
+        attempts = renamed("derivatives", incorrect_attempts("derivatives", DERIVATIVES_POOL, ATTEMPTS), rng)
+        rng.shuffle(attempts)
+        return Batch("derivatives", correct, attempts)
     raise ValueError(f"not a batch workload: {workload}")
 
 
-def stream_inputs(seed: int, blocks: int) -> Stream:
+def stream_inputs(seed: int) -> Stream:
     """Inputs of ``resubmit-stream``: unique attempts, each sent repeatedly.
 
     The stream is :data:`RESUBMITS` rounds; each round sends every unique
-    attempt once, in its own seeded order.  Before rounds 2 and 3 the
-    first two problems each get a store update, which invalidates their
-    repair memos.  So round 1 and the updated problem's share of rounds 2
-    and 3 miss the memo, and every other request hits it — the same split
-    for every seed.
+    attempt once.  Before rounds 2 and 3 the first two problems each get a
+    store update, which invalidates their repair memos.  So round 1 and the
+    updated problem's share of rounds 2 and 3 miss the memo, and every
+    other request hits it — the same split for every seed.
+
+    Rounds 1-3, which hold the misses, go in one fixed order that takes the
+    problems in turn, so which misses overlap on the two connections (and
+    with it p90) is the same for every seed; each later round goes in its
+    own seeded order.
     """
-    plan = rng_for(PLAN_SEED, "resubmit-stream")
     rng = rng_for(seed, "resubmit-stream")
     correct = {}
-    uniques = []
-    for problem, pool_size, per_block in STREAM_PROBLEMS:
+    by_problem = []
+    for problem, pool_size, unique in STREAM_PROBLEMS:
         correct[problem] = correct_pool(problem, pool_size)
-        attempts = incorrect_attempts(problem, per_block * blocks, plan, correct[problem], specials=0)
-        uniques += [(problem, source) for source in renamed(problem, attempts, rng)]
+        attempts = incorrect_attempts(problem, pool_size, unique)
+        by_problem.append([(problem, source) for source in renamed(problem, attempts, rng)])
+    uniques = [item for row in itertools.zip_longest(*by_problem) for item in row if item]
+    updated = STREAM_PROBLEMS[:2]
     requests = []
-    for _ in range(RESUBMITS):
-        requests += rng.sample(uniques, len(uniques))
+    for index in range(RESUBMITS):
+        requests += uniques if index <= len(updated) else rng.sample(uniques, len(uniques))
     updates = {}
-    for index, (problem, _, _) in enumerate(STREAM_PROBLEMS[:2]):
+    for index, (problem, _, _) in enumerate(updated):
         ordinal = (index + 1) * len(uniques)
-        updates[ordinal] = (problem, extra_correct(problem, correct[problem], seed + index))
+        updates[ordinal] = (problem, extra_correct(problem, correct[problem]))
     return Stream(correct, requests, updates)
