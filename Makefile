@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench tier1 lint batch-parallel-smoke clean
+.PHONY: test bench tier1 lint batch-parallel-smoke perfbench clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -17,6 +17,12 @@ tier1:
 # deterministic profile counter sections.
 batch-parallel-smoke:
 	$(PYTHON) tools/parallel_smoke.py
+
+# Mirror of the CI perfbench job: the benchmark's self-tests, then one
+# traced fresh-ilp pass; both must exit 0.
+perfbench:
+	$(PYTHON) perfbench/selftest.py
+	$(PYTHON) perfbench/run.py --workload fresh-ilp --seed 1 --seconds 10 --trace 1
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

@@ -9,9 +9,7 @@ students resubmit — and solves the stream three ways:
   branch-and-bound per problem occurrence (the pre-fast-path behaviour,
   kept as the executable specification);
 * the **fast path**: :func:`repro.ilp.solve_fast` with a shared
-  :class:`repro.ilp.SolveCache` — canonical-fingerprint memoisation plus
-  degenerate dispatch of pure assignment instances to the min-cost
-  bipartite matcher (:func:`repro.graphs.min_cost_perfect_matching`);
+  :class:`repro.ilp.SolveCache` — canonical-fingerprint memoisation;
 * the **warm-started path**: per attempt, the best objective over earlier
   clusters bounds each later solve (the ``cost_bound`` threading of
   :func:`repro.core.repair.find_best_repair`), pruning branches that
@@ -94,7 +92,7 @@ def test_solver_fastpath(benchmark, results_dir, local_results_dir):
     baseline_elapsed = time.perf_counter() - baseline_started
     baseline_nodes = sum(nodes for _, nodes in baseline)
 
-    # Fast-path pass: shared memo + degenerate dispatch over the same stream.
+    # Fast-path pass: shared memo over the same stream.
     cache = SolveCache()
     fast_started = time.perf_counter()
     fast = [_objective_and_nodes(lambda p=p: solve_fast(p, cache=cache)) for p in flat]

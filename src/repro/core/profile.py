@@ -8,9 +8,8 @@ covers Def. 3.5 trace execution (the compiled fast path of
 many location steps those executions took.  The ``ilp`` phase covers repair
 selection solves (:func:`repro.ilp.solve_fast`), with counter-only
 companions ``ilp_solves`` (solves that produced a solution), ``ilp_nodes``
-(branch-and-bound nodes those solves explored — zero for memo hits and
-degenerate assignment dispatches) and ``candidates_generated`` (indicator
-variables handed to the solver).  It is attached to the
+(branch-and-bound nodes those solves explored — zero for memo hits) and
+``candidates_generated`` (indicator variables handed to the solver).  It is attached to the
 pipeline's :class:`repro.engine.cache.RepairCaches` (``caches.profiler``)
 and threaded from there into the repair core, so instrumentation costs
 nothing when no profiler is attached (the common case): every hook goes

@@ -1,11 +1,9 @@
-"""Graph algorithms substrate: bipartite matching and assignment."""
+"""Graph algorithms substrate: bipartite matching."""
 
-from .assignment import min_cost_perfect_matching
 from .bipartite import hopcroft_karp, maximum_matching_size, perfect_matching
 
 __all__ = [
     "hopcroft_karp",
     "maximum_matching_size",
     "perfect_matching",
-    "min_cost_perfect_matching",
 ]

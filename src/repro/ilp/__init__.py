@@ -3,12 +3,7 @@
 from .fastpath import SolveCache, solve_fast
 from .problem import Constraint, IlpProblem, IlpSolution
 from .solver import IlpError, InfeasibleError, solve
-from .structure import (
-    AssignmentForm,
-    analyze_assignment_form,
-    problem_fingerprint,
-    solve_assignment,
-)
+from .structure import problem_fingerprint
 
 __all__ = [
     "Constraint",
@@ -17,10 +12,7 @@ __all__ = [
     "solve",
     "solve_fast",
     "SolveCache",
-    "AssignmentForm",
-    "analyze_assignment_form",
     "problem_fingerprint",
-    "solve_assignment",
     "IlpError",
     "InfeasibleError",
 ]

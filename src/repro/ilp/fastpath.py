@@ -1,8 +1,8 @@
-"""The solver fast path: solve memoization and degenerate dispatch.
+"""The solver fast path: solve memoization and warm starts.
 
 Plain :func:`repro.ilp.solver.solve` remains the executable specification;
 :func:`solve_fast` is the entry point the repair pipeline actually calls.
-It layers three accelerations on top of the spec, each of which is
+It layers two accelerations on top of the spec, each of which is
 objective-identical to it by construction:
 
 1. **Memoization** (:class:`SolveCache`).  Problems are keyed by the
@@ -15,25 +15,16 @@ objective-identical to it by construction:
    through uncached, so a cached answer is valid under any later
    ``upper_bound``.
 
-2. **Degenerate dispatch.**  Problems recognized by
-   :func:`repro.ilp.structure.analyze_assignment_form` as pure min-cost
-   assignments are solved by
-   :func:`repro.graphs.assignment.min_cost_perfect_matching` — zero
-   branch-and-bound nodes.  Dispatch is *unconditional*: it happens whether
-   or not a cache is attached, so repair outcomes never depend on cache
-   configuration (the differential tests in ``tests/test_ilp_fastpath.py``
-   rely on this).
-
-3. **Warm starts.**  An ``upper_bound`` (the best repair cost found so far
+2. **Warm starts.**  An ``upper_bound`` (the best repair cost found so far
    in :func:`repro.core.repair.find_best_repair`) is forwarded to
    branch-and-bound as the initial incumbent.  A solve that cannot beat the
    bound returns ``None`` instead of raising, which callers treat exactly
    like the documented ``cost_bound`` contract: a repair at least as costly
    as the current best could never be selected anyway.
 
-Counters (hits, misses, degenerate dispatches, branch-and-bound fallbacks,
-nodes explored) surface through ``batch --profile`` and the service stats
-endpoint, next to the TED and compile cache counters.
+Counters (hits, misses, branch-and-bound fallbacks, nodes explored) surface
+through ``batch --profile`` and the service stats endpoint, next to the TED
+and compile cache counters.
 """
 
 from __future__ import annotations
@@ -42,7 +33,7 @@ import threading
 
 from .problem import IlpProblem, IlpSolution
 from .solver import InfeasibleError, solve
-from .structure import analyze_assignment_form, problem_fingerprint, solve_assignment
+from .structure import problem_fingerprint
 
 __all__ = ["SolveCache", "solve_fast"]
 
@@ -67,11 +58,9 @@ class SolveCache:
 
     * ``hits`` / ``misses`` — fingerprint lookups answered / not answered
       from the table;
-    * ``degenerate_dispatches`` — solves routed to the min-cost assignment
-      solver instead of branch-and-bound;
     * ``bnb_fallbacks`` — solves that did run branch-and-bound;
     * ``nodes_explored`` — total branch-and-bound nodes across fallbacks
-      (degenerate dispatches and cache hits contribute zero).
+      (cache hits contribute zero).
 
     The table is size-bounded: at ``max_entries`` it simply stops storing
     (existing keys may still be refreshed), so a long-lived service cannot
@@ -85,7 +74,6 @@ class SolveCache:
         self._table: dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
-        self.degenerate_dispatches = 0
         self.bnb_fallbacks = 0
         self.nodes_explored = 0
 
@@ -111,10 +99,9 @@ class SolveCache:
             if len(self._table) < self.max_entries or key in self._table:
                 self._table[key] = entry
 
-    def record(self, *, degenerate: int = 0, fallbacks: int = 0, nodes: int = 0) -> None:
-        """Bump dispatch counters (called by :func:`solve_fast`)."""
+    def record(self, *, fallbacks: int = 0, nodes: int = 0) -> None:
+        """Bump solve counters (called by :func:`solve_fast`)."""
         with self._lock:
-            self.degenerate_dispatches += degenerate
             self.bnb_fallbacks += fallbacks
             self.nodes_explored += nodes
 
@@ -126,7 +113,6 @@ class SolveCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "degenerate_dispatches": self.degenerate_dispatches,
                 "bnb_fallbacks": self.bnb_fallbacks,
                 "nodes_explored": self.nodes_explored,
             }
@@ -166,16 +152,14 @@ def solve_fast(
     """Solve a 0-1 ILP through the fast path.
 
     Objective-identical to :func:`repro.ilp.solver.solve` in every case
-    (``tests/test_ilp_fastpath.py`` asserts it property-style), with three
-    shortcuts: a memo lookup by canonical fingerprint, exact min-cost
-    assignment dispatch for degenerate problems, and incumbent warm-starting
-    of branch-and-bound.
+    (``tests/test_ilp_fastpath.py`` asserts it property-style), with two
+    shortcuts: a memo lookup by canonical fingerprint and incumbent
+    warm-starting of branch-and-bound.
 
     Args:
         problem: The 0-1 program to solve.
-        node_limit: Branch-and-bound node budget (fallback path only).
-        cache: Optional :class:`SolveCache`; degenerate dispatch happens
-            with or without it.
+        node_limit: Branch-and-bound node budget.
+        cache: Optional :class:`SolveCache`.
         upper_bound: Optional incumbent objective.  When given, only a
             solution strictly better than the bound is returned; ``None``
             means no such solution exists (which does *not* prove the
@@ -206,24 +190,6 @@ def solve_fast(
             ):
                 return None
             return _copy(entry, nodes_explored=0)
-
-    form = analyze_assignment_form(problem)
-    if form is not None:
-        if cache is not None:
-            cache.record(degenerate=1)
-        try:
-            solution = solve_assignment(problem, form)
-        except InfeasibleError:
-            if cache is not None:
-                cache.store(key, _INFEASIBLE)
-            raise
-        if cache is not None:
-            cache.store(key, _copy(solution, solution.nodes_explored))
-        if upper_bound is not None and not _beats_bound(
-            problem, solution.objective, upper_bound
-        ):
-            return None
-        return solution
 
     if cache is not None:
         cache.record(fallbacks=1)

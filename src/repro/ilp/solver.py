@@ -1,4 +1,4 @@
-"""Branch-and-bound solver for 0-1 ILPs.
+"""Branch-and-bound solver for 0-1 ILPs, with bound propagation on a trail.
 
 The repair encoding (paper Def. 5.5) produces problems with a very regular
 structure: "exactly one" choice groups (one per representative variable, one
@@ -6,11 +6,28 @@ per implementation variable, one per location/variable pair) plus implication
 constraints tying selected local repairs to the chosen variable relation, with
 non-negative objective coefficients only on the local-repair variables.
 
-The solver below is a generic 0-1 branch-and-bound with:
+The solver below is a generic depth-first 0-1 branch-and-bound with:
 
-* constraint propagation to fixpoint (bound reasoning on every constraint,
-  with the special cases of choice groups and implications falling out of the
-  generic rule);
+* **bound propagation on a trail.**  Variables are indexed by int and their
+  values live in one array (``-1`` = free).  Every row keeps its activity
+  bounds — the least and greatest value its left-hand side can still take —
+  incrementally: assigning a variable shifts the bounds of exactly the rows
+  it occurs in.  Each assignment is pushed on a trail together with the row
+  bounds it overwrote, and backtracking restores those saved values instead
+  of subtracting, so the bounds stay exact for any coefficients and a child
+  node copies nothing.  A free variable is forced when one of its values
+  would make a row inconsistent; with the row's bounds at hand that test is
+  O(1) per variable, and a row whose widest coefficient is below its slack
+  cannot force anything and is skipped outright.
+* **complete, order-free propagation.**  The root propagates from every row.
+  A child starts from its parent's fixpoint and differs from it only in the
+  branched variable, so only that variable's rows can newly force anything:
+  they seed the queue, and every forced variable queues its own rows in turn.
+  The rule is monotone (assigning more variables only tightens bounds), so
+  the fixpoint it reaches — or the contradiction — does not depend on the
+  order rows are visited in.  Every node therefore sees exactly the
+  assignment a full re-propagation from all rows would produce, and the
+  search, node counts included, is the same as with one.
 * a lower bound that adds, for every undecided choice group disjoint from
   the groups already charged, the cheapest still-available member (plus the
   cost of every unassigned negative-cost variable);
@@ -23,11 +40,12 @@ incumbent found so far is returned with ``optimal=False``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .problem import Constraint, IlpProblem, IlpSolution
+from .problem import IlpProblem, IlpSolution
 
 __all__ = ["solve", "IlpError", "InfeasibleError"]
+
+#: Feasibility tolerance on row activities.
+_EPS = 1e-9
 
 
 class IlpError(Exception):
@@ -59,12 +77,6 @@ class InfeasibleError(IlpError):
         super().__init__(message)
         self.proven = proven
         self.nodes_explored = nodes_explored
-
-
-@dataclass
-class _SearchState:
-    assignment: dict[str, int]
-    cost: float
 
 
 def solve(
@@ -106,30 +118,65 @@ class _Solver:
         self.problem = problem
         self.node_limit = node_limit
         self.variables = list(problem.variables)
-        self.objective = {
-            var: problem.objective.get(var, 0.0) for var in self.variables
-        }
+        index = {var: i for i, var in enumerate(self.variables)}
+        # Objective in the normalized (minimisation) space.
+        self.cost = [problem.objective.get(var, 0.0) for var in self.variables]
         if not problem.minimize:
-            self.objective = {var: -coeff for var, coeff in self.objective.items()}
-        self.constraints = problem.constraints
-        self.var_constraints: dict[str, list[Constraint]] = {v: [] for v in self.variables}
-        for constraint in self.constraints:
-            for var, _ in constraint.coeffs:
-                self.var_constraints[var].append(constraint)
-        self.choice_groups = [
-            constraint
-            for constraint in self.constraints
-            if constraint.sense == "=="
-            and constraint.rhs == 1.0
-            and all(coeff == 1.0 for _, coeff in constraint.coeffs)
-        ]
+            self.cost = [-coeff for coeff in self.cost]
+
+        # Rows: each variable's coefficients merged into (pos, neg), the sums
+        # of its positive and negative occurrences, so a variable repeated in
+        # a row moves the row's bounds exactly as its occurrences would.  A
+        # row is consistent while lower <= row_max and upper >= row_min.
+        self.row_terms: list[list[tuple[int, float, float]]] = []
+        self.row_min: list[float] = []
+        self.row_max: list[float] = []
+        self.row_widest: list[float] = []
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.var_rows: list[list[tuple[int, float, float]]] = [[] for _ in self.variables]
+        # "Exactly one" choice groups, as member index lists (a repeated
+        # member stays repeated, as in the constraint).
+        self.groups: list[list[int]] = []
+        for row, constraint in enumerate(problem.constraints):
+            merged: dict[int, tuple[float, float]] = {}
+            for var, coeff in constraint.coeffs:
+                pos, neg = merged.get(index[var], (0.0, 0.0))
+                merged[index[var]] = (pos + coeff, neg) if coeff >= 0 else (pos, neg + coeff)
+            terms = [(var, pos, neg) for var, (pos, neg) in merged.items()]
+            self.row_terms.append(terms)
+            low = high = widest = 0.0
+            for var, pos, neg in terms:
+                self.var_rows[var].append((row, pos, neg))
+                low += neg
+                high += pos
+                widest = max(widest, pos, -neg)
+            self.lower.append(low)
+            self.upper.append(high)
+            self.row_widest.append(widest)
+            rhs, sense = constraint.rhs, constraint.sense
+            self.row_min.append(rhs - _EPS if sense != "<=" else float("-inf"))
+            self.row_max.append(rhs + _EPS if sense != ">=" else float("inf"))
+            if (
+                sense == "=="
+                and rhs == 1.0
+                and all(coeff == 1.0 for _, coeff in constraint.coeffs)
+            ):
+                self.groups.append([index[var] for var, _ in constraint.coeffs])
         # Variables whose (normalized) cost is negative: every one still
         # unassigned may yet lower the objective, so the lower bound must
         # charge them.  Repair instances have non-negative costs only, but
         # maximisation problems negate into this case.
-        self.negative_vars = [
-            var for var in self.variables if self.objective.get(var, 0.0) < 0
-        ]
+        self.negative_vars = [var for var, coeff in enumerate(self.cost) if coeff < 0]
+
+        # Search state: the value array, the trail of assigned variables, the
+        # row bounds each assignment overwrote, and the cost of the variables
+        # set to 1.
+        self.values: list[int] = [-1] * len(self.variables)
+        self.trail: list[int] = []
+        self.saved: list[tuple[int, float, float]] = []
+        self.current = 0.0
+
         # ``best_cost`` lives in the normalized (minimisation) space; an
         # externally supplied incumbent bound is translated into it.
         self.bounded = upper_bound is not None
@@ -139,15 +186,14 @@ class _Solver:
             self.best_cost = upper_bound
         else:
             self.best_cost = -upper_bound
-        self.best_assignment: dict[str, int] | None = None
+        self.best_values: list[int] | None = None
         self.nodes = 0
         self.truncated = False
 
     # -- public ----------------------------------------------------------------
 
     def run(self) -> IlpSolution:
-        assignment: dict[str, int] = {}
-        if not self._propagate(assignment):
+        if not self._propagate(list(range(len(self.row_terms)))):
             # A propagation contradiction is a complete argument: it uses
             # neither the node limit nor the incumbent bound.
             raise InfeasibleError(
@@ -155,8 +201,8 @@ class _Solver:
                 proven=True,
                 nodes_explored=self.nodes,
             )
-        self._search(assignment)
-        if self.best_assignment is None:
+        self._search()
+        if self.best_values is None:
             if self.truncated:
                 message = "node limit hit before any feasible assignment was found"
             elif self.bounded:
@@ -168,7 +214,7 @@ class _Solver:
                 proven=not self.truncated and not self.bounded,
                 nodes_explored=self.nodes,
             )
-        values = {var: self.best_assignment.get(var, 0) for var in self.variables}
+        values = dict(zip(self.variables, self.best_values))
         objective = self.problem.objective_value(values)
         return IlpSolution(
             values=values,
@@ -179,88 +225,106 @@ class _Solver:
 
     # -- propagation -------------------------------------------------------------
 
-    def _constraint_bounds(
-        self, constraint: Constraint, assignment: dict[str, int]
-    ) -> tuple[float, float]:
-        lower = 0.0
-        upper = 0.0
-        for var, coeff in constraint.coeffs:
-            value = assignment.get(var)
-            if value is not None:
-                lower += coeff * value
-                upper += coeff * value
-            elif coeff >= 0:
-                upper += coeff
+    def _assign(self, var: int, value: int, queue: list[int]) -> bool:
+        """Set ``var``, shift its rows' bounds and queue them.
+
+        Returns ``False`` when a row becomes inconsistent; the partial
+        update stays on the trail for :meth:`_undo`.
+        """
+        self.values[var] = value
+        self.trail.append(var)
+        if value:
+            self.current += self.cost[var]
+        lower, upper, saved = self.lower, self.upper, self.saved
+        row_min, row_max = self.row_min, self.row_max
+        for row, pos, neg in self.var_rows[var]:
+            low, high = lower[row], upper[row]
+            saved.append((row, low, high))
+            if value:
+                low += pos
+                high += neg
             else:
-                lower += coeff
-        return lower, upper
-
-    def _constraint_consistent(
-        self, constraint: Constraint, assignment: dict[str, int]
-    ) -> bool:
-        lower, upper = self._constraint_bounds(constraint, assignment)
-        if constraint.sense == "==":
-            return lower - 1e-9 <= constraint.rhs <= upper + 1e-9
-        if constraint.sense == ">=":
-            return upper >= constraint.rhs - 1e-9
-        return lower <= constraint.rhs + 1e-9  # "<="
-
-    def _propagate(self, assignment: dict[str, int]) -> bool:
-        """Fix forced variables; return ``False`` on contradiction."""
-        queue = list(self.constraints)
-        while queue:
-            constraint = queue.pop()
-            if not self._constraint_consistent(constraint, assignment):
+                low -= neg
+                high -= pos
+            lower[row] = low
+            upper[row] = high
+            if low > row_max[row] or high < row_min[row]:
                 return False
-            for var, _ in constraint.coeffs:
-                if var in assignment:
-                    continue
-                forced = None
-                for candidate in (0, 1):
-                    assignment[var] = candidate
-                    ok = self._constraint_consistent(constraint, assignment)
-                    del assignment[var]
-                    if not ok:
-                        forced = 1 - candidate
-                        break
-                if forced is not None:
-                    assignment[var] = forced
-                    if not all(
-                        self._constraint_consistent(c, assignment)
-                        for c in self.var_constraints[var]
-                    ):
-                        return False
-                    queue.extend(self.var_constraints[var])
+            queue.append(row)
         return True
+
+    def _propagate(self, queue: list[int]) -> bool:
+        """Fix forced variables to fixpoint; return ``False`` on contradiction."""
+        values, lower, upper = self.values, self.lower, self.upper
+        row_min, row_max, row_widest = self.row_min, self.row_max, self.row_widest
+        while queue:
+            row = queue.pop()
+            low, high = lower[row], upper[row]
+            top, bottom = row_max[row], row_min[row]
+            if low > top or high < bottom:
+                return False
+            widest = row_widest[row]
+            if widest < top - low and widest < high - bottom:
+                continue  # no single assignment can violate this row
+            for var, pos, neg in self.row_terms[row]:
+                if values[var] >= 0:
+                    continue
+                if low - neg > top or high - pos < bottom:
+                    forced = 1  # setting it to 0 violates the row
+                elif low + pos > top or high + neg < bottom:
+                    forced = 0  # setting it to 1 violates the row
+                else:
+                    continue
+                if not self._assign(var, forced, queue):
+                    return False
+                low, high = lower[row], upper[row]
+        return True
+
+    def _undo(self, trail_mark: int, saved_mark: int, cost: float) -> None:
+        values, trail, saved = self.values, self.trail, self.saved
+        lower, upper = self.lower, self.upper
+        while len(saved) > saved_mark:
+            row, low, high = saved.pop()
+            lower[row] = low
+            upper[row] = high
+        while len(trail) > trail_mark:
+            values[trail.pop()] = -1
+        self.current = cost
 
     # -- bounding -----------------------------------------------------------------
 
-    def _current_cost(self, assignment: dict[str, int]) -> float:
-        return sum(
-            self.objective[var] * value
-            for var, value in assignment.items()
-            if value and self.objective.get(var)
-        )
+    def _open_groups(self) -> list[list[int]]:
+        """Free members of every choice group that no member satisfies yet."""
+        values = self.values
+        open_groups = []
+        for members in self.groups:
+            free = []
+            for var in members:
+                value = values[var]
+                if value == 1:
+                    break
+                if value < 0:
+                    free.append(var)
+            else:
+                open_groups.append(free)
+        return open_groups
 
-    def _lower_bound(self, assignment: dict[str, int]) -> float:
-        bound = self._current_cost(assignment)
+    def _lower_bound(self, open_groups: list[list[int]]) -> float:
+        values, cost = self.values, self.cost
+        bound = self.current
         for var in self.negative_vars:
-            if var not in assignment:
-                bound += self.objective[var]
-        counted: set[str] = set()
-        for group in self.choice_groups:
-            members = [var for var, _ in group.coeffs]
-            if any(assignment.get(var) == 1 for var in members):
-                continue
-            available = [var for var in members if assignment.get(var) != 0]
+            if values[var] < 0:
+                bound += cost[var]
+        counted: set[int] = set()
+        for available in open_groups:
             # Only charge groups whose available members are disjoint from
             # every group already charged: a shared variable set to 1 could
             # satisfy both groups at a single cost, so charging the
             # remaining members of an overlapping group would overcharge
             # (an inadmissible bound that prunes true optima).
-            if not available or any(var in counted for var in available):
+            if not available or not counted.isdisjoint(available):
                 continue
-            cheapest = min(self.objective.get(var, 0.0) for var in available)
+            cheapest = min(cost[var] for var in available)
             if cheapest > 0:
                 bound += cheapest
                 counted.update(available)
@@ -268,59 +332,51 @@ class _Solver:
 
     # -- search -----------------------------------------------------------------
 
-    def _select_variable(self, assignment: dict[str, int]) -> str | None:
-        # Prefer a free variable from the tightest undecided choice group.
-        best_var: str | None = None
-        best_key: tuple[int, float] | None = None
-        for group in self.choice_groups:
-            members = [var for var, _ in group.coeffs]
-            if any(assignment.get(var) == 1 for var in members):
-                continue
-            free = [var for var in members if var not in assignment]
-            if not free:
+    def _select_variable(self, open_groups: list[list[int]]) -> int:
+        # Prefer a free variable from the tightest undecided choice group,
+        # cheapest first; ties keep the earliest group and member.
+        cost = self.cost
+        best_var = -1
+        best_size = float("inf")
+        best_cost = 0.0
+        for free in open_groups:
+            size = len(free)
+            if not size or size > best_size:
                 continue
             for var in free:
-                key = (len(free), self.objective.get(var, 0.0))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_var = var
-        if best_var is not None:
+                if size < best_size or cost[var] < best_cost:
+                    best_var, best_size, best_cost = var, size, cost[var]
+        if best_var >= 0:
             return best_var
-        for var in self.variables:
-            if var not in assignment:
-                return var
-        return None
+        try:
+            return self.values.index(-1)
+        except ValueError:
+            return -1
 
-    def _search(self, assignment: dict[str, int]) -> None:
+    def _search(self) -> None:
         self.nodes += 1
         if self.nodes >= self.node_limit:
             self.truncated = True
             return
-        if self._lower_bound(assignment) >= self.best_cost:
+        open_groups = self._open_groups()
+        if self._lower_bound(open_groups) >= self.best_cost:
             return
-        variable = self._select_variable(assignment)
-        if variable is None:
-            cost = self._current_cost(assignment)
-            if cost < self.best_cost and self._complete_is_feasible(assignment):
-                self.best_cost = cost
-                self.best_assignment = dict(assignment)
+        variable = self._select_variable(open_groups)
+        if variable < 0:
+            if self.current < self.best_cost and self._complete_is_feasible():
+                self.best_cost = self.current
+                self.best_values = list(self.values)
             return
         # Try the cheaper value first (for minimisation with non-negative
         # costs that is almost always 0, but selecting a repair variable to 1
         # is what satisfies choice groups, so order by resulting bound).
-        order = (0, 1) if self.objective.get(variable, 0.0) > 0 else (1, 0)
+        order = (0, 1) if self.cost[variable] > 0 else (1, 0)
+        marks = (len(self.trail), len(self.saved), self.current)
         for value in order:
-            trail = dict(assignment)
-            trail[variable] = value
-            if not all(
-                self._constraint_consistent(c, trail)
-                for c in self.var_constraints[variable]
-            ):
-                continue
-            if not self._propagate(trail):
-                continue
-            self._search(trail)
+            queue: list[int] = []
+            if self._assign(variable, value, queue) and self._propagate(queue):
+                self._search()
+            self._undo(*marks)
 
-    def _complete_is_feasible(self, assignment: dict[str, int]) -> bool:
-        values = {var: assignment.get(var, 0) for var in self.variables}
-        return self.problem.is_feasible(values)
+    def _complete_is_feasible(self) -> bool:
+        return self.problem.is_feasible(dict(zip(self.variables, self.values)))

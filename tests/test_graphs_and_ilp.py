@@ -146,23 +146,42 @@ def test_empty_exactly_one_is_infeasible():
 # -- property: solver agrees with brute force on random small problems -------------------
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_solver_matches_brute_force(data):
+    """Optimum and verdict agree with enumeration on small random problems
+    with mixed-sign, non-unit coefficients, variables repeated within a row,
+    either optimisation sense and an optional incumbent ``upper_bound``."""
     n_vars = data.draw(st.integers(2, 6), label="n_vars")
     variables = [f"v{i}" for i in range(n_vars)]
-    problem = IlpProblem()
+    minimize = data.draw(st.booleans(), label="minimize")
+    problem = IlpProblem(minimize=minimize)
     for var in variables:
-        problem.add_variable(var, objective=float(data.draw(st.integers(0, 6), label=var)))
+        problem.add_variable(var, objective=float(data.draw(st.integers(-3, 6), label=var)))
     n_constraints = data.draw(st.integers(1, 4), label="n_constraints")
     for index in range(n_constraints):
         subset = data.draw(
-            st.lists(st.sampled_from(variables), min_size=1, max_size=n_vars, unique=True),
+            st.lists(st.sampled_from(variables), min_size=1, max_size=n_vars),
             label=f"c{index}",
         )
+        if data.draw(st.booleans(), label=f"g{index}"):
+            problem.add_exactly_one(subset)  # a choice group
+            continue
+        if data.draw(st.booleans(), label=f"rep{index}"):
+            subset.append(subset[0])  # the same variable twice in one row
+        coeffs = [
+            (var, float(data.draw(st.integers(-3, 3), label=f"a{index}{var}")))
+            for var in subset
+        ]
+        low = sum(min(coeff, 0.0) for _, coeff in coeffs)
+        high = sum(max(coeff, 0.0) for _, coeff in coeffs)
         sense = data.draw(st.sampled_from(["==", ">=", "<="]), label=f"s{index}")
-        rhs = data.draw(st.integers(0, len(subset)), label=f"r{index}")
-        problem.add_constraint({v: 1.0 for v in subset}, sense, float(rhs))
+        rhs = data.draw(st.integers(int(low) - 1, int(high) + 1), label=f"r{index}")
+        problem.add_constraint(coeffs, sense, float(rhs))
+    upper_bound = data.draw(st.none() | st.integers(-12, 24), label="upper_bound")
+
+    def better(a: float, b: float) -> bool:
+        return a < b if minimize else a > b
 
     # brute force
     best = None
@@ -170,13 +189,22 @@ def test_solver_matches_brute_force(data):
         assignment = dict(zip(variables, bits))
         if problem.is_feasible(assignment):
             cost = problem.objective_value(assignment)
-            if best is None or cost < best:
+            if best is None or better(cost, best):
                 best = cost
 
-    if best is None:
-        with pytest.raises(InfeasibleError):
-            solve(problem)
+    kwargs = {} if upper_bound is None else {"upper_bound": float(upper_bound)}
+    if best is None or (upper_bound is not None and not better(best, upper_bound)):
+        with pytest.raises(InfeasibleError) as excinfo:
+            solve(problem, **kwargs)
+        # A feasible problem is never "proven" infeasible, and an unbounded
+        # search always proves it.  (Under a bound, a root contradiction is
+        # a proof, a bounded search that finds nothing is not.)
+        if best is not None:
+            assert not excinfo.value.proven
+        elif upper_bound is None:
+            assert excinfo.value.proven
     else:
-        solution = solve(problem)
+        solution = solve(problem, **kwargs)
+        assert solution.optimal
         assert problem.is_feasible(solution.values)
         assert abs(solution.objective - best) < 1e-9

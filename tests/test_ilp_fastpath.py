@@ -1,14 +1,17 @@
-"""Tests for the solver fast path: degenerate dispatch, solve memoization
-and warm starts (``repro.ilp.fastpath`` / ``repro.ilp.structure``).
+"""Tests for the solver fast path: solve memoization and warm starts
+(``repro.ilp.fastpath`` / ``repro.ilp.structure``), and for the search the
+branch-and-bound solver runs.
 
 The contract under test everywhere: :func:`repro.ilp.solve_fast` is
 *objective-identical* to the spec solver :func:`repro.ilp.solver.solve` —
 on optimal solves, on infeasible problems and under node limits — and the
 repair pipeline produces field-identical outcomes whether or not the
-:class:`repro.ilp.SolveCache` memo is enabled."""
+:class:`repro.ilp.SolveCache` memo is enabled.  The spec solver's search
+itself is pinned outcome by outcome, node counts included."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -25,12 +28,10 @@ from repro.core.repair import find_best_repair
 from repro.datasets import generate_corpus, get_problem
 from repro.engine import RepairCaches
 from repro.frontend import parse_python_source
-from repro.graphs import min_cost_perfect_matching
 from repro.ilp import (
     IlpProblem,
     InfeasibleError,
     SolveCache,
-    analyze_assignment_form,
     problem_fingerprint,
     solve,
     solve_fast,
@@ -63,8 +64,28 @@ def _random_def55_problem(rng: random.Random) -> IlpProblem:
     return problem
 
 
+def _random_weighted_problem(rng: random.Random) -> IlpProblem:
+    """Rows with mixed-sign, non-unit coefficients and repeated variables."""
+    n = rng.randint(3, 8)
+    problem = IlpProblem(minimize=rng.random() < 0.7)
+    variables = [f"w{i}" for i in range(n)]
+    for var in variables:
+        problem.add_variable(var, objective=float(rng.randint(-3, 6)))
+    problem.add_exactly_one(rng.sample(variables, rng.randint(2, n)))
+    for _ in range(rng.randint(1, 4)):
+        row = [(var, float(rng.choice([-3, -2, -1, 1, 2, 3])))
+               for var in rng.sample(variables, rng.randint(1, n))]
+        if rng.random() < 0.3:
+            row.append((row[0][0], float(rng.choice([-2, -1, 1, 2]))))
+        low = sum(min(coeff, 0.0) for _, coeff in row)
+        high = sum(max(coeff, 0.0) for _, coeff in row)
+        sense = rng.choice(["==", ">=", "<="])
+        problem.add_constraint(row, sense, float(rng.randint(int(low), int(high))))
+    return problem
+
+
 def _random_assignment_problem(rng: random.Random) -> IlpProblem:
-    """Row/column exactly-one groups: assignment-degenerate by construction.
+    """Row/column exactly-one groups: a min-cost assignment by construction.
 
     Rows and columns may differ in size and slack variables appear only
     sometimes, so a fraction of the generated problems is (provenly)
@@ -114,38 +135,6 @@ def _objective_or_none(problem: IlpProblem, **kwargs) -> float | None:
         return None
 
 
-# -- the min-cost matching substrate ---------------------------------------------------
-
-
-def test_min_cost_matching_agrees_with_permutation_brute_force():
-    rng = random.Random(SEED)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        left = [f"l{i}" for i in range(n)]
-        right = [f"r{j}" for j in range(n)]
-        edges = {
-            (u, v): float(rng.randint(-5, 9)) for u in left for v in right
-        }
-        result = min_cost_perfect_matching(left, right, edges)
-        assert result is not None
-        matching, cost = result
-        assert sorted(matching) == left
-        assert sorted(matching.values()) == right
-        brute = min(
-            sum(edges[(left[i], right[p[i]])] for i in range(n))
-            for p in itertools.permutations(range(n))
-        )
-        assert abs(cost - brute) < 1e-9
-        assert abs(sum(edges[e] for e in matching.items()) - brute) < 1e-9
-
-
-def test_min_cost_matching_detects_impossible_instances():
-    assert min_cost_perfect_matching(["a"], ["x", "y"], {("a", "x"): 1.0}) is None
-    blocked = {("a", "x"): 1.0, ("b", "x"): 2.0}
-    assert min_cost_perfect_matching(["a", "b"], ["x", "y"], blocked) is None
-    assert min_cost_perfect_matching([], [], {}) == ({}, 0.0)
-
-
 # -- objective identity: fast path vs the spec solver ---------------------------------
 
 
@@ -169,68 +158,59 @@ def test_solve_fast_objective_identical_on_def55_problems():
         assert cache.hits == 1 and cache.misses == 1
 
 
+# Assignment-degenerate problems (row/column exactly-one groups) are solved
+# by branch-and-bound like every other problem; what a repeat solve
+# dispatches to is the memo, which answers without exploring a node.
+
+
 def test_degenerate_dispatch_is_exact_and_explores_no_nodes():
     rng = random.Random(SEED)
-    dispatched = infeasible = 0
+    solved = infeasible = 0
     for trial in range(150):
         problem = _random_assignment_problem(rng)
-        assert analyze_assignment_form(problem) is not None, trial
         cache = SolveCache()
         fast = _objective_or_none(problem, cache=cache)
-        assert cache.degenerate_dispatches == 1 and cache.bnb_fallbacks == 0
-        assert cache.nodes_explored == 0
+        assert cache.bnb_fallbacks == 1, trial
         try:
             spec = solve(problem).objective
         except InfeasibleError:
             spec = None
-        assert (fast is None) == (spec is None), trial
+        brute = _brute_force(problem)
+        assert (fast is None) == (spec is None) == (brute is None), trial
         if fast is None:
             infeasible += 1
         else:
-            assert abs(fast - spec) < 1e-9, trial
-            dispatched += 1
-        # Proven verdicts (both kinds) are memoized.
+            assert abs(fast - brute) < 1e-9 and abs(spec - brute) < 1e-9, trial
+            solved += 1
+        # Proven verdicts (both kinds) are memoized, and the memo hit
+        # explores no nodes.
+        nodes = cache.nodes_explored
         assert _objective_or_none(problem, cache=cache) == fast
-        assert cache.hits == 1
-    assert dispatched > 50 and infeasible > 10  # both regimes exercised
+        assert cache.hits == 1 and cache.bnb_fallbacks == 1, trial
+        assert cache.nodes_explored == nodes, trial
+    assert solved > 50 and infeasible > 10  # both regimes exercised
 
 
 def test_solutions_returned_by_degenerate_dispatch_are_feasible():
     rng = random.Random(SEED + 1)
-    for _ in range(80):
+    returned = 0
+    for trial in range(80):
         problem = _random_assignment_problem(rng)
+        cache = SolveCache()
         try:
-            solution = solve_fast(problem)
+            solution = solve_fast(problem, cache=cache)
         except InfeasibleError:
             continue
-        assert problem.is_feasible(solution.values)
-        assert solution.optimal and solution.nodes_explored == 0
-
-
-def test_implications_decline_the_degenerate_form():
-    problem = IlpProblem()
-    problem.add_variable("a", objective=1.0)
-    problem.add_variable("b", objective=2.0)
-    problem.add_exactly_one(["a", "b"])
-    problem.add_implication("a", "b")
-    assert analyze_assignment_form(problem) is None
-    cache = SolveCache()
-    solution = solve_fast(problem, cache=cache)
-    assert cache.bnb_fallbacks == 1 and cache.degenerate_dispatches == 0
-    assert solution.objective == solve(problem).objective
-
-
-def test_odd_group_cycles_decline_the_degenerate_form():
-    problem = IlpProblem()
-    for var in ("a", "b", "c"):
-        problem.add_variable(var)
-    problem.add_exactly_one(["a", "b"])
-    problem.add_exactly_one(["b", "c"])
-    problem.add_exactly_one(["a", "c"])
-    assert analyze_assignment_form(problem) is None  # non-bipartite
-    with pytest.raises(InfeasibleError) as excinfo:
-        solve_fast(problem)
-    assert excinfo.value.proven
+        assert problem.is_feasible(solution.values), trial
+        assert solution.optimal, trial
+        assert abs(problem.objective_value(solution.values) - solution.objective) < 1e-9
+        memoized = solve_fast(problem, cache=cache)
+        assert cache.hits == 1, trial
+        assert problem.is_feasible(memoized.values), trial
+        assert memoized.values == solution.values, trial
+        assert memoized.optimal and memoized.nodes_explored == 0, trial
+        returned += 1
+    assert returned > 20
 
 
 # -- canonical fingerprints ------------------------------------------------------------
@@ -386,7 +366,9 @@ def test_unproven_infeasibility_is_not_cached():
     assert hit.value.proven and cache.hits == 1
 
 
-def test_empty_choice_group_is_proven_infeasible_via_dispatch():
+def test_empty_choice_group_is_proven_infeasible():
+    # ``sum([]) == 1`` is the marker _build_ilp emits for an unrepairable
+    # fixed site: root propagation refutes it before any node is explored.
     problem = IlpProblem()
     problem.add_variable("x", objective=1.0)
     problem.add_exactly_one(["x"])
@@ -394,9 +376,52 @@ def test_empty_choice_group_is_proven_infeasible_via_dispatch():
     cache = SolveCache()
     with pytest.raises(InfeasibleError) as excinfo:
         solve_fast(problem, cache=cache)
-    assert excinfo.value.proven
-    assert cache.degenerate_dispatches == 1 and cache.nodes_explored == 0
+    assert excinfo.value.proven and excinfo.value.nodes_explored == 0
+    assert cache.bnb_fallbacks == 1 and cache.nodes_explored == 0
     assert cache.entry_counts() == {"solves": 1}
+
+
+# -- the search itself: same nodes, same answers ------------------------------------
+
+#: sha256 of every outcome below, computed with the original solver that
+#: re-propagated every row at every node and copied the assignment per
+#: child.  Propagation on a trail must run the identical search.
+SEARCH_DIGEST = "0c599e9ea941b2a37513fa9f83c0daef105e8226e47d489b1b347548b5f6a889"
+
+
+def _search_outcome(problem: IlpProblem, **kwargs) -> tuple:
+    try:
+        solution = solve(problem, **kwargs)
+    except InfeasibleError as error:
+        return ("InfeasibleError", error.proven, error.nodes_explored)
+    selected = sorted(var for var, value in solution.values.items() if value)
+    return (solution.objective, solution.optimal, solution.nodes_explored, selected)
+
+
+def test_search_is_pinned_outcome_by_outcome():
+    """Objective, optimality, node count and selected variables of every
+    solve — plain, under each node limit of a sweep, and warm-started, on
+    Def. 5.5-shaped and on mixed-coefficient problems — hash to the digest
+    the original solver produced."""
+    rng = random.Random(SEED)
+    problems = [_random_def55_problem(rng) for _ in range(150)]
+    problems += [_random_weighted_problem(rng) for _ in range(150)]
+    outcomes = [_search_outcome(problem) for problem in problems]
+    swept = [
+        problem
+        for problem, outcome in zip(problems, outcomes)
+        if outcome[0] != "InfeasibleError" and outcome[2] > 3
+    ][:8]
+    assert len(swept) == 8
+    for problem in swept:
+        full = solve(problem)
+        for limit in range(1, full.nodes_explored + 2):
+            outcomes.append(_search_outcome(problem, node_limit=limit))
+        margin = 1.0 if problem.minimize else -1.0
+        outcomes.append(_search_outcome(problem, upper_bound=full.objective + margin))
+        outcomes.append(_search_outcome(problem, upper_bound=full.objective))
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == SEARCH_DIGEST
 
 
 # -- warm starts ----------------------------------------------------------------------
@@ -411,15 +436,10 @@ def test_warm_start_returns_the_cold_solution_when_it_beats_the_bound():
             cold = solve(problem)
         except InfeasibleError:
             continue
-        # Degenerate problems dispatch to the assignment solver, whose
-        # tie-breaking may legitimately pick a different optimal assignment
-        # than branch-and-bound; compare warm against the cold *fast-path*
-        # solution so both sides take the same dispatch route.
-        cold_fast = solve_fast(problem)
         margin = 1.0 if problem.minimize else -1.0
         warm = solve_fast(problem, upper_bound=cold.objective + margin)
         assert warm is not None, trial
-        assert warm.values == cold_fast.values, trial
+        assert warm.values == cold.values, trial
         assert warm.objective == cold.objective, trial
         if warm.nodes_explored < cold.nodes_explored:
             strict_prunes += 1
