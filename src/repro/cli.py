@@ -412,14 +412,8 @@ def _write_batch_profile(args, spec, report, sections) -> Path:
         "attempts": len(report.records),
         "workers": args.workers,
         "processes": args.processes,
-        "phases": sections["phases"],
-        "ted": sections["ted"],
-        "compile": sections["compile"],
-        "solve": sections["solve"],
+        **sections,
         "cache": report.cache_stats.as_dict(),
-        "cache_entries": sections["cache_entries"],
-        "store_paging": sections["store_paging"],
-        "retrieval": sections["retrieval"],
     }
     directory = Path("results") / "local"
     directory.mkdir(parents=True, exist_ok=True)

@@ -9,12 +9,14 @@ this package scales it to corpora.  It contributes two pieces:
   :class:`BatchReport`, concurrent repair of many attempts with per-attempt
   budgets and aggregate statistics;
 * :mod:`repro.engine.parallel` — :class:`ProcessBatchEngine`, the
-  multi-core path: skeleton-aligned shards across worker subprocesses
-  (:mod:`repro.engine.worker`) with deterministic counter merging.
+  multi-core path: skeleton-aligned shards across fleet worker
+  subprocesses (:class:`repro.fleet.WorkerSupervisor`) with deterministic
+  counter merging.
 
 The dependency direction is ``engine → core``; the one place the core calls
 back (``Clara.repair_source`` delegating to a batch of size 1) imports this
-package lazily to keep the layering acyclic.
+package lazily to keep the layering acyclic.  The engine's one call upward,
+:mod:`repro.engine.parallel` driving the fleet supervisor, is lazy too.
 """
 
 from .batch import BatchAttempt, BatchRecord, BatchRepairEngine, BatchReport

@@ -4,15 +4,15 @@
 *threads*, which share one pipeline's caches but — the repair hot path
 being pure Python that releases no GIL — never more than one core.
 :class:`ProcessBatchEngine` is the multi-core path behind ``batch
---processes N``: it shards a corpus across N spawned worker subprocesses
-(:mod:`repro.engine.worker`), each of which opens the cluster store
-header-only with its own warm shared-nothing
-:class:`~repro.engine.cache.RepairCaches` and repairs its shard
-single-threaded, streaming per-attempt records back over a pipe.  The
-parent merges the shard streams into one
+--processes N``: it shards a corpus across N worker subprocesses on the
+``serve --fleet`` stack — one :class:`~repro.fleet.supervisor.WorkerSupervisor`
+per shard driving ``python -m repro.fleet.worker``, which opens the
+cluster store header-only with its own warm shared-nothing
+:class:`~repro.engine.cache.RepairCaches` and answers one ``repair``
+request per attempt, in order.  The parent merges the responses into one
 :class:`~repro.engine.batch.BatchReport` in submission order and folds
-every per-worker counter section by commutative sum, so ``--profile``
-output is byte-stable regardless of process count.
+every worker's per-problem ``stats`` section by commutative sum, so
+``--profile`` output is byte-stable regardless of process count.
 
 Why the merged counters *equal* a single-process run (not merely sum to
 something plausible): shards are planned by **CFG-skeleton digest**
@@ -38,49 +38,38 @@ are provably identical.
 Determinism also does not depend on ``PYTHONHASHSEED``: shard planning
 uses SHA-256 skeleton digests and CRC-32 of the source bytes (for
 unparseable attempts) with first-appearance round-robin assignment, and
-each worker is single-threaded, so per-shard record streams and counters
-are reproducible run to run.
+each worker repairs one request at a time, so per-shard records and
+counters are reproducible run to run.
 
-A worker that dies mid-shard (crash, OOM kill) does not hang the merge:
-its already-streamed records are kept, and every unanswered attempt of
-that shard is reported as a structured ``internal-error`` record naming
-the shard and exit code.  The dead worker's final counters frame is
-simply absent from the merge.
+Worker death is the supervisor's business.  A worker that dies mid-shard
+(crash, OOM kill) is respawned and its in-flight attempts are retried
+once, so the records stay field-identical; the shard's counters then
+cover its last incarnation only.  A worker that keeps dying opens the
+shard's circuit breaker, and every attempt it could not answer becomes a
+structured ``internal-error`` record naming the shard.  The supervisors
+run without a kill watchdog or heartbeats: a batch attempt is bounded by
+its budget, as in process.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-import threading
 import time
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..clusterstore.segments import skeleton_digest
 from ..clusterstore.store import StoreHeader, read_store_header
 from ..core.profile import PhaseProfiler
-from ..retrieval.index import DEFAULT_TOP_K, RetrievalStats
+from ..retrieval.index import RetrievalStats
 from .batch import BatchAttempt, BatchRecord, BatchRepairEngine, BatchReport
 from .cache import CacheStats
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..core.pipeline import RepairOutcome
-
 __all__ = ["ProcessBatchEngine", "shard_key", "shard_plan", "merge_store_paging"]
 
-#: Environment variable for fault-injection tests: ``"<shard>:<after>"``
-#: makes the worker owning that shard hard-exit (``os._exit``) after
-#: streaming ``after`` records, exercising the parent's crash-fill path.
-CRASH_ENV = "REPRO_BATCH_WORKER_CRASH"
-
-#: Exit code the crash hook uses; distinctive enough that a test can tell
-#: an injected crash from an import error (1) or a usage error (2).
-CRASH_EXIT_CODE = 23
+#: The ``stats`` sections merged by plain key-wise sum.
+_SUMMED_SECTIONS = ("ted", "compile", "solve", "cache_entries")
 
 
 # -- shard planning ----------------------------------------------------------------
@@ -180,28 +169,20 @@ def _sum_counter_dicts(sections: Iterable[dict]) -> dict:
 # -- the engine ----------------------------------------------------------------------
 
 
-@dataclass
-class _ShardResult:
-    """What one worker thread collected: records by index, final frame, exit."""
-
-    records: dict[int, BatchRecord] = field(default_factory=dict)
-    frame: dict | None = None
-    exit_code: int | None = None
-    stderr: str = ""
-
-
 class ProcessBatchEngine:
     """Shard a corpus across worker processes; merge one deterministic report.
 
     Built by ``BatchRepairEngine.from_store(..., processes=N)`` (the
-    ``batch --processes N`` path).  Each worker subprocess rebuilds its
-    pipeline from the dataset registry (the store header's ``problem``
-    name), opens the store header-only, and repairs its skeleton-aligned
-    shard single-threaded — per-shard counters are therefore deterministic,
-    which is what lets the merged ``--profile`` payload be committed and
-    asserted byte-identical to a single-process run (see the module
-    docstring for the argument, and ``results/parallel_batch.json`` for
-    the committed evidence).
+    ``batch --processes N`` path).  Each shard is served by one
+    :class:`~repro.fleet.supervisor.WorkerSupervisor` driving a
+    ``python -m repro.fleet.worker`` subprocess — the same stack as ``serve
+    --fleet`` — which rebuilds its pipeline from the dataset registry (the
+    store header's ``problem`` name), opens the store header-only, and
+    repairs its skeleton-aligned shard one request at a time.  Per-shard
+    counters are therefore deterministic, which is what lets the merged
+    ``--profile`` payload be committed and asserted byte-identical to a
+    single-process run (see the module docstring for the argument, and
+    ``results/parallel_batch.json`` for the committed evidence).
 
     Args:
         clusters_path: A current-format cluster store whose header names a
@@ -209,11 +190,12 @@ class ProcessBatchEngine:
         processes: Worker-process count (>= 1); also the reported
             ``BatchReport.workers``.  Shards left empty by the planner
             spawn no process.
-        budget: Per-attempt wall-clock budget forwarded to every worker.
+        budget: Per-attempt wall-clock budget, sent as each repair
+            request's ``deadline``.
         profile: Attach a :class:`~repro.core.profile.PhaseProfiler` in
             every worker and merge the payloads (``batch --profile``).
-        retrieval_prefilter / retrieval_top_k: Forwarded pipeline
-            configuration (:class:`repro.core.pipeline.Clara`).
+        retrieval_prefilter: Forwarded pipeline configuration
+            (:class:`repro.core.pipeline.Clara`).
         language: When given, validated against the store header up front
             so a mismatch fails in the parent, not N times in workers.
 
@@ -241,7 +223,6 @@ class ProcessBatchEngine:
         budget: float | None = None,
         profile: bool = False,
         retrieval_prefilter: bool = True,
-        retrieval_top_k: int = DEFAULT_TOP_K,
         language: str | None = None,
     ) -> None:
         if processes < 1:
@@ -262,7 +243,6 @@ class ProcessBatchEngine:
         self.budget = budget
         self.profile = profile
         self.retrieval_prefilter = retrieval_prefilter
-        self.retrieval_top_k = retrieval_top_k
 
     # -- public API --------------------------------------------------------------
 
@@ -282,198 +262,127 @@ class ProcessBatchEngine:
         shape); ``report.cache_stats`` carries the summed trace/match/repair
         counters.
         """
+        # Imported here, not at module level: the fleet imports the service
+        # layer, which imports this package (the same lazy hop the core
+        # takes back into the engine).
+        from ..fleet.supervisor import WorkerSupervisor
+
         items = BatchRepairEngine._normalise(attempts)
         effective_budget = self.budget if budget is None else budget
         started = time.perf_counter()
-        if not items:
-            return BatchReport(
-                records=[],
-                outcomes=[],
-                wall_time=time.perf_counter() - started,
-                workers=self.processes,
-                cache_stats=CacheStats(),
-            )
         shards = shard_plan(
-            items,
-            self.processes,
-            language=self.header.language,
-            entry=self.header.entry,
+            items, self.processes, language=self.header.language, entry=self.header.entry
         )
-        results: list[_ShardResult] = [_ShardResult() for _ in shards]
-        threads = []
-        for shard_index, member_indices in enumerate(shards):
-            if not member_indices:
-                results[shard_index].exit_code = 0
-                continue
-            thread = threading.Thread(
-                target=self._drive_worker,
-                args=(shard_index, member_indices, items, effective_budget, results),
-                name=f"batch-shard-{shard_index}",
-                daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join()
-        return self._merge(items, shards, results, time.perf_counter() - started)
-
-    # -- worker lifecycle ----------------------------------------------------------
-
-    def _worker_command(self, shard_index: int, budget: float | None) -> list[str]:
-        command = [
-            sys.executable,
-            "-m",
-            "repro.engine.worker",
-            "--store",
-            str(self.clusters_path),
-            "--shard",
-            str(shard_index),
-            "--top-k",
-            str(self.retrieval_top_k),
-        ]
-        if budget is not None:
-            command += ["--budget", repr(budget)]
-        if self.profile:
-            command.append("--profile")
-        if not self.retrieval_prefilter:
-            command.append("--no-prefilter")
-        return command
-
-    @staticmethod
-    def _environment() -> dict:
-        env = dict(os.environ)
-        # The worker must import the same repro package this process runs,
-        # whether or not it was pip-installed.
-        src = str(Path(__file__).resolve().parent.parent.parent)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-        return env
-
-    def _drive_worker(
-        self,
-        shard_index: int,
-        member_indices: list[int],
-        items: list[BatchAttempt],
-        budget: float | None,
-        results: list[_ShardResult],
-    ) -> None:
-        """Feed one worker its shard over stdin; collect its NDJSON stream."""
-        result = results[shard_index]
-        payload = "".join(
-            json.dumps(
-                {
-                    "id": index,
-                    "attempt_id": items[index].attempt_id,
-                    "source": items[index].source,
-                }
-            )
-            + "\n"
-            for index in member_indices
-        )
+        supervisors: dict[int, WorkerSupervisor] = {}
+        futures = {}
+        records: dict[int, BatchRecord] = {}
+        sections: list[dict] = []
         try:
-            proc = subprocess.Popen(
-                self._worker_command(shard_index, budget),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                env=self._environment(),
-            )
-        except OSError as exc:  # spawn failure (no interpreter, fd limits)
-            result.exit_code = -1
-            result.stderr = f"spawn failed: {exc}"
-            return
-        stdout, stderr = proc.communicate(payload)
-        result.exit_code = proc.returncode
-        result.stderr = stderr.strip()
-        for line in stdout.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                frame = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a partial final line from a killed worker
-            if "record" in frame:
-                result.records[frame["id"]] = BatchRecord(**frame["record"])
-            elif "counters" in frame:
-                result.frame = frame
-
-    # -- merging ---------------------------------------------------------------------
-
-    def _merge(
-        self,
-        items: list[BatchAttempt],
-        shards: list[list[int]],
-        results: list[_ShardResult],
-        wall_time: float,
-    ) -> BatchReport:
-        from ..core.pipeline import RepairOutcome, RepairStatus
-
-        records: list[BatchRecord | None] = [None] * len(items)
-        for shard_index, member_indices in enumerate(shards):
-            result = results[shard_index]
-            for index in member_indices:
-                record = result.records.get(index)
-                if record is None:
-                    detail = (
-                        f"worker process for shard {shard_index} exited with "
-                        f"code {result.exit_code} before repairing this attempt"
-                    )
-                    if result.stderr:
-                        detail += f" (stderr: {result.stderr.splitlines()[-1][:200]})"
-                    record = BatchRecord(
-                        attempt_id=items[index].attempt_id,
-                        status=RepairStatus.INTERNAL_ERROR,
-                        elapsed=0.0,
-                        detail=detail,
-                    )
-                records[index] = record
-
-        frames = [result.frame for result in results if result.frame is not None]
-        cache_stats = CacheStats()
-        for frame in frames:
-            cache_stats = cache_stats.merge(CacheStats.from_dict(frame["cache"]))
-
-        profile: dict | None = None
-        if frames:
-            profiler = PhaseProfiler()
-            retrieval = RetrievalStats()
-            for frame in frames:
-                counters = frame["counters"]
-                profiler = profiler.merge(PhaseProfiler.from_dict(counters["phases"]))
-                retrieval = retrieval.merge(
-                    RetrievalStats.from_dict(counters["retrieval"])
+            for shard_index, member_indices in enumerate(shards):
+                if not member_indices:
+                    continue
+                supervisor = WorkerSupervisor(
+                    shard_index,
+                    [self.clusters_path],
+                    profile=self.profile,
+                    retrieval_prefilter=self.retrieval_prefilter,
+                    kill_after=None,
+                    heartbeat_interval=None,
                 )
-            profile = {
-                "phases": profiler.as_dict(),
-                "ted": _sum_counter_dicts(f["counters"]["ted"] for f in frames),
-                "compile": _sum_counter_dicts(
-                    f["counters"]["compile"] for f in frames
-                ),
-                "solve": _sum_counter_dicts(f["counters"]["solve"] for f in frames),
-                "cache_entries": _sum_counter_dicts(
-                    f["counters"]["cache_entries"] for f in frames
-                ),
-                "store_paging": merge_store_paging(
-                    f["counters"]["store_paging"] for f in frames
-                ),
-                "retrieval": retrieval.as_dict(),
-            }
-
-        final_records = [record for record in records if record is not None]
-        outcomes: list[RepairOutcome] = [
-            RepairOutcome(
-                status=record.status, elapsed=record.elapsed, detail=record.detail
-            )
-            for record in final_records
-        ]
-        return BatchReport(
-            records=final_records,
-            outcomes=outcomes,
-            wall_time=wall_time,
-            workers=self.processes,
-            cache_stats=cache_stats,
-            profile=profile,
+                supervisors[shard_index] = supervisor
+                supervisor.start()
+                for index in member_indices:
+                    request = {"op": "repair", "id": index, "source": items[index].source}
+                    if effective_budget is not None:
+                        request["deadline"] = effective_budget
+                    futures[index] = supervisor.submit(
+                        json.dumps(request), request_id=index
+                    )
+            for shard_index, supervisor in supervisors.items():
+                for index in shards[shard_index]:
+                    records[index] = _record(
+                        items[index].attempt_id,
+                        futures[index].result(),
+                        shard_index,
+                        effective_budget,
+                    )
+                # Asked only once the shard's repairs are answered, so the
+                # counters come from the incarnation that finished the shard.
+                stats = supervisor.submit('{"op": "stats"}', internal=True).result()
+                if stats.get("ok"):
+                    sections.append(stats["problems"][self.header.problem])
+        finally:
+            for supervisor in supervisors.values():
+                supervisor.stop()
+        return _report(
+            [records[index] for index in range(len(items))],
+            sections,
+            self.processes,
+            time.perf_counter() - started,
         )
+
+
+def _record(
+    attempt_id: str, response: dict, shard_index: int, budget: float | None
+) -> BatchRecord:
+    """One batch row from a worker's ``repair`` response."""
+    from ..core.pipeline import RepairStatus
+
+    if not response.get("ok"):
+        error = response["error"]
+        return BatchRecord(
+            attempt_id=attempt_id,
+            status=RepairStatus.INTERNAL_ERROR,
+            elapsed=0.0,
+            detail=f"shard {shard_index}: {error['code']}: {error['message']}",
+        )
+    return BatchRecord(
+        attempt_id=attempt_id,
+        status=response["status"],
+        # A timeout answered by the request deadline carries no elapsed.
+        elapsed=response.get("elapsed", budget or 0.0),
+        detail=response["detail"],
+        cost=response.get("cost"),
+        relative_size=response.get("relative_size"),
+        num_modified=response.get("num_modified"),
+        feedback=response.get("feedback", []),
+    )
+
+
+def _report(
+    records: list[BatchRecord], sections: list[dict], workers: int, wall_time: float
+) -> BatchReport:
+    """Fold the workers' per-problem ``stats`` sections into one report."""
+    from ..core.pipeline import RepairOutcome
+
+    cache_stats = CacheStats()
+    profile: dict | None = None
+    if sections:
+        profiler = PhaseProfiler()
+        retrieval = RetrievalStats()
+        for section in sections:
+            cache_stats = cache_stats.merge(CacheStats.from_dict(section["cache"]))
+            profiler = profiler.merge(PhaseProfiler.from_dict(section["phases"]))
+            retrieval = retrieval.merge(RetrievalStats.from_dict(section["retrieval"]))
+        profile = {
+            "phases": profiler.as_dict(),
+            **{
+                name: _sum_counter_dicts(section[name] for section in sections)
+                for name in _SUMMED_SECTIONS
+            },
+            "store_paging": merge_store_paging(
+                section["store_paging"] for section in sections
+            ),
+            "retrieval": retrieval.as_dict(),
+        }
+    return BatchReport(
+        records=records,
+        outcomes=[
+            RepairOutcome(status=r.status, elapsed=r.elapsed, detail=r.detail)
+            for r in records
+        ],
+        wall_time=wall_time,
+        workers=workers,
+        cache_stats=cache_stats,
+        profile=profile,
+    )

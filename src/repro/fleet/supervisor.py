@@ -130,7 +130,13 @@ class WorkerSupervisor:
             disables heartbeats.
         spawn_timeout: Seconds a spawned process gets to emit its ready
             frame before being killed (counts as a crash).
-        python: Interpreter for the worker processes.
+        python: Interpreter for the worker processes.  A spawn that fails
+            outright (missing interpreter, fd exhaustion) counts as a
+            crash too, so it backs off, strikes and trips the breaker.
+        profile: Attach a per-phase profiler to every hosted pipeline
+            (its ``phases`` show up in the worker's ``stats``).
+        retrieval_prefilter: Forwarded pipeline configuration
+            (:class:`repro.core.pipeline.Clara`).
     """
 
     def __init__(
@@ -146,6 +152,8 @@ class WorkerSupervisor:
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         spawn_timeout: float = 30.0,
         python: str = sys.executable,
+        profile: bool = False,
+        retrieval_prefilter: bool = True,
     ) -> None:
         self.worker_id = worker_id
         self.stores = [Path(store) for store in stores]
@@ -157,6 +165,8 @@ class WorkerSupervisor:
         self.heartbeat_interval = heartbeat_interval
         self.spawn_timeout = spawn_timeout
         self.python = python
+        self.profile = profile
+        self.retrieval_prefilter = retrieval_prefilter
 
         self._cond = threading.Condition()
         self._state = "stopped"  # starting | serving | restarting | unavailable | stopped
@@ -315,6 +325,10 @@ class WorkerSupervisor:
             command += ["--deadline", str(self.deadline)]
         if self.fault_plan_path is not None:
             command += ["--fault-plan", str(self.fault_plan_path)]
+        if self.profile:
+            command.append("--profile")
+        if not self.retrieval_prefilter:
+            command.append("--no-prefilter")
         return command
 
     def _environment(self) -> dict:
@@ -327,13 +341,23 @@ class WorkerSupervisor:
         return env
 
     def _spawn(self, incarnation: int) -> None:
-        proc = subprocess.Popen(
-            self._command(incarnation),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=None,  # worker tracebacks go to the operator's console
-            env=self._environment(),
-        )
+        try:
+            proc = subprocess.Popen(
+                self._command(incarnation),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=None,  # worker tracebacks go to the operator's console
+                env=self._environment(),
+            )
+        except OSError:
+            # A process that never started is a worker that died at once:
+            # same strike, backoff and breaker, so queued futures resolve.
+            with self._cond:
+                if self._stopping:
+                    return
+                self._incarnation = incarnation
+            self._handle_exit(incarnation)
+            return
         with self._cond:
             if self._stopping:
                 # A stop raced the respawn; do not adopt the new process.

@@ -58,7 +58,9 @@ from typing import Sequence
 from ..clusterstore.store import ClusterStoreError, case_signature, open_lazy
 from ..core.inputs import InputCase
 from ..core.pipeline import Clara
+from ..core.profile import PhaseProfiler
 from ..engine.batch import BatchAttempt, BatchRecord, BatchRepairEngine
+from ..engine.cache import RepairCaches
 from .protocol import PROTOCOL_VERSION, ProtocolError, Request, error_payload
 from .protocol import parse_request_line
 
@@ -141,6 +143,7 @@ class ProblemRuntime:
                 cases=self.cases,
                 language=self.language,
                 entry=self.entry,
+                retrieval_prefilter=old.engine.clara.retrieval_prefilter,
                 caches=self.caches,
             )
             clara.attach_lazy_clusters(source)
@@ -154,6 +157,25 @@ class ProblemRuntime:
             # In-flight requests on the old engine just recompute on a miss.
             old.engine.clara.forget_repair_memos()
             return old.revision, self._state.revision
+
+    def stats(self) -> dict:
+        """This problem's section of the ``stats`` op.
+
+        The pipeline's :meth:`~repro.core.pipeline.Clara.counters_payload`
+        (the vocabulary ``batch --profile`` writes) plus the serving
+        ``revision``, its ``clusters`` count and the cumulative
+        trace/match/repair ``cache`` counters, all read off one snapshot.
+        ``store_paging`` covers the current generation only (segments and
+        clusters loaded since the last reload).
+        """
+        state = self._state
+        clara = state.engine.clara
+        return {
+            "revision": state.revision,
+            "clusters": clara.cluster_count,
+            "cache": self.caches.stats.as_dict(),
+            **clara.counters_payload(),
+        }
 
 
 class ServiceStats:
@@ -196,6 +218,10 @@ class RepairService:
         default_deadline: Per-request wall-clock bound in seconds applied
             when a request carries no ``deadline`` field; ``None`` means
             unbounded.
+        profile: Attach a :class:`~repro.core.profile.PhaseProfiler` to
+            every hosted problem's caches, so ``stats`` reports ``phases``.
+        retrieval_prefilter: Forwarded pipeline configuration
+            (:class:`repro.core.pipeline.Clara`).
 
     Thread safety: :meth:`handle`/:meth:`handle_line` are coroutines meant
     to run on one event loop; the underlying state (admission counter,
@@ -210,6 +236,8 @@ class RepairService:
         queue_size: int = DEFAULT_QUEUE_SIZE,
         workers: int = DEFAULT_WORKERS,
         default_deadline: float | None = None,
+        profile: bool = False,
+        retrieval_prefilter: bool = True,
     ) -> None:
         if queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {queue_size}")
@@ -217,6 +245,8 @@ class RepairService:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.queue_size = queue_size
         self.default_deadline = default_deadline
+        self.profile = profile
+        self.retrieval_prefilter = retrieval_prefilter
         self.stats = ServiceStats()
         self._problems: dict[str, ProblemRuntime] = {}
         self._admission_lock = threading.Lock()
@@ -284,7 +314,13 @@ class RepairService:
                 f"test-case set than problem {name!r} uses; rebuild it with "
                 f"'repro-clara cluster build'"
             )
-        clara = Clara(cases=cases, language=language, entry=entry)
+        clara = Clara(
+            cases=cases,
+            language=language,
+            entry=entry,
+            retrieval_prefilter=self.retrieval_prefilter,
+            caches=RepairCaches(profiler=PhaseProfiler() if self.profile else None),
+        )
         clara.attach_lazy_clusters(stored)
         runtime = ProblemRuntime(
             name=name,
@@ -511,29 +547,12 @@ class RepairService:
     # -- introspection and lifecycle ---------------------------------------------
 
     def stats_snapshot(self) -> dict:
-        """Service counters plus per-problem revision, paging and cache stats.
-
-        ``store_paging`` reports the current engine's segment counters
-        (segments/clusters loaded vs. skipped since the last reload) —
-        deterministic for a given request history, and the operator's view
-        of how much of each store serving has actually touched.
-        """
+        """Service counters plus each problem's :meth:`ProblemRuntime.stats`."""
         return {
             "service": self.stats.as_dict(),
             "queue_size": self.queue_size,
             "problems": {
-                runtime.name: {
-                    "revision": runtime.revision,
-                    "clusters": runtime.snapshot().engine.clara.cluster_count,
-                    "store_paging": runtime.snapshot().engine.clara.store_paging(),
-                    "cache": runtime.caches.stats.as_dict(),
-                    "cache_entries": runtime.caches.entry_counts(),
-                    "ted": runtime.caches.ted.counters(),
-                    "compile": runtime.caches.compiled.counters(),
-                    "solve": runtime.caches.solve.counters(),
-                    "retrieval": runtime.caches.retrieval.as_dict(),
-                }
-                for runtime in self._problems.values()
+                runtime.name: runtime.stats() for runtime in self._problems.values()
             },
         }
 

@@ -29,7 +29,14 @@ import pytest
 from repro import Clara
 from repro.datasets import generate_corpus, get_problem
 from repro.engine import BatchAttempt, BatchRepairEngine
-from repro.fleet import BackoffPolicy, Fault, FaultPlan, FaultPlanError, FleetService
+from repro.fleet import (
+    BackoffPolicy,
+    Fault,
+    FaultPlan,
+    FaultPlanError,
+    FleetService,
+    WorkerSupervisor,
+)
 from repro.service import RetryPolicy, ServiceClient
 from repro.service.protocol import RETRIABLE_CODES, error_payload, is_retriable
 
@@ -585,6 +592,50 @@ class TestFleetRecovery:
         assert response["ok"] is True and response["status"] == "repaired"
         late = supervisor.submit(_repair_line("x", request_id="late"), request_id="late")
         assert late.result(timeout=5)["error"]["code"] == "draining"
+
+    def test_failed_spawn_resolves_every_request(self, stores):
+        backoff = BackoffPolicy(base=0.02, factor=2.0, max_strikes=3)
+        supervisor = WorkerSupervisor(
+            0,
+            stores[:1],
+            backoff=backoff,
+            kill_after=None,
+            heartbeat_interval=None,
+            python="/nonexistent/python",
+        )
+        supervisor.start()
+        try:
+            futures = [
+                supervisor.submit(json.dumps({"op": "ping", "id": i}), request_id=i)
+                for i in range(3)
+            ]
+            for request_id, future in enumerate(futures):
+                response = future.result(timeout=backoff.budget() + 5)
+                assert response["ok"] is False
+                assert response["error"]["code"] == "shard-unavailable"
+                assert response["id"] == request_id
+            assert supervisor.state == "unavailable"
+            assert supervisor.counters["crashes"] == backoff.max_strikes
+        finally:
+            supervisor.stop()
+
+    def test_failed_respawn_resolves_queued_requests(self, stores):
+        backoff = BackoffPolicy(base=0.02, factor=2.0, max_strikes=3)
+        supervisor = WorkerSupervisor(
+            0, stores[:1], backoff=backoff, kill_after=None, heartbeat_interval=None
+        )
+        supervisor.start()
+        try:
+            assert supervisor.wait_ready(60) and supervisor.state == "serving"
+            supervisor.python = "/nonexistent/python"
+            os.kill(supervisor.pid, signal.SIGKILL)
+            future = supervisor.submit('{"op": "ping", "id": "p"}', request_id="p")
+            response = future.result(timeout=backoff.budget() + 5)
+            assert response["ok"] is False
+            assert response["error"]["code"] in ("worker-crashed", "shard-unavailable")
+            assert supervisor.state == "unavailable"
+        finally:
+            supervisor.stop()
 
 
 # -- serve --fleet end to end ------------------------------------------------------

@@ -6,13 +6,14 @@ streams yields a report *field-identical* to the in-process engine, and
 merged ``--profile`` counter sections — phase counters, trace/match/repair
 cache counters, retrieval counters, store paging — *equal* to a
 single-process run, independent of process count and ``PYTHONHASHSEED``.
-A worker that dies mid-shard surfaces structured ``internal-error``
-records instead of hanging the merge.
+A worker that dies mid-shard is retried on its respawn, and a shard whose
+worker keeps dying surfaces structured ``internal-error`` records instead
+of hanging the merge.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import os
 import subprocess
 import sys
@@ -25,12 +26,8 @@ from repro.core.profile import PhaseProfiler
 from repro.datasets import generate_corpus, get_problem
 from repro.engine import BatchAttempt, BatchRepairEngine, ProcessBatchEngine
 from repro.engine.cache import RepairCaches
-from repro.engine.parallel import (
-    CRASH_ENV,
-    merge_store_paging,
-    shard_key,
-    shard_plan,
-)
+from repro.engine.parallel import merge_store_paging, shard_key, shard_plan
+from repro.fleet import Fault, FaultPlan, WorkerSupervisor, supervisor
 
 from helpers.differential import report_rows
 
@@ -263,6 +260,18 @@ def test_process_engine_rejects_language_mismatch(store):
         ProcessBatchEngine(path, processes=2, language="c")
 
 
+def test_process_engine_rejects_non_default_top_k(store):
+    problem, path, _attempts = store
+    clara = Clara(
+        cases=problem.cases,
+        language=problem.language,
+        entry=problem.entry,
+        retrieval_top_k=1,
+    )
+    with pytest.raises(ValueError, match="retrieval_top_k"):
+        BatchRepairEngine.from_store(path, clara, processes=2)
+
+
 def test_process_engine_rejects_bad_process_count(store):
     _problem, path, _attempts = store
     with pytest.raises(ValueError, match="processes must be >= 1"):
@@ -272,31 +281,59 @@ def test_process_engine_rejects_bad_process_count(store):
 # -- crash surfacing -----------------------------------------------------------------
 
 
-def test_worker_crash_surfaces_internal_error_records(store, monkeypatch):
+def _with_fault_plan(monkeypatch, tmp_path, *faults):
+    """Make every shard supervisor the engine starts inject ``faults``."""
+    plan_path = FaultPlan(faults).save(tmp_path / "plan.json")
+    monkeypatch.setattr(
+        supervisor,
+        "WorkerSupervisor",
+        functools.partial(WorkerSupervisor, fault_plan_path=plan_path),
+    )
+
+
+def test_worker_crash_is_retried_on_the_respawn(store, monkeypatch, tmp_path):
+    problem, path, attempts = store
+    baseline, baseline_payload = _single_process_run(problem, path, attempts)
+    shards = shard_plan(attempts, 2, language=problem.language, entry=problem.entry)
+    assert len(shards[0]) > 2, "crash test needs a shard with several attempts"
+
+    # Shard 0's first worker dies on its second repair; the respawn
+    # answers everything that was in flight.
+    _with_fault_plan(
+        monkeypatch,
+        tmp_path,
+        Fault(action="crash", request=1, worker=0, incarnation=0),
+    )
+    report = ProcessBatchEngine(path, processes=2, profile=True).run(attempts)
+
+    assert report_rows(report) == report_rows(baseline)
+    assert [r.attempt_id for r in report.records] == [a.attempt_id for a in attempts]
+    # Counters cover each shard's last incarnation only: the parse of the
+    # one attempt shard 0's first worker answered died with it.
+    parses = report.profile["phases"]["counters"]["parse"]
+    assert parses == baseline_payload["phases"]["counters"]["parse"] - 1
+
+
+def test_flapping_worker_surfaces_internal_error_records(store, monkeypatch, tmp_path):
     problem, path, attempts = store
     baseline, _ = _single_process_run(problem, path, attempts)
     shards = shard_plan(attempts, 2, language=problem.language, entry=problem.entry)
 
-    # Kill the shard-0 worker after its first record.
-    monkeypatch.setenv(CRASH_ENV, "0:1")
+    # Every incarnation of shard 0's worker dies on its first repair.
+    _with_fault_plan(monkeypatch, tmp_path, Fault(action="crash", request=0, worker=0))
     report = ProcessBatchEngine(path, processes=2).run(attempts)
 
     assert len(report.records) == len(attempts)
-    survived, filled = shards[0][:1], shards[0][1:]
-    # The record streamed before the crash is kept verbatim.
-    for index in survived:
-        assert report.records[index].status == baseline.records[index].status
-    # Every unanswered attempt of the dead shard is a structured error
-    # naming the shard and the exit code — the merge never hangs.
-    assert filled, "crash test needs a shard with more than one attempt"
-    for index in filled:
+    for index in shards[0]:
         record = report.records[index]
+        assert record.attempt_id == attempts[index].attempt_id
         assert record.status == "internal-error"
         assert "shard 0" in record.detail
-        assert "code 23" in record.detail
     # The healthy shard is untouched.
+    rows = report_rows(report)
+    expected = report_rows(baseline)
     for index in shards[1]:
-        assert report.records[index].status == baseline.records[index].status
+        assert rows[index] == expected[index]
 
 
 # -- PYTHONHASHSEED independence -----------------------------------------------------

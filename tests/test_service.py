@@ -328,6 +328,23 @@ def test_stats_report_revisions_and_cache_counters(store_path, corpus):
     service.close()
 
 
+def test_stats_sections_speak_the_counters_payload_vocabulary(store_path, corpus):
+    service = RepairService(workers=1, profile=True)
+    runtime = service.add_problem(store_path)
+    asyncio.run(service.handle_line(_repair_line(corpus.incorrect_sources[0])))
+    stats = asyncio.run(service.handle_line(json.dumps({"op": "stats"})))
+    clara = runtime.snapshot().engine.clara
+    for section in stats["problems"].values():
+        assert set(section) == set(clara.counters_payload()) | {
+            "revision",
+            "clusters",
+            "cache",
+        }
+    # profile=True attaches a profiler, so the repair shows up in phases.
+    assert stats["problems"][PROBLEM]["phases"]["counters"]["parse"] >= 1
+    service.close()
+
+
 def test_single_problem_services_accept_requests_without_a_problem_field(
     store_path, corpus
 ):
