@@ -14,9 +14,10 @@ restarts:
   :class:`~repro.clusterstore.segments.SegmentPager` that loads them on
   first matching lookup;
 * :mod:`repro.clusterstore.store` — versioned on-disk cluster stores:
-  :func:`save_clusters` / :func:`load_clusters` / :func:`open_lazy`, the
-  incremental :class:`ClusterStore` handle (``add_correct_source`` +
-  revision counter, eager or header-only via ``open_indexed``), v2
+  :func:`save_clusters` writes one and :func:`open_lazy` is the one way to
+  read one (header-only; segments page in on demand), the incremental
+  :class:`ClusterStore` handle (header-only ``open_indexed`` +
+  ``add_correct_source`` + revision counter), v2
   interchange (:func:`export_clusters` / :func:`import_clusters`), and the
   ``repro-clara cluster build`` / ``info`` / ``export`` / ``import`` CLI
   surface.
@@ -44,12 +45,10 @@ __all__ = [
     "FORMAT_VERSION",
     "LazyStoredClustering",
     "StoreHeader",
-    "StoredClustering",
     "V2_FORMAT_VERSION",
     "case_signature",
     "export_clusters",
     "import_clusters",
-    "load_clusters",
     "open_lazy",
     "read_store_header",
     "save_clusters",
@@ -62,12 +61,10 @@ _STORE_EXPORTS = {
     "FORMAT_VERSION",
     "LazyStoredClustering",
     "StoreHeader",
-    "StoredClustering",
     "V2_FORMAT_VERSION",
     "case_signature",
     "export_clusters",
     "import_clusters",
-    "load_clusters",
     "open_lazy",
     "read_store_header",
     "save_clusters",

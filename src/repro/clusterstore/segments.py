@@ -407,7 +407,7 @@ class SegmentPager:
         Pages in at most two segments: the bucket named by the digest and
         the unfingerprinted segment (whose clusters were stored without a
         digest and must always be tried).  Returned in cluster-id order —
-        exactly the order an eager store iterates its matching clusters.
+        the order a full scan of the store meets its matching clusters.
         """
         names = []
         if digest is not None:

@@ -12,31 +12,35 @@ Since format version 3 a cluster store is **two** things on disk (see
   clusters (:mod:`repro.clusterstore.segments`).
 
 Opening a store reads only the header; segments page in lazily on the
-first lookup that needs them (:func:`open_lazy`), which is what makes a
-catalog-scale correct pool cheap to consult — repairing one attempt
-touches the header plus the segments whose CFG-skeleton digest matches
-the attempt, nothing else.  The old single-file version-2 layout lives on
+first lookup that needs them (:func:`open_lazy`, the one way a store is
+read, repaired from or updated), which is what makes a catalog-scale
+correct pool cheap to consult — repairing one attempt touches the header
+plus the segments whose CFG-skeleton digest matches the attempt, nothing
+else.  The old single-file version-2 layout lives on
 as the **interchange format**: :func:`export_clusters` renders a v3 store
 to the byte-stable v2 JSON document, and :func:`import_clusters` migrates
 a v2 document (in place if desired) to v3.
 
-Invalidation rules (checked on load, see :func:`load_clusters`):
+Invalidation rules (checked on open, see :func:`open_lazy`):
 
 * ``format_version`` must equal :data:`FORMAT_VERSION` exactly — the format
   carries semantic content (expression encoding, pool order, segment
   layout), so neither older nor newer stores are silently accepted; v2
   stores get a ``cluster import`` migration hint, anything else a rebuild
   hint;
+* the header's ``cluster_count`` and ``total_members`` must equal the sums
+  over its segment index (checked from the header alone, nothing paged);
 * the ``case_signature`` — a digest of the canonical case-set key
   (:func:`repro.engine.cache.case_set_key`) — must match the cases the
-  loader is about to repair against, because clusters are equivalence
+  opener is about to repair against, because clusters are equivalence
   classes *relative to the input set* (Def. 4.4): the same corpus clustered
   against different cases is a different clustering.  Callers that know
   better (e.g. a superset case set for inspection only) can opt out.
 
-Representative traces are deliberately not stored: the loader re-executes
-each representative on the case set at hand, which keeps stores small and
-doubles as an end-to-end revalidation of the decoded programs.
+Representative traces are deliberately not stored: each representative is
+re-executed on the case set at hand when its segment pages in, which keeps
+stores small and doubles as an end-to-end revalidation of the decoded
+programs.
 
 Stores carry a monotonically increasing **revision** counter in the header
 (absent in stores written before revisions existed, read as 0).  The
@@ -91,14 +95,12 @@ __all__ = [
     "FORMAT_NAME",
     "ClusterStoreError",
     "StoreHeader",
-    "StoredClustering",
     "LazyStoredClustering",
     "ClusterStore",
     "AddOutcome",
     "case_signature",
     "read_store_header",
     "save_clusters",
-    "load_clusters",
     "open_lazy",
     "encode_v2_document",
     "export_clusters",
@@ -138,7 +140,7 @@ class StoreHeader:
     Produced by :func:`read_store_header`, which accepts *any* format
     version — this is the "what is this file?" view that ``cluster info``
     shows for stale stores without tripping the strict migration-hint error
-    of :func:`load_clusters`.  For current (v3) stores the header also
+    of :func:`open_lazy`.  For current (v3) stores the header also
     carries the decoded segment index; for older versions ``segments`` is
     empty.  Thread safety: frozen dataclass, safe to share.
     """
@@ -156,7 +158,7 @@ class StoreHeader:
 
     @property
     def is_current(self) -> bool:
-        """Whether this build's :func:`load_clusters` would accept the store."""
+        """Whether this build's :func:`open_lazy` accepts the format version."""
         return self.format_version == FORMAT_VERSION
 
     def segment_bytes(self) -> int:
@@ -164,49 +166,12 @@ class StoreHeader:
         return sum(entry.bytes for entry in self.segments)
 
 
-class StoredClustering:
-    """An eagerly decoded store: all clusters plus the header metadata.
-
-    ``clusters`` have empty ``representative_traces``; callers that repair
-    against them must re-execute representatives first
-    (:meth:`repro.core.pipeline.Clara.load_clusters` does).  Thread
-    safety: a plain container — share only after publication.
-    """
-
-    def __init__(
-        self,
-        clusters: list[Cluster],
-        *,
-        language: str,
-        entry: str | None,
-        problem: str | None,
-        case_signature: str,
-        format_version: int,
-        revision: int = 0,
-    ) -> None:
-        self.clusters = clusters
-        self.language = language
-        self.entry = entry
-        self.problem = problem
-        self.case_signature = case_signature
-        self.format_version = format_version
-        self.revision = revision
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.clusters)
-
-    def total_members(self) -> int:
-        return sum(cluster.size for cluster in self.clusters)
-
-
 class LazyStoredClustering:
     """A header-only view of a v3 store whose clusters page in on demand.
 
-    The lazy counterpart of :class:`StoredClustering`, produced by
-    :func:`open_lazy`: construction reads nothing beyond the already-decoded
-    header, and each lookup pages in only the segments that could possibly
-    satisfy it (see :class:`~repro.clusterstore.segments.SegmentPager`).
+    Produced by :func:`open_lazy`: construction reads nothing beyond the
+    already-decoded header, and each lookup pages in only the segments that
+    could possibly satisfy it (see :class:`~repro.clusterstore.segments.SegmentPager`).
     Paged-in clusters have empty ``representative_traces`` unless the
     consumer installs a ``pager.on_load`` hook that executes them
     (:meth:`repro.core.pipeline.Clara.attach_lazy_clusters` does).
@@ -261,7 +226,7 @@ class LazyStoredClustering:
         program's (plus unfingerprinted segments, which carry no digest) —
         skeleton equality is necessary for a Def. 4.1 structural match, so
         the skipped segments provably contain no candidate and repair
-        outcomes are identical to an eager load.
+        outcomes are identical to trying every stored cluster.
         """
         return self.pager.clusters_for_skeleton(skeleton_digest(program))
 
@@ -444,11 +409,14 @@ def _read_document(path: Path) -> dict:
 
 def _decode_index(path: Path, document: dict) -> tuple[SegmentIndexEntry, ...]:
     """Decode a v3 header's segment index, strictly."""
-    try:
-        return tuple(
-            SegmentIndexEntry.from_json(item)
-            for item in document.get("segments", [])
+    items = document.get("segments", [])
+    if not isinstance(items, list):
+        raise ClusterStoreError(
+            f"cluster store {path} has a malformed segment index: expected a "
+            f"list of entries, got {type(items).__name__}"
         )
+    try:
+        return tuple(SegmentIndexEntry.from_json(item) for item in items)
     except SerializationError as exc:
         raise ClusterStoreError(
             f"cluster store {path} has a malformed segment index: {exc}"
@@ -477,13 +445,14 @@ def _require_current(path: Path, version: object) -> None:
 def read_store_header(path: str | Path) -> StoreHeader:
     """Read a store's header metadata without paging in any cluster.
 
-    Unlike :func:`load_clusters` this accepts *any* format version — the
+    Unlike :func:`open_lazy` this accepts *any* format version — the
     point is to let operators identify a store (version, revision, problem)
     even when it is too old or too new to serve from.  Only the format
     marker itself is validated, except that a current-version store's
     segment index must decode (a corrupt index on a v3 store is an error,
-    not something to gloss over).  Reads exactly one file.  Thread safety:
-    pure function returning a frozen header.
+    not something to gloss over); the aggregate counts are reported as
+    written, even when they disagree with the index.  Reads exactly one
+    file.  Thread safety: pure function returning a frozen header.
 
     Raises:
         ClusterStoreError: Unreadable file, invalid JSON, a file that is
@@ -525,17 +494,23 @@ def _check_signature(
         )
 
 
-def load_clusters(
+def open_lazy(
     path: str | Path,
     *,
     cases: Sequence[InputCase] | None = None,
     check_cases: bool = True,
-) -> StoredClustering:
-    """Load and validate a cluster store **eagerly** (every segment read).
+) -> LazyStoredClustering:
+    """Open a v3 store **header-only**; clusters page in on first lookup.
 
-    The strict, read-everything entry point — use :func:`open_lazy` when
-    only a slice of the store will be consulted.  Byte-level integrity of
-    each segment is checked against the header index before decoding.
+    The one way a store is read: repair (``Clara.attach_lazy_clusters``),
+    incremental updates (:meth:`ClusterStore.open_indexed`) and export all
+    start here.  Reads exactly one file — the header — and validates its
+    format version, its aggregate counts against the segment index, and (by
+    default) the case signature.  The returned view's lookups load only the
+    segments whose index entry could satisfy them; a segment rewritten on
+    disk after this open is detected by the index's byte-length check and
+    reported as a deterministic error rather than served.  Thread safety:
+    the returned view is safe to share across repair workers.
 
     Args:
         path: Store header written by :func:`save_clusters`.
@@ -549,57 +524,22 @@ def load_clusters(
     Raises:
         ClusterStoreError: Unreadable file, wrong format name, wrong format
             version (v2 stores get a ``cluster import`` migration hint),
-            case-set mismatch, or a malformed/stale segment.
-    """
-    path = Path(path)
-    document = _read_document(path)
-    version = document.get("format_version")
-    _require_current(path, version)
-    signature = document.get("case_signature", "")
-    _check_signature(path, signature, cases, check_cases)
-    entries = _decode_index(path, document)
-    pager = SegmentPager(path, entries, error=ClusterStoreError)
-    clusters = pager.all_clusters()
-    declared = document.get("cluster_count")
-    if declared is not None and declared != len(clusters):
-        raise ClusterStoreError(
-            f"cluster store {path} is malformed: header declares {declared} "
-            f"clusters but the segments hold {len(clusters)}"
-        )
-    return StoredClustering(
-        clusters,
-        language=document.get("language", "python"),
-        entry=document.get("entry"),
-        problem=document.get("problem"),
-        case_signature=signature,
-        format_version=version,
-        revision=document.get("revision", 0) or 0,
-    )
-
-
-def open_lazy(
-    path: str | Path,
-    *,
-    cases: Sequence[InputCase] | None = None,
-    check_cases: bool = True,
-) -> LazyStoredClustering:
-    """Open a v3 store **header-only**; clusters page in on first lookup.
-
-    Performs the same version and case-signature validation as
-    :func:`load_clusters` but reads exactly one file — the header.  The
-    returned view's lookups load only the segments whose index entry could
-    satisfy them; a segment rewritten on disk after this open is detected
-    by the index's byte-length check and reported as a deterministic error
-    rather than served.  Thread safety: the returned view is safe to share
-    across repair workers.
-
-    Raises:
-        ClusterStoreError: Same conditions as :func:`load_clusters`, minus
-            segment errors, which surface lazily at first touch.
+            malformed segment index, header counts that disagree with the
+            index, or case-set mismatch.  Segment errors surface lazily at
+            first touch.
     """
     path = Path(path)
     header = read_store_header(path)
     _require_current(path, header.format_version)
+    for label, declared, indexed in (
+        ("clusters", header.cluster_count, sum(item.clusters for item in header.segments)),
+        ("members", header.total_members, sum(item.members for item in header.segments)),
+    ):
+        if declared != indexed:
+            raise ClusterStoreError(
+                f"cluster store {path} is malformed: header declares {declared} "
+                f"{label} but the segment index holds {indexed}"
+            )
     _check_signature(path, header.case_signature, cases, check_cases)
     pager = SegmentPager(path, header.segments, error=ClusterStoreError)
     return LazyStoredClustering(header, pager)
@@ -652,9 +592,9 @@ def export_clusters(store_path: str | Path, output_path: str | Path) -> Path:
     Raises:
         ClusterStoreError: The store is unreadable, stale or malformed.
     """
-    stored = load_clusters(store_path, check_cases=False)
+    stored = open_lazy(store_path, check_cases=False)
     text = encode_v2_document(
-        stored.clusters,
+        stored.all_clusters(),
         signature=stored.case_signature,
         language=stored.language,
         entry=stored.entry,
@@ -745,32 +685,28 @@ class AddOutcome:
 class ClusterStore:
     """A mutable handle on one on-disk cluster store (open → update → save).
 
-    Where :func:`save_clusters`/:func:`load_clusters` treat a store as an
-    immutable snapshot rebuilt from scratch, a ``ClusterStore`` supports the
-    *incremental* deployment flow: as new correct submissions arrive, route
-    each through :meth:`add_correct_source` — which places it exactly where
-    a full re-clustering would — bump the revision, and :meth:`save` the
-    store atomically so a running :class:`repro.service.RepairService` can
+    Where :func:`save_clusters` writes a store as an immutable snapshot
+    built from scratch, a ``ClusterStore`` supports the *incremental*
+    deployment flow: as new correct submissions arrive, route each through
+    :meth:`add_correct_source` — which places it exactly where a full
+    re-clustering would — bump the revision, and :meth:`save` the store
+    atomically so a running :class:`repro.service.RepairService` can
     hot-reload it between requests.
 
-    Two opening modes share this class:
-
-    * :meth:`open` loads every segment eagerly (the original behaviour);
-    * :meth:`open_indexed` reads only the header — each
-      :meth:`add_correct_source` then pages in just the new submission's
-      fingerprint bucket (plus the unfingerprinted segment), and
-      :meth:`save` rewrites only the segments that changed.  For a store
-      with many buckets this makes ingestion cost proportional to the
-      touched bucket, not the store.
+    Handles are opened header-only with :meth:`open_indexed`: each
+    :meth:`add_correct_source` pages in just the new submission's
+    fingerprint bucket (plus the unfingerprinted segment), and :meth:`save`
+    rewrites only the segments that changed.  Ingestion cost is therefore
+    proportional to the touched bucket, not the store.
 
     **Equivalence guarantee.**  ``add_correct_source(src)`` produces a store
     byte-identical (modulo revision) to rebuilding from scratch with ``src``
     appended to the original correct pool (asserted in
-    ``tests/test_store_updates.py``), in both modes: the new program is
-    fingerprinted, tried against existing clusters in creation order within
-    its fingerprint bucket (first match wins, exactly the order the
-    exhaustive loop would use) and otherwise minted as a new cluster with
-    the next id — which is precisely where the deterministic merge of
+    ``tests/test_store_updates.py``): the new program is fingerprinted,
+    tried against existing clusters in creation order within its
+    fingerprint bucket (first match wins, exactly the order the exhaustive
+    loop would use) and otherwise minted as a new cluster with the next id
+    — which is precisely where the deterministic merge of
     :func:`repro.core.clustering.cluster_programs` would place it.
 
     Thread safety: instances are **not** thread-safe — they are intended
@@ -782,81 +718,41 @@ class ClusterStore:
     error instead of silent corruption.
 
     Args:
-        path: The store header this handle reads and writes.
+        source: The header-only view of the store (:func:`open_lazy`); its
+            pager becomes this handle's, and its header metadata (path,
+            language, entry, problem, revision, case signature, counts)
+            seeds the handle.
         cases: The test-case set the clustering is relative to (Def. 4.4);
             must match the store's ``case_signature``.
-        clusters: The decoded clusters, representative traces populated
-            (in indexed mode: the clusters materialized so far).
-        language: Source language of the member programs.
-        entry: Entry function name used when parsing new sources.
-        problem: Optional problem name recorded in the header.
-        revision: Current content revision.
         caches: Optional :class:`repro.engine.cache.RepairCaches` through
             which executions and fingerprints are routed.
     """
 
     def __init__(
         self,
-        path: str | Path,
+        source: LazyStoredClustering,
         cases: Sequence[InputCase],
-        clusters: list[Cluster],
         *,
-        language: str = "python",
-        entry: str | None = None,
-        problem: str | None = None,
-        revision: int = 0,
         caches: "RepairCaches | None" = None,
     ) -> None:
-        self.path = Path(path)
+        self.path = source.header.path
         self.cases = cases
-        self.clusters = clusters
-        self.language = language
-        self.entry = entry
-        self.problem = problem
-        self._revision = revision
+        self.language = source.language
+        self.entry = source.entry
+        self.problem = source.problem
         self.caches = caches
-        # Indexed (lazy) mode state — set up by open_indexed().
-        self._pager: SegmentPager | None = None
-        self._signature: str | None = None
-        self._lazy_cluster_count = 0
-        self._lazy_total_members = 0
-        self._max_cluster_id = -1
-        self._dirty: set[str] = set()
-
-    @classmethod
-    def open(
-        cls,
-        path: str | Path,
-        cases: Sequence[InputCase],
-        *,
-        caches: "RepairCaches | None" = None,
-        check_cases: bool = True,
-    ) -> "ClusterStore":
-        """Load ``path`` **eagerly** into a mutable handle.
-
-        Validates format version and (by default) the case signature, then
-        re-executes each representative on ``cases`` to rebuild the traces
-        that incremental matching needs.  Every segment is read up front;
-        use :meth:`open_indexed` to defer that work.
-
-        Raises:
-            ClusterStoreError: see :func:`load_clusters`.
-        """
-        stored = load_clusters(path, cases=cases, check_cases=check_cases)
-        for cluster in stored.clusters:
-            cluster.representative_traces = list(
-                cls._traces(caches, cluster.representative, cases)
-            )
-        return cls(
-            path,
-            cases,
-            stored.clusters,
-            language=stored.language,
-            entry=stored.entry,
-            problem=stored.problem,
-            revision=stored.revision,
-            caches=caches,
+        self._revision = source.revision
+        self._signature = source.case_signature
+        self._pager = source.pager
+        self._cluster_count = source.cluster_count
+        self._total_members = source.total_members()
+        # The header index records the largest id per segment, so the next
+        # id is known without paging anything in.
+        self._max_cluster_id = max(
+            (item.max_cluster_id for item in self._pager.entries), default=-1
         )
+        self._dirty: set[str] = set()
+        self._pager.on_load = self._on_page_in
 
     @classmethod
     def open_indexed(
@@ -869,44 +765,22 @@ class ClusterStore:
     ) -> "ClusterStore":
         """Open ``path`` **header-only**; segments page in as adds need them.
 
-        The lazy counterpart of :meth:`open`: nothing beyond the header is
-        read until :meth:`add_correct_source` consults a fingerprint
-        bucket, and :meth:`save` rewrites only dirty segments (plus the
-        header).  Outcomes, revisions and saved bytes are identical to the
-        eager mode — only the I/O schedule differs.  Representative traces
-        of paged-in clusters are rebuilt at page-in time.
+        Nothing beyond the header is read until :meth:`add_correct_source`
+        consults a fingerprint bucket, and :meth:`save` rewrites only dirty
+        segments (plus the header).  Representative traces of paged-in
+        clusters are rebuilt at page-in time.
 
         Raises:
             ClusterStoreError: see :func:`open_lazy`.
         """
-        source = open_lazy(path, cases=cases, check_cases=check_cases)
-        store = cls(
-            path,
-            cases,
-            [],
-            language=source.language,
-            entry=source.entry,
-            problem=source.problem,
-            revision=source.revision,
-            caches=caches,
+        return cls(
+            open_lazy(path, cases=cases, check_cases=check_cases), cases, caches=caches
         )
-        store._pager = source.pager
-        store._signature = source.case_signature
-        store._lazy_cluster_count = source.cluster_count
-        store._lazy_total_members = source.total_members()
-        store._max_cluster_id = max(
-            (item.max_cluster_id for item in source.pager.entries), default=-1
-        )
-        source.pager.on_load = store._on_page_in
-        return store
 
     def _on_page_in(self, clusters: list[Cluster]) -> None:
         """Pager hook: make freshly paged clusters repair-ready."""
         for cluster in clusters:
-            cluster.representative_traces = list(
-                self._traces(self.caches, cluster.representative, self.cases)
-            )
-        self.clusters.extend(clusters)
+            cluster.representative_traces = list(self._traces(cluster.representative))
 
     # ``docs/API.md`` names: exporting/importing is independent of any open
     # handle, so these are module functions surfaced on the class for
@@ -914,11 +788,10 @@ class ClusterStore:
     export = staticmethod(export_clusters)
     import_v2 = staticmethod(import_clusters)
 
-    @staticmethod
-    def _traces(caches: "RepairCaches | None", program, cases):
-        if caches is not None:
-            return caches.traces(program, cases)
-        return program_traces(program, cases)
+    def _traces(self, program: Program):
+        if self.caches is not None:
+            return self.caches.traces(program, self.cases)
+        return program_traces(program, self.cases)
 
     @property
     def revision(self) -> int:
@@ -926,27 +799,16 @@ class ClusterStore:
         return self._revision
 
     @property
-    def indexed(self) -> bool:
-        """Whether this handle was opened header-only (:meth:`open_indexed`)."""
-        return self._pager is not None
-
-    @property
     def cluster_count(self) -> int:
-        """Total clusters — from the header index in indexed mode (no paging)."""
-        if self._pager is not None:
-            return self._lazy_cluster_count
-        return len(self.clusters)
+        """Total clusters, from the header index (no paging)."""
+        return self._cluster_count
 
     def total_members(self) -> int:
-        """Total members — from the header index in indexed mode (no paging)."""
-        if self._pager is not None:
-            return self._lazy_total_members
-        return sum(cluster.size for cluster in self.clusters)
+        """Total members, from the header index (no paging)."""
+        return self._total_members
 
-    def paging_counters(self) -> dict | None:
-        """Loaded/skipped segment counters (``None`` when opened eagerly)."""
-        if self._pager is None:
-            return None
+    def paging_counters(self) -> dict:
+        """Loaded/skipped segment counters of this handle's pager."""
         return self._pager.counters()
 
     def add_correct_source(self, source: str) -> AddOutcome:
@@ -957,10 +819,10 @@ class ClusterStore:
         dumps routinely contain mislabelled data) and leave the store
         unchanged.  An accepted program joins the first existing cluster it
         matches — only clusters in its own fingerprint bucket are tried,
-        the same pruning the batch build uses; in indexed mode only that
-        bucket's segment (plus the unfingerprinted one) is even read from
-        disk — or becomes the representative of a new cluster, and the
-        revision is bumped.
+        the same pruning the batch build uses, and only that bucket's
+        segment (plus the unfingerprinted one) is even read from disk — or
+        becomes the representative of a new cluster, and the revision is
+        bumped.
 
         Changes live in memory until :meth:`save` is called.  Thread
         safety: single-updater only, like every mutation on this class.
@@ -976,7 +838,7 @@ class ClusterStore:
         except FrontendError as exc:
             return AddOutcome("rejected-parse", None, str(exc), self._revision)
         try:
-            traces = list(self._traces(self.caches, program, self.cases))
+            traces = list(self._traces(program))
         except Exception as exc:  # noqa: BLE001 - defensive: report, don't crash
             return AddOutcome(
                 "rejected-execution", None, f"execution error: {exc}", self._revision
@@ -995,12 +857,9 @@ class ClusterStore:
             fingerprint = self.caches.fingerprint(program, self.cases, traces=traces)
         else:
             fingerprint = program_fingerprint(program, traces)
-        if self._pager is not None:
-            # Indexed mode: page in exactly the candidate set — the new
-            # program's bucket plus clusters stored without a digest.
-            candidates = self._pager.clusters_for_fingerprint(fingerprint.digest)
-        else:
-            candidates = self.clusters
+        # Page in exactly the candidate set — the new program's bucket plus
+        # clusters stored without a digest.
+        candidates = self._pager.clusters_for_fingerprint(fingerprint.digest)
         if len(candidates) > 1:
             # Nearest-first scan (repro.retrieval): ∼_I is an equivalence
             # relation, so at most one cluster can accept the program — the
@@ -1043,30 +902,21 @@ class ClusterStore:
             if witness is not None:
                 cluster.add_member(program, witness)
                 self._revision += 1
-                if self._pager is not None:
-                    self._dirty.add(segment_name(cluster.fingerprint_digest))
-                    self._lazy_total_members += 1
+                self._dirty.add(segment_name(cluster.fingerprint_digest))
+                self._total_members += 1
                 return AddOutcome("joined", cluster.cluster_id, "", self._revision)
 
-        if self._pager is not None:
-            # The header index records the largest id per segment, so the
-            # next id is known without paging anything else in.
-            next_id = self._max_cluster_id + 1
-        else:
-            next_id = max((c.cluster_id for c in self.clusters), default=-1) + 1
         cluster = Cluster(
-            cluster_id=next_id,
+            cluster_id=self._max_cluster_id + 1,
             representative=program,
             representative_traces=traces,
             fingerprint_digest=fingerprint.digest,
         )
         cluster.add_member(program, _identity_witness(program))
-        if self._pager is not None:
-            self._dirty.add(self._pager.adopt_cluster(cluster))
-            self._max_cluster_id = cluster.cluster_id
-            self._lazy_cluster_count += 1
-            self._lazy_total_members += 1
-        self.clusters.append(cluster)
+        self._dirty.add(self._pager.adopt_cluster(cluster))
+        self._max_cluster_id = cluster.cluster_id
+        self._cluster_count += 1
+        self._total_members += 1
         self._revision += 1
         return AddOutcome("created", cluster.cluster_id, "", self._revision)
 
@@ -1075,26 +925,15 @@ class ClusterStore:
         return [self.add_correct_source(source) for source in sources]
 
     def save(self) -> Path:
-        """Persist the current clusters and revision, atomically per file.
+        """Persist the dirty segments and the header, atomically per file.
 
-        Eager handles rewrite the whole store; indexed handles rewrite only
-        the segments dirtied since the last save, then the header — the
-        resulting file tree is byte-identical either way (and identical to
-        a from-scratch build of the same clusters, modulo revision).
+        Only the segments dirtied since the last save are rewritten, then
+        the header; the resulting file tree is byte-identical to a
+        from-scratch build of the same clusters (modulo revision).
         Concurrent readers (a serving daemon hot-reloading the problem)
         never observe a torn file, and a reader caught between generations
         fails deterministically via the index byte-length check.
         """
-        if self._pager is None:
-            return _write_store(
-                self.path,
-                self.clusters,
-                signature=case_signature(self.cases),
-                language=self.language,
-                entry=self.entry,
-                problem=self.problem,
-                revision=self._revision,
-            )
         directory = segment_dir(self.path)
         directory.mkdir(parents=True, exist_ok=True)
         for name in sorted(self._dirty):
@@ -1111,7 +950,7 @@ class ClusterStore:
         _write_header(
             self.path,
             self._pager.entries,
-            signature=self._signature or "",
+            signature=self._signature,
             language=self.language,
             entry=self.entry,
             problem=self.problem,

@@ -133,8 +133,8 @@ class Clara:
             uncached baselines.
 
     Thread safety: build the pipeline — ``add_correct_sources`` /
-    ``load_clusters`` — from a single thread, then repair from as many
-    threads as you like: the cluster list is treated as read-only during
+    ``attach_lazy_clusters`` — from a single thread, then repair from as
+    many threads as you like: the cluster list is treated as read-only during
     repair and every mutable lookup goes through the lock-guarded caches.
     That split is exactly how :class:`repro.engine.batch.BatchRepairEngine`
     (worker threads) and :class:`repro.service.RepairService` (one warm
@@ -166,8 +166,8 @@ class Clara:
         default_factory=object, init=False, repr=False, compare=False
     )
     #: Lazily paged cluster source installed by :meth:`attach_lazy_clusters`
-    #: (``None`` = eager ``clusters`` list).  When set, repair consults only
-    #: the store segments whose CFG-skeleton digest matches the attempt.
+    #: (``None`` = in-memory ``clusters`` list).  When set, repair consults
+    #: only the store segments whose CFG-skeleton digest matches the attempt.
     _lazy_clusters: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -284,51 +284,6 @@ class Clara:
             problem=problem,
         )
 
-    def load_clusters(self, path: "str | Path", *, check_cases: bool = True) -> int:
-        """Load clusters from a store file instead of re-clustering.
-
-        Validates the format version, the source language and (by default)
-        the case-set signature, re-executes each representative on this
-        pipeline's cases to rebuild its traces, and registers the clusters
-        exactly as ``add_correct_programs`` would.  Returns the number of
-        clusters loaded.
-        """
-        from ..clusterstore.store import load_clusters as _load
-
-        stored = _load(path, cases=self.cases, check_cases=check_cases)
-        return self.register_stored_clustering(stored, origin=str(path))
-
-    def register_stored_clustering(self, stored, *, origin: str | None = None) -> int:
-        """Register an already-decoded :class:`~repro.clusterstore.store.\
-StoredClustering`.
-
-        Callers that decoded the store themselves (the service layer reads
-        each store exactly once, so the revision it reports is the revision
-        it loaded) use this instead of :meth:`load_clusters`.  Validates the
-        language, re-executes each representative on this pipeline's cases,
-        and registers the clusters.  Returns the number of clusters.
-
-        Args:
-            stored: The decoded store.
-            origin: Where the store came from (a path), named in error
-                messages so an operator serving several stores can tell
-                which file mismatched.
-        """
-        from ..clusterstore.store import ClusterStoreError
-
-        if stored.language != self.language:
-            label = f"cluster store {origin}" if origin else "cluster store"
-            raise ClusterStoreError(
-                f"{label} holds {stored.language!r} programs, but this "
-                f"pipeline repairs {self.language!r} attempts"
-            )
-        for cluster in stored.clusters:
-            cluster.representative_traces = list(
-                self.caches.traces(cluster.representative, self.cases)
-            )
-        self._register_clusters(stored.clusters)
-        return len(stored.clusters)
-
     def attach_lazy_clusters(self, source) -> int:
         """Serve clusters from a lazily paged store view instead of a list.
 
@@ -337,13 +292,13 @@ StoredClustering`.
         header has been read, and repair pages in just the segments whose
         CFG-skeleton digest matches the attempt at hand — skeleton equality
         is necessary for a structural match (Def. 4.1), so outcomes are
-        identical to an eager :meth:`load_clusters`, minus the I/O for
+        identical to trying every stored cluster, minus the I/O for
         segments no attempt ever matches.  Representatives are executed on
         this pipeline's cases at page-in time, through the shared caches,
         under the pager's lock (so concurrent repair workers each see fully
         initialized clusters).
 
-        Mutually exclusive with the eager cluster list: attaching to a
+        Mutually exclusive with the in-memory cluster list: attaching to a
         pipeline that already has clusters — or registering clusters after
         attaching — raises.  Returns the store's total cluster count (from
         the header; nothing is paged in by this call).
@@ -382,8 +337,9 @@ StoredClustering`.
     def store_paging(self) -> dict | None:
         """Loaded/skipped segment counters of the attached lazy store.
 
-        ``None`` when clusters are held eagerly in memory.  Deterministic
-        for a given sequence of repairs (see
+        ``None`` when clusters were built in memory
+        (``add_correct_sources``).  Deterministic for a given sequence of
+        repairs (see
         :meth:`repro.clusterstore.segments.SegmentPager.counters`), which is
         what ``batch --profile`` and the service ``stats`` op surface.
         """
@@ -468,7 +424,7 @@ StoredClustering`.
         # In lazy mode this pages in only the segments whose skeleton digest
         # matches the attempt; every skipped cluster is provably unmatchable,
         # so the gate below and the search see the same effective candidate
-        # set an eager load would.
+        # set as when every stored cluster is tried.
         candidates = self._candidate_clusters(program)
         gate_order, candidates, ranked, skeleton_skipped = self._prefilter_candidates(
             program, candidates
@@ -534,10 +490,10 @@ StoredClustering`.
     def _candidate_clusters(self, program: Program) -> "Sequence[Cluster]":
         """The clusters that could possibly repair ``program``.
 
-        Eager mode returns the full list; lazy mode pages in only the
-        skeleton-matching (and unfingerprinted) segments of the attached
-        store — a sound pruning, since a differing canonical CFG skeleton
-        precludes the structural match every repair needs.
+        An in-memory pipeline returns the full list; lazy mode pages in
+        only the skeleton-matching (and unfingerprinted) segments of the
+        attached store — a sound pruning, since a differing canonical CFG
+        skeleton precludes the structural match every repair needs.
         """
         if self._lazy_clusters is None:
             return self.clusters

@@ -208,8 +208,8 @@ class BatchRepairEngine:
     Thread safety: :meth:`run` may be called repeatedly (each call snapshots
     cache counters independently), and several engines may share one
     ``Clara``; what must not happen concurrently is mutating the pipeline's
-    clusters (``add_correct_sources``/``load_clusters``) while a run is in
-    flight — the service layer swaps in a whole new engine instead
+    clusters (``add_correct_sources``/``attach_lazy_clusters``) while a run
+    is in flight — the service layer swaps in a whole new engine instead
     (:meth:`repro.service.service.ProblemRuntime.reload`).
     """
 
@@ -234,7 +234,6 @@ class BatchRepairEngine:
         *,
         workers: int = DEFAULT_WORKERS,
         budget: float | None = None,
-        lazy: bool = True,
         processes: int = 1,
     ) -> "BatchRepairEngine":
         """Build an engine from a persisted cluster store.
@@ -245,13 +244,12 @@ class BatchRepairEngine:
         opens the same store instead of re-clustering the correct pool on
         start-up.
 
-        By default the store is opened **header-only** and segments page in
-        on demand as attempts are repaired
+        The store is opened **header-only** and segments page in on demand
+        as attempts are repaired
         (:meth:`repro.core.pipeline.Clara.attach_lazy_clusters`); outcomes
-        are identical to an eager load — skeleton-mismatched segments
-        provably contain no repair candidate — and the paging counters show
-        up in ``batch --profile`` output.  Pass ``lazy=False`` to read every
-        segment up front (:meth:`repro.core.pipeline.Clara.load_clusters`).
+        are identical to trying every stored cluster — skeleton-mismatched
+        segments provably contain no repair candidate — and the paging
+        counters show up in ``batch --profile`` output.
 
         With ``processes > 1`` this returns a
         :class:`repro.engine.parallel.ProcessBatchEngine` instead: the
@@ -259,9 +257,8 @@ class BatchRepairEngine:
         opening the store header-only with its own warm caches and
         repairing its shard single-threaded.  ``clara`` then only supplies
         configuration (language check, prefilter settings, attached
-        profiler) — it is *not* attached to the store, and ``workers`` /
-        ``lazy`` are ignored (each worker process is single-threaded and
-        lazy by construction).  The store must name a registered problem,
+        profiler) — it is *not* attached to the store, and ``workers`` is
+        ignored (each worker process is single-threaded).  The store must name a registered problem,
         as the workers rebuild their pipelines from the dataset registry,
         and ``clara.retrieval_top_k`` must be the default (``ValueError``
         otherwise, like a language mismatch), as the workers run that.
@@ -284,12 +281,9 @@ class BatchRepairEngine:
                 retrieval_prefilter=clara.retrieval_prefilter,
                 language=clara.language,
             )
-        if lazy:
-            from ..clusterstore.store import open_lazy
+        from ..clusterstore.store import open_lazy
 
-            clara.attach_lazy_clusters(open_lazy(clusters_path, cases=clara.cases))
-        else:
-            clara.load_clusters(clusters_path)
+        clara.attach_lazy_clusters(open_lazy(clusters_path, cases=clara.cases))
         return cls(clara, workers=workers, budget=budget)
 
     # -- public API --------------------------------------------------------------

@@ -127,7 +127,7 @@ def cluster_skeleton(cluster: "Cluster") -> tuple:
     """The canonical CFG skeleton of a cluster's representative, memoized.
 
     Skeleton equality is *necessary* for a Def. 4.1 structural match
-    (:meth:`repro.model.program.Program.cfg_skeleton`), so the eager-mode
+    (:meth:`repro.model.program.Program.cfg_skeleton`), so the in-memory
     prefilter can drop skeleton-mismatched clusters from the repair
     candidate set without changing any outcome — the same cut the lazy
     store pager applies per segment.  Memoized like

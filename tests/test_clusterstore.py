@@ -13,7 +13,7 @@ from repro.cli import main as cli_main
 from repro.clusterstore import (
     ClusterStoreError,
     export_clusters,
-    load_clusters,
+    open_lazy,
     program_fingerprint,
 )
 from repro.clusterstore.segments import segment_dir
@@ -183,21 +183,21 @@ def test_load_rejects_bumped_format_version(deriv_setup, tmp_path):
     document["format_version"] += 1
     path.write_text(json.dumps(document))
     with pytest.raises(ClusterStoreError, match="format version"):
-        load_clusters(path, cases=problem.cases)
+        open_lazy(path, cases=problem.cases)
     with pytest.raises(ClusterStoreError, match="format version"):
-        Clara(cases=problem.cases).load_clusters(path)
+        BatchRepairEngine.from_store(path, Clara(cases=problem.cases))
 
 
 def test_load_rejects_non_store_files(tmp_path):
     path = tmp_path / "not-a-store.json"
     path.write_text('{"hello": "world"}')
     with pytest.raises(ClusterStoreError, match="not a cluster store"):
-        load_clusters(path)
+        open_lazy(path)
     path.write_text("{broken json")
     with pytest.raises(ClusterStoreError, match="not valid JSON"):
-        load_clusters(path)
+        open_lazy(path)
     with pytest.raises(ClusterStoreError, match="cannot read"):
-        load_clusters(tmp_path / "missing.json")
+        open_lazy(tmp_path / "missing.json")
 
 
 def test_load_rejects_mismatched_case_set(deriv_setup, tmp_path):
@@ -205,17 +205,20 @@ def test_load_rejects_mismatched_case_set(deriv_setup, tmp_path):
     path = clara.save_clusters(tmp_path / "clusters.json")
     other = get_problem("oddTuples")
     with pytest.raises(ClusterStoreError, match="different test-case set"):
-        Clara(cases=other.cases).load_clusters(path)
-    # Opting out loads the clusters anyway (inspection-style use).
+        BatchRepairEngine.from_store(path, Clara(cases=other.cases))
+    # Opting out opens the store anyway (inspection-style use).
     inspector = Clara(cases=other.cases)
-    assert inspector.load_clusters(path, check_cases=False) == clara.cluster_count
+    source = open_lazy(path, cases=other.cases, check_cases=False)
+    assert inspector.attach_lazy_clusters(source) == clara.cluster_count
 
 
 def test_load_rejects_mismatched_language(deriv_setup, tmp_path):
     problem, _corpus, clara = deriv_setup
     path = clara.save_clusters(tmp_path / "clusters.json")
     with pytest.raises(ClusterStoreError, match="language|programs"):
-        Clara(cases=problem.cases, language="c").load_clusters(path)
+        Clara(cases=problem.cases, language="c").attach_lazy_clusters(
+            open_lazy(path, cases=problem.cases)
+        )
 
 
 # -- failure diagnostics (original indices) -------------------------------------------
@@ -349,8 +352,8 @@ def test_store_round_trips_pool_indexes(deriv_setup, tmp_path):
     freshly built ones — without recomputing them."""
     problem, _corpus, clara = deriv_setup
     path = clara.save_clusters(tmp_path / "clusters.json", problem=problem.name)
-    stored = load_clusters(path, cases=problem.cases)
-    by_id = {cluster.cluster_id: cluster for cluster in stored.clusters}
+    stored = open_lazy(path, cases=problem.cases)
+    by_id = {cluster.cluster_id: cluster for cluster in stored.all_clusters()}
     checked = 0
     for original in clara.clusters:
         loaded = by_id[original.cluster_id]
@@ -383,7 +386,7 @@ def test_store_rejects_mismatched_pool_index_length(deriv_setup, tmp_path):
             item["bytes"] = len(text.encode("utf-8"))
     path.write_text(json.dumps(header))
     with pytest.raises(ClusterStoreError, match="pool index length"):
-        load_clusters(path, cases=problem.cases)
+        open_lazy(path, cases=problem.cases).all_clusters()
 
 
 def test_load_rejects_version_1_stores(deriv_setup, tmp_path):
@@ -401,9 +404,9 @@ def test_load_rejects_version_1_stores(deriv_setup, tmp_path):
         cluster["expressions"] = [entry[:3] for entry in cluster["expressions"]]
     v1.write_text(json.dumps(document))
     with pytest.raises(ClusterStoreError, match="format version 1"):
-        load_clusters(v1, cases=problem.cases)
+        open_lazy(v1, cases=problem.cases)
     with pytest.raises(ClusterStoreError, match="rebuild the store"):
-        Clara(cases=problem.cases).load_clusters(v1)
+        BatchRepairEngine.from_store(v1, Clara(cases=problem.cases))
 
 
 # -- retrieval vectors in the header: coverage reporting and degrade ------------------

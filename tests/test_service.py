@@ -230,7 +230,7 @@ def test_hot_reload_mid_request_keeps_serving_the_old_revision(
 
             # Update the store on disk (revision 0 -> 1) and hot-reload
             # through a second connection while the first request hangs.
-            store = ClusterStore.open(own_store, spec.cases)
+            store = ClusterStore.open_indexed(own_store, spec.cases)
             assert store.add_correct_source(corpus.correct_sources[0]).accepted
             store.save()
             with ServiceClient("127.0.0.1", server.port) as client:

@@ -17,12 +17,12 @@ import pytest
 from helpers.differential import report_rows
 
 from repro import Clara
+from repro.cli import main as cli_main
 from repro.clusterstore import (
     ClusterStore,
     ClusterStoreError,
     export_clusters,
     import_clusters,
-    load_clusters,
     open_lazy,
 )
 from repro.clusterstore.segments import segment_dir
@@ -145,14 +145,19 @@ def test_family_attempt_skips_the_two_loop_segment(spec, store_path):
     assert counters["segments_loaded"] == counters["segments_total"] - 1
 
 
-def test_lazy_and_eager_loads_repair_identically(spec, corpus, store_path):
+def test_lazy_store_repairs_like_the_in_memory_pipeline(spec, corpus, store_path):
+    """Skeleton pruning must not change an outcome: the paged store repairs
+    exactly like an in-memory pipeline clustered from the same pool, which
+    tries every cluster."""
+
     def rows(engine):
         return report_rows(engine.run(list(corpus.incorrect_sources) + [TWO_LOOP_BROKEN]))
 
     lazy = BatchRepairEngine.from_store(store_path, _fresh(spec), workers=1)
-    eager = BatchRepairEngine.from_store(store_path, _fresh(spec), workers=1, lazy=False)
-    assert rows(lazy) == rows(eager)
-    assert eager.clara.store_paging() is None  # eager pipelines have no pager
+    in_memory = _fresh(spec)
+    in_memory.add_correct_sources(list(corpus.correct_sources) + [TWO_LOOP])
+    assert rows(lazy) == rows(BatchRepairEngine(in_memory, workers=1))
+    assert in_memory.store_paging() is None  # in-memory pipelines have no pager
 
 
 def test_lazy_pipeline_refuses_in_memory_cluster_registration(spec, store_path):
@@ -178,7 +183,6 @@ def test_open_indexed_join_pages_only_the_joined_bucket(
     clara.save_clusters(inc_path, problem="derivatives")
 
     store = ClusterStore.open_indexed(inc_path, spec.cases)
-    assert store.indexed
     assert store.paging_counters()["segments_loaded"] == 0
     # Joining an existing cluster needs that fingerprint's bucket only.
     outcome = store.add_correct_source(corpus.correct_sources[0])
@@ -241,20 +245,67 @@ def test_in_place_migration_upgrades_a_v2_file(tmp_path, spec, store_path):
     v2 = tmp_path / "store.json"
     export_clusters(store_path, v2)
     import_clusters(v2, v2)
-    stored = load_clusters(v2, cases=spec.cases)
-    assert len(stored.clusters) == 5
+    stored = open_lazy(v2, cases=spec.cases)
+    assert len(stored.all_clusters()) == 5
 
 
 def test_loading_a_v2_store_names_the_import_migration(tmp_path, spec, store_path):
     v2 = tmp_path / "old.json"
     export_clusters(store_path, v2)
     with pytest.raises(ClusterStoreError, match="cluster import"):
-        load_clusters(v2, cases=spec.cases)
+        open_lazy(v2, cases=spec.cases)
 
 
 def test_import_rejects_a_v3_header(tmp_path, store_path):
     with pytest.raises(ClusterStoreError, match="already a format-3 store"):
         import_clusters(store_path, tmp_path / "out.json")
+
+
+# -- malformed headers ----------------------------------------------------------------
+
+
+def _edited_header_copy(tmp_path, store_path, edit):
+    """A header copied next to the shared store's segments, edited by ``edit``."""
+    import shutil
+
+    own = tmp_path / "store.json"
+    shutil.copytree(segment_dir(store_path), segment_dir(own))
+    header = json.loads(store_path.read_text())
+    edit(header)
+    own.write_text(json.dumps(header))
+    return own
+
+
+@pytest.mark.parametrize(
+    "field, noun", [("cluster_count", "clusters"), ("total_members", "members")]
+)
+def test_open_rejects_header_counts_that_disagree_with_the_index(
+    tmp_path, spec, store_path, field, noun
+):
+    declared = json.loads(store_path.read_text())[field] + 3
+
+    def bump(header):
+        header[field] = declared
+
+    own = _edited_header_copy(tmp_path, store_path, bump)
+    with pytest.raises(
+        ClusterStoreError,
+        match=rf"header declares {declared} {noun} but the segment index holds {declared - 3}",
+    ):
+        open_lazy(own, cases=spec.cases)
+    with pytest.raises(ClusterStoreError, match="malformed"):
+        ClusterStore.open_indexed(own, spec.cases)
+
+
+def test_non_list_segment_index_is_a_store_error(tmp_path, spec, store_path, capsys):
+    def corrupt(header):
+        header["segments"] = 5
+
+    own = _edited_header_copy(tmp_path, store_path, corrupt)
+    with pytest.raises(ClusterStoreError, match="malformed segment index"):
+        open_lazy(own, cases=spec.cases)
+    assert cli_main(["cluster", "info", str(own)]) == 2
+    assert "malformed segment index" in capsys.readouterr().err
 
 
 # -- staleness detection --------------------------------------------------------------

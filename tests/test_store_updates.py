@@ -17,6 +17,7 @@ from repro.cli import main as cli_main
 from repro.clusterstore import (
     FORMAT_VERSION,
     ClusterStore,
+    open_lazy,
     read_store_header,
 )
 from repro.clusterstore.segments import segment_dir
@@ -75,7 +76,7 @@ def _outcome_fields(clara, sources):
 
 def _load_fresh(spec, path):
     clara = Clara(cases=spec.cases, language=spec.language, entry=spec.entry)
-    clara.load_clusters(path)
+    clara.attach_lazy_clusters(open_lazy(path, cases=spec.cases))
     return clara
 
 
@@ -95,7 +96,7 @@ def test_incremental_add_identical_to_full_rebuild(tmp_path, spec, corpus):
     inc_path, full_path = tmp_path / "inc.json", tmp_path / "full.json"
     _build_store(inc_path, spec, base)
 
-    store = ClusterStore.open(inc_path, spec.cases)
+    store = ClusterStore.open_indexed(inc_path, spec.cases)
     outcome = store.add_correct_source(extra)
     assert outcome.accepted
     assert outcome.revision == 1
@@ -124,7 +125,7 @@ def test_incremental_add_mints_new_cluster(tmp_path, spec, paper_sources):
     inc_path, full_path = tmp_path / "inc.json", tmp_path / "full.json"
     built = _build_store(inc_path, spec, base)
 
-    store = ClusterStore.open(inc_path, spec.cases)
+    store = ClusterStore.open_indexed(inc_path, spec.cases)
     outcome = store.add_correct_source(BRANCHY)
     assert outcome.status == "created"
     assert outcome.cluster_id == built.cluster_count
@@ -141,7 +142,7 @@ def test_incremental_add_mints_new_cluster(tmp_path, spec, paper_sources):
 def test_rejections_leave_store_and_revision_untouched(tmp_path, spec, corpus):
     inc_path = tmp_path / "store.json"
     _build_store(inc_path, spec, corpus.correct_sources[:4])
-    store = ClusterStore.open(inc_path, spec.cases)
+    store = ClusterStore.open_indexed(inc_path, spec.cases)
     before = _store_state(inc_path)
 
     unparseable = store.add_correct_source("def (\n")
@@ -159,7 +160,7 @@ def test_revision_is_monotonic_and_survives_round_trips(tmp_path, spec, corpus):
     _build_store(inc_path, spec, corpus.correct_sources[:6])
     assert read_store_header(inc_path).revision == 0
 
-    store = ClusterStore.open(inc_path, spec.cases)
+    store = ClusterStore.open_indexed(inc_path, spec.cases)
     revisions = [
         store.add_correct_source(source).revision
         for source in corpus.correct_sources[6:]
@@ -170,14 +171,14 @@ def test_revision_is_monotonic_and_survives_round_trips(tmp_path, spec, corpus):
 
     assert read_store_header(inc_path).revision == store.revision
     # Re-opening resumes the counter rather than resetting it.
-    reopened = ClusterStore.open(inc_path, spec.cases)
+    reopened = ClusterStore.open_indexed(inc_path, spec.cases)
     assert reopened.revision == store.revision
 
 
 def test_cluster_info_reports_revision_and_index_stats(tmp_path, spec, corpus, capsys):
     store_path = tmp_path / "store.json"
     _build_store(store_path, spec, corpus.correct_sources[:6])
-    store = ClusterStore.open(store_path, spec.cases)
+    store = ClusterStore.open_indexed(store_path, spec.cases)
     store.add_correct_source(corpus.correct_sources[6])
     store.save()
 
