@@ -25,9 +25,9 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload fresh-ilp --seed 1 --seconds 10 --trace 1
 
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples tools
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests benchmarks examples tools; \
 	else \
 		echo "ruff not installed; bytecode compile check only (CI runs ruff)"; \
 	fi

@@ -61,15 +61,11 @@ def test_clustering_scale(benchmark, results_dir, local_results_dir):
         problem = get_problem(problem_name)
         corpus = generate_corpus(problem, n_correct, 0, seed=2018)
 
-        # Both arms disable the retrieval prefilter (benchmark E11 measures
-        # it separately) so the committed counts isolate what *fingerprint
-        # pruning* alone saves.
         started = time.perf_counter()
         exhaustive = cluster_programs(
             _parse_pool(problem, corpus.correct_sources),
             problem.cases,
             prune=False,
-            prefilter=False,
         )
         exhaustive_time = time.perf_counter() - started
 
@@ -78,7 +74,6 @@ def test_clustering_scale(benchmark, results_dir, local_results_dir):
             _parse_pool(problem, corpus.correct_sources),
             problem.cases,
             prune=True,
-            prefilter=False,
         )
         pruned_time = time.perf_counter() - started
 
@@ -141,9 +136,7 @@ def test_clustering_scale(benchmark, results_dir, local_results_dir):
     problem, _size, corpus = widest
     programs = _parse_pool(problem, corpus.correct_sources)
     result = benchmark(
-        lambda: cluster_programs(
-            programs, problem.cases, prune=True, prefilter=False
-        )
+        lambda: cluster_programs(programs, problem.cases, prune=True)
     )
     assert result.cluster_count == next(
         entry["clusters"]

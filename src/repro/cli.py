@@ -160,21 +160,13 @@ def _load_attempts(path: Path, language: str) -> list[BatchAttempt]:
 
 
 def _cmd_cluster_build(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
     try:
         spec = get_problem(args.problem)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
     corpus = generate_corpus(spec, args.correct, 0, seed=args.seed)
-    clara = Clara(
-        cases=spec.cases,
-        language=spec.language,
-        entry=spec.entry,
-        cluster_workers=args.workers,
-    )
+    clara = Clara(cases=spec.cases, language=spec.language, entry=spec.entry)
     result = clara.add_correct_sources(corpus.correct_sources)
     try:
         path = clara.save_clusters(args.output, problem=spec.name)
@@ -583,12 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--correct", type=int, default=None, help="correct attempts to cluster"
     )
     p_cluster_build.add_argument("--seed", type=int, default=0)
-    p_cluster_build.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="threads clustering fingerprint buckets concurrently",
-    )
     p_cluster_build.set_defaults(func=_cmd_cluster_build)
 
     p_cluster_info = cluster_sub.add_parser(

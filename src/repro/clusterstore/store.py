@@ -68,9 +68,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..core.clustering import Cluster, _canonical_order, _identity_witness
+from ..core.clustering import Cluster, new_cluster, place_program
 from ..core.inputs import InputCase, program_traces, trace_passes_case
-from ..core.matching import find_matching
 from ..model.program import Program
 from .fingerprint import program_fingerprint
 from .segments import (
@@ -702,12 +701,11 @@ class ClusterStore:
     **Equivalence guarantee.**  ``add_correct_source(src)`` produces a store
     byte-identical (modulo revision) to rebuilding from scratch with ``src``
     appended to the original correct pool (asserted in
-    ``tests/test_store_updates.py``): the new program is fingerprinted,
-    tried against existing clusters in creation order within its
-    fingerprint bucket (first match wins, exactly the order the exhaustive
-    loop would use) and otherwise minted as a new cluster with the next id
-    — which is precisely where the deterministic merge of
-    :func:`repro.core.clustering.cluster_programs` would place it.
+    ``tests/test_store_updates.py``): the new program is fingerprinted and
+    placed by :func:`repro.core.clustering.place_program`, the placement
+    rule of :func:`repro.core.clustering.cluster_programs` — tried against
+    its bucket's clusters in creation order, first match wins — and
+    otherwise minted as a new cluster with the next id.
 
     Thread safety: instances are **not** thread-safe — they are intended
     for a single updater process (a course ingests new correct submissions
@@ -818,11 +816,10 @@ class ClusterStore:
         correct; incorrect or unparseable submissions are rejected (MOOC
         dumps routinely contain mislabelled data) and leave the store
         unchanged.  An accepted program joins the first existing cluster it
-        matches — only clusters in its own fingerprint bucket are tried,
-        the same pruning the batch build uses, and only that bucket's
-        segment (plus the unfingerprinted one) is even read from disk — or
-        becomes the representative of a new cluster, and the revision is
-        bumped.
+        matches (:func:`repro.core.clustering.place_program`, the rule the
+        batch build uses) — only that bucket's segment and the
+        unfingerprinted one are read from disk — or becomes the
+        representative of a new cluster, and the revision is bumped.
 
         Changes live in memory until :meth:`save` is called.  Thread
         safety: single-updater only, like every mutation on this class.
@@ -858,67 +855,21 @@ class ClusterStore:
         else:
             fingerprint = program_fingerprint(program, traces)
         # Page in exactly the candidate set — the new program's bucket plus
-        # clusters stored without a digest.
+        # clusters stored without a digest — in cluster-id order.
         candidates = self._pager.clusters_for_fingerprint(fingerprint.digest)
-        if len(candidates) > 1:
-            # Nearest-first scan (repro.retrieval): ∼_I is an equivalence
-            # relation, so at most one cluster can accept the program — the
-            # ranking cannot change which cluster that is, it only lets the
-            # first-match-wins loop below stop after ~1 full match.
-            from ..retrieval import (
-                DEFAULT_TOP_K,
-                cluster_feature_vector,
-                feature_vector,
-                ranked_candidates,
-            )
-
-            candidates = ranked_candidates(
-                feature_vector(program),
-                candidates,
-                cluster_feature_vector,
-                top_k=DEFAULT_TOP_K,
-            )
-        order = _canonical_order(program)
-        for cluster in candidates:
-            in_bucket = cluster.fingerprint_digest == fingerprint.digest
-            if cluster.fingerprint_digest is not None and not in_bucket:
-                # A differing fingerprint proves the full match cannot
-                # succeed (matching invariance); clusters from stores built
-                # without pruning (digest None) are tried unconditionally.
-                continue
-            location_map = None
-            if in_bucket and order is not None:
-                rep_order = _canonical_order(cluster.representative)
-                if rep_order is not None:
-                    location_map = dict(zip(order, rep_order))
-            witness = find_matching(
-                program,
-                cluster.representative,
-                self.cases,
-                query_traces=traces,
-                base_traces=cluster.representative_traces,
-                location_map=location_map,
-            )
-            if witness is not None:
-                cluster.add_member(program, witness)
-                self._revision += 1
-                self._dirty.add(segment_name(cluster.fingerprint_digest))
-                self._total_members += 1
-                return AddOutcome("joined", cluster.cluster_id, "", self._revision)
-
-        cluster = Cluster(
-            cluster_id=self._max_cluster_id + 1,
-            representative=program,
-            representative_traces=traces,
-            fingerprint_digest=fingerprint.digest,
-        )
-        cluster.add_member(program, _identity_witness(program))
-        self._dirty.add(self._pager.adopt_cluster(cluster))
-        self._max_cluster_id = cluster.cluster_id
-        self._cluster_count += 1
+        joined, _ = place_program(program, traces, candidates, self.cases, fingerprint.digest)
+        if joined is not None:
+            self._dirty.add(segment_name(joined.fingerprint_digest))
+            status = "joined"
+        else:
+            joined = new_cluster(self._max_cluster_id + 1, program, traces, fingerprint.digest)
+            self._dirty.add(self._pager.adopt_cluster(joined))
+            self._max_cluster_id = joined.cluster_id
+            self._cluster_count += 1
+            status = "created"
         self._total_members += 1
         self._revision += 1
-        return AddOutcome("created", cluster.cluster_id, "", self._revision)
+        return AddOutcome(status, joined.cluster_id, "", self._revision)
 
     def add_correct_sources(self, sources: Iterable[str]) -> list[AddOutcome]:
         """Apply :meth:`add_correct_source` to each source, in order."""

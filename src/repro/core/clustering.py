@@ -8,21 +8,20 @@ pools ``E_C(ℓ, v)``, which the repair algorithm later draws from.
 
 Scaling (``repro.clusterstore``): instead of attempting the full dynamic
 matching of Fig. 4 against *every* existing representative — O(n × clusters)
-expensive matches — programs are sharded into buckets by a cheap
-matching-invariant fingerprint (control-flow skeleton + variable-arity +
-output-trace signature, see :mod:`repro.clusterstore.fingerprint`).  Two
-programs in different buckets can never match, so each program only runs
-full matches against the representatives of its own bucket, and buckets can
-be clustered concurrently.  The final clustering is *identical* to the
-exhaustive sequential one: clusters are merged deterministically in order
-of their first member's original index, and members keep their original
-relative order.
+expensive matches — clusters are bucketed by a cheap matching-invariant
+fingerprint (control-flow skeleton + variable-arity + output-trace
+signature, see :mod:`repro.clusterstore.fingerprint`).  Two programs in
+different buckets can never match, so each program only runs full matches
+against the representatives of its own bucket, in creation order.  The
+final clustering is *identical* to the exhaustive one: the first match wins
+in both, and cluster ids are handed out in order of first members.
+:func:`place_program` is the one placement rule; the cluster store's
+incremental updates use it too.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -45,6 +44,8 @@ __all__ = [
     "ClusteringResult",
     "ClusteringStats",
     "cluster_programs",
+    "new_cluster",
+    "place_program",
 ]
 
 
@@ -112,7 +113,8 @@ class Cluster:
     #: Hex digest of the members' shared fingerprint
     #: (:class:`repro.clusterstore.fingerprint.Fingerprint`), populated when
     #: clustering runs with pruning enabled and persisted by the cluster
-    #: store.  Informational: matching never consults it.
+    #: store.  :func:`place_program` skips a cluster whose digest differs
+    #: from the program's.
     fingerprint_digest: str | None = None
     #: Runtime caches (never serialized, excluded from comparisons).  Lazily
     #: built, idempotent and derived purely from immutable inputs, so racing
@@ -244,7 +246,7 @@ class Cluster:
 
         Two clusters with equal signatures draw from identical expression
         pools; tests and benchmarks use this (via
-        :meth:`ClusteringResult.signature`) to assert that pruned, parallel
+        :meth:`ClusteringResult.signature`) to assert that pruned, incremental
         and persisted clusterings are *identical* to the exhaustive one.
         """
         return {
@@ -302,92 +304,81 @@ class ClusteringResult:
         ]
 
 
-def _identity_witness(program: Program) -> MatchResult:
-    return MatchResult(
-        variable_map={v: v for v in program.variables},
-        location_map={lid: lid for lid in program.location_ids()},
-    )
-
-
 def _canonical_order(program: Program) -> tuple[int, ...] | None:
     """Canonical location order, or ``None`` when not fully reachable."""
     order, _skeleton = program.cfg_skeleton()
     return order if len(order) == len(program.locations) else None
 
 
-def _cluster_bucket(
-    items: Sequence[tuple[int, Program, list[Trace]]],
+def place_program(
+    program: Program,
+    traces: Sequence[Trace],
+    candidates: Iterable[Cluster],
     cases: Sequence[InputCase],
-    *,
-    shared_skeleton: bool = False,
-    prefilter: bool = True,
-) -> tuple[list[tuple[int, Cluster]], int]:
-    """Cluster one fingerprint bucket sequentially.
+    digest: str | None,
+) -> tuple[Cluster | None, int]:
+    """Add ``program`` to the first candidate cluster it matches (Def. 4.7).
 
-    Returns ``(clusters, full_match_calls)`` where each cluster is tagged
-    with its first member's original index (the deterministic merge key).
-    Programs arrive in original order, so member order and
-    first-match-wins semantics are exactly those of the exhaustive loop.
+    ``candidates`` are tried in creation order and the first match wins.
+    ``∼_I`` is an equivalence relation, so at most one cluster can accept
+    the program.  ``digest`` is the program's fingerprint digest (``None``
+    = unknown).  A cluster whose digest is known and differs is skipped
+    without a match, because fingerprints are matching-invariant.  When
+    the digests are equal the two programs share a CFG skeleton, so the
+    Def. 4.1 witness is the correspondence of their canonical location
+    orders; it is handed to :func:`find_matching`, which then skips the
+    lockstep structural walk.
 
-    With ``shared_skeleton`` (fingerprint buckets) every pair of fully
-    reachable programs in the bucket is structurally matchable by
-    construction, and the Def. 4.1 witness is the correspondence of their
-    canonical CFG orders — it is handed to :func:`find_matching` so the
-    lockstep structural walk runs zero times inside a bucket.
-
-    With ``prefilter`` (default), existing clusters are *tried* in
-    nearest-first feature-vector order (:mod:`repro.retrieval`) instead of
-    creation order.  ``∼_I`` is an equivalence relation, so at most one
-    cluster can accept any program — reordering a first-match-wins scan
-    cannot change which cluster that is, it only lets the scan stop after
-    ~1 full match instead of ~half the bucket.  ``full_match_calls`` still
-    counts every :func:`find_matching` invocation actually made.
+    Returns ``(cluster, full_matches)``: the cluster the program joined
+    (``None`` if it matched none) and the number of :func:`find_matching`
+    calls made.  This is the one placement rule, shared by
+    :func:`cluster_programs` and
+    :meth:`repro.clusterstore.store.ClusterStore.add_correct_source`.
     """
-    from ..retrieval import DEFAULT_TOP_K, cluster_feature_vector, feature_vector, ranked_candidates
-
-    clusters: list[tuple[int, Cluster, tuple[int, ...] | None]] = []
-    match_calls = 0
-    for index, program, traces in items:
-        order = _canonical_order(program) if shared_skeleton else None
-        placed = False
-        if prefilter and len(clusters) > 1:
-            scan = ranked_candidates(
-                feature_vector(program),
-                clusters,
-                lambda entry: cluster_feature_vector(entry[1]),
-                top_k=DEFAULT_TOP_K,
-            )
-        else:
-            scan = clusters
-        for _, cluster, rep_order in scan:
-            match_calls += 1
-            location_map = (
-                dict(zip(order, rep_order))
-                if order is not None and rep_order is not None
-                else None
-            )
-            witness = find_matching(
-                program,
-                cluster.representative,
-                cases,
-                query_traces=traces,
-                base_traces=cluster.representative_traces,
-                location_map=location_map,
-            )
-            if witness is not None:
-                cluster.add_member(program, witness)
-                placed = True
-                break
-        if placed:
+    order = _canonical_order(program) if digest is not None else None
+    full_matches = 0
+    for cluster in candidates:
+        if digest is not None and cluster.fingerprint_digest not in (None, digest):
             continue
-        cluster = Cluster(
-            cluster_id=-1,  # assigned by the deterministic merge
-            representative=program,
-            representative_traces=list(traces),
+        location_map = None
+        if order is not None and cluster.fingerprint_digest == digest:
+            rep_order = _canonical_order(cluster.representative)
+            if rep_order is not None:
+                location_map = dict(zip(order, rep_order))
+        full_matches += 1
+        witness = find_matching(
+            program,
+            cluster.representative,
+            cases,
+            query_traces=traces,
+            base_traces=cluster.representative_traces,
+            location_map=location_map,
         )
-        cluster.add_member(program, _identity_witness(program))
-        clusters.append((index, cluster, order))
-    return [(index, cluster) for index, cluster, _ in clusters], match_calls
+        if witness is not None:
+            cluster.add_member(program, witness)
+            return cluster, full_matches
+    return None, full_matches
+
+
+def new_cluster(
+    cluster_id: int,
+    program: Program,
+    traces: Sequence[Trace],
+    digest: str | None,
+) -> Cluster:
+    """A one-member cluster with ``program`` as its representative."""
+    cluster = Cluster(
+        cluster_id=cluster_id,
+        representative=program,
+        representative_traces=list(traces),
+        fingerprint_digest=digest,
+    )
+    identity = MatchResult(
+        variable_map={v: v for v in program.variables},
+        location_map={lid: lid for lid in program.location_ids()},
+    )
+    cluster.add_member(program, identity)
+    return cluster
 
 
 def cluster_programs(
@@ -395,45 +386,45 @@ def cluster_programs(
     cases: Sequence[InputCase],
     *,
     prune: bool = True,
-    workers: int = 1,
     caches: "RepairCaches | None" = None,
-    prefilter: bool = True,
+    clusters: Sequence[Cluster] = (),
 ) -> ClusteringResult:
     """Cluster correct programs by dynamic equivalence.
 
-    Programs are processed in order; each joins the first existing cluster
-    it matches (``∼_I`` is an equivalence relation, so the first match is
-    the only possible one up to symmetry).  Programs whose execution fails
-    outright are reported in ``failures`` instead of silently dropped.
+    Programs are processed in order; each joins the first cluster of its
+    fingerprint bucket it matches (:func:`place_program`) or becomes the
+    representative of a new cluster, whose id is the number of clusters
+    so far.  Cluster ids therefore follow the order of first members.
+    Programs whose execution fails outright are reported in ``failures``
+    instead of silently dropped.
 
     Args:
         programs: Correct programs, already parsed.
         cases: Test inputs defining the matching relation ``∼_I``.
-        prune: Index clusters by matching-invariant fingerprint and only
+        prune: Bucket clusters by matching-invariant fingerprint and only
             attempt full matches within a program's own bucket.  The result
-            is identical to the exhaustive ``prune=False`` path; the
-            exhaustive path exists for cross-checking and measurement.
-        workers: Worker threads for clustering fingerprint buckets
-            concurrently.  Buckets are independent (programs in different
-            buckets can never match) and the merge is deterministic, so the
-            result does not depend on ``workers``.  Ignored when ``prune``
-            is off (there is a single bucket).
+            is identical to the exhaustive ``prune=False`` path, which
+            tries every cluster and exists as the reference for tests and
+            benchmarks.
         caches: Optional :class:`repro.engine.cache.RepairCaches` through
             which program executions are routed, so a solution that also
             appears elsewhere in a batch is traced once.
-        prefilter: Try existing clusters in nearest-first feature-vector
-            order (:mod:`repro.retrieval`) instead of creation order.  The
-            resulting clustering is identical either way (at most one
-            cluster can match any program); only ``stats.full_matches``
-            shrinks.  ``prefilter=False`` restores the creation-order scan
-            for measurement.
+        clusters: An existing clustering (ids ``0..n-1``, in creation
+            order) to extend.  The clusters are updated in place and
+            returned at the head of the result, so clustering a pool in
+            several calls gives the same clusters as one call over the
+            concatenation.  With ``prune`` every cluster needs its
+            fingerprint digest.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     stats = ClusteringStats()
     failures: list[tuple[int, str]] = []
-
-    executed: list[tuple[int, Program, list[Trace]]] = []
+    placed = list(clusters)
+    buckets: dict[str | None, list[Cluster]] = {}
+    for cluster in placed:
+        if prune and cluster.fingerprint_digest is None:
+            raise ValueError("pruned clustering needs fingerprinted clusters")
+        buckets.setdefault(cluster.fingerprint_digest if prune else None, []).append(cluster)
+    bucket_sizes: dict[str | None, int] = {}
     for index, program in enumerate(programs):
         stats.programs += 1
         try:
@@ -444,60 +435,24 @@ def cluster_programs(
         except Exception as exc:  # noqa: BLE001 - defensive: report, don't crash
             failures.append((index, f"execution error: {exc}"))
             continue
-        executed.append((index, program, traces))
+        digest = None
+        if prune:
+            from ..clusterstore.fingerprint import program_fingerprint
 
-    # Shard into fingerprint buckets (insertion order, so every bucket sees
-    # its programs in original order).
-    buckets: dict[object, list[tuple[int, Program, list[Trace]]]] = {}
-    digests: dict[object, str | None] = {}
-    if prune:
-        from ..clusterstore.fingerprint import program_fingerprint
-
-        for index, program, traces in executed:
             if caches is not None:
-                fingerprint = caches.fingerprint(program, cases, traces=traces)
+                digest = caches.fingerprint(program, cases, traces=traces).digest
             else:
-                fingerprint = program_fingerprint(program, traces)
-            buckets.setdefault(fingerprint, []).append((index, program, traces))
-            digests[fingerprint] = fingerprint.digest
-    else:
-        if executed:
-            buckets[None] = executed
-            digests[None] = None
+                digest = program_fingerprint(program, traces).digest
+        bucket_sizes[digest] = bucket_sizes.get(digest, 0) + 1
+        bucket = buckets.setdefault(digest, [])
+        joined, full_matches = place_program(program, traces, bucket, cases, digest)
+        stats.full_matches += full_matches
+        if joined is None:
+            cluster = new_cluster(len(placed), program, traces, digest)
+            bucket.append(cluster)
+            placed.append(cluster)
 
-    if workers == 1 or len(buckets) <= 1:
-        bucket_results = [
-            _cluster_bucket(items, cases, shared_skeleton=prune, prefilter=prefilter)
-            for items in buckets.values()
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bucket_results = list(
-                pool.map(
-                    lambda items: _cluster_bucket(
-                        items, cases, shared_skeleton=prune, prefilter=prefilter
-                    ),
-                    buckets.values(),
-                )
-            )
-
-    # Deterministic merge: order clusters by first member's original index —
-    # exactly the creation order of the exhaustive sequential loop.
-    tagged: list[tuple[int, Cluster]] = []
-    for (key, _items), (bucket_clusters, match_calls) in zip(
-        buckets.items(), bucket_results
-    ):
-        stats.full_matches += match_calls
-        for first_index, cluster in bucket_clusters:
-            cluster.fingerprint_digest = digests[key]
-            tagged.append((first_index, cluster))
-    tagged.sort(key=lambda entry: entry[0])
-    clusters = []
-    for cluster_id, (_first, cluster) in enumerate(tagged):
-        cluster.cluster_id = cluster_id
-        clusters.append(cluster)
-
-    stats.clusters = len(clusters)
-    stats.buckets = len(buckets)
-    stats.bucket_sizes = sorted((len(items) for items in buckets.values()), reverse=True)
-    return ClusteringResult(clusters=clusters, failures=failures, stats=stats)
+    stats.clusters = len(placed)
+    stats.buckets = len(bucket_sizes)
+    stats.bucket_sizes = sorted(bucket_sizes.values(), reverse=True)
+    return ClusteringResult(clusters=placed, failures=failures, stats=stats)

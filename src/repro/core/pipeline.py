@@ -105,24 +105,14 @@ class Clara:
             whole cluster (the ablation of §2.1's "diversity of repairs").
         generic_threshold: Cost above which feedback becomes a generic
             strategy message.
-        cluster_fingerprint_pruning: When ``True`` (default), clustering
-            indexes existing clusters by matching-invariant fingerprint and
-            only runs the full dynamic match within a program's own bucket
-            (:mod:`repro.clusterstore.fingerprint`); the resulting clusters
-            are identical to the exhaustive path, which remains available
-            for measurement.
-        cluster_workers: Worker threads used to cluster fingerprint buckets
-            concurrently when building clusters (the result is independent
-            of this setting).
-        retrieval_prefilter: Rank candidate clusters nearest-first by
-            deterministic feature vector (:mod:`repro.retrieval`) before
-            the expensive exact procedures — full dynamic matching at
-            build time, the Def. 4.1 structural gate at repair time — and
-            cut repair candidates whose CFG skeleton provably precludes a
-            match.  The exact matcher still decides, so outcomes are
-            field-identical with the prefilter on or off
-            (``tests/test_retrieval_differential.py``); only the match
-            counters change.  ``False`` (the ``--no-prefilter`` escape
+        retrieval_prefilter: At repair time, rank candidate clusters
+            nearest-first by deterministic feature vector
+            (:mod:`repro.retrieval`) before the Def. 4.1 structural gate,
+            and cut candidates whose CFG skeleton provably precludes a
+            match.  Clustering never ranks.  The exact matcher still
+            decides, so outcomes are field-identical with the prefilter on
+            or off (``tests/test_retrieval_differential.py``); only the
+            match counters change.  ``False`` (the ``--no-prefilter`` escape
             hatch) restores the unranked scans.
         retrieval_top_k: Size of the nearest-first head the structural
             gate probes before falling back to the remaining candidates in
@@ -148,8 +138,6 @@ class Clara:
     timeout: float | None = None
     use_cluster_expressions: bool = True
     generic_threshold: float = GENERIC_FEEDBACK_THRESHOLD
-    cluster_fingerprint_pruning: bool = True
-    cluster_workers: int = 1
     retrieval_prefilter: bool = True
     retrieval_top_k: int = DEFAULT_TOP_K
     clusters: list[Cluster] = field(default_factory=list)
@@ -190,11 +178,14 @@ class Clara:
         *,
         source_indices: Sequence[int] | None = None,
     ) -> ClusteringResult:
-        """Cluster correct programs and register the clusters for repair.
+        """Cluster correct programs into the existing clusters for repair.
 
-        Invalidates memoized repair outcomes (the caches key them on the
-        clustering version), but keeps trace and match entries, which stay
-        valid across cluster growth.
+        Each program joins the first cluster it matches, old or new, or
+        starts a new one, so adding a pool in several calls gives the same
+        clusters as one call over the concatenation.  Invalidates memoized
+        repair outcomes (the caches key them on the clustering version),
+        but keeps trace and match entries, which stay valid across cluster
+        growth.
 
         Args:
             programs: Parsed correct programs.
@@ -204,19 +195,24 @@ class Clara:
                 translated so diagnostics point at the caller's items even
                 after filtering (``add_correct_sources`` passes this).
         """
+        if self._lazy_clusters is not None:
+            raise ValueError(
+                "this pipeline serves clusters from a lazily paged store "
+                "(attach_lazy_clusters); update the store and reopen instead "
+                "of registering clusters in memory"
+            )
         result = cluster_programs(
-            programs,
-            self.cases,
-            prune=self.cluster_fingerprint_pruning,
-            workers=self.cluster_workers,
-            caches=self.caches,
-            prefilter=self.retrieval_prefilter,
+            programs, self.cases, caches=self.caches, clusters=self.clusters
         )
         if source_indices is not None:
             result.failures = [
                 (source_indices[index], reason) for index, reason in result.failures
             ]
-        self._register_clusters(result.clusters)
+        self.clusters[:] = result.clusters
+        self._cluster_version += 1
+        if not self.use_cluster_expressions:
+            for cluster in self.clusters:
+                self._restrict_to_representative(cluster)
         self.clustering_failures.extend(result.failures)
         return result
 
@@ -246,23 +242,6 @@ class Clara:
             programs.append(program)
             kept_indices.append(index)
         return self.add_correct_programs(programs, source_indices=kept_indices)
-
-    def _register_clusters(self, clusters: Sequence[Cluster]) -> None:
-        """Append clusters, renumbering ids and invalidating repair memos."""
-        if self._lazy_clusters is not None:
-            raise ValueError(
-                "this pipeline serves clusters from a lazily paged store "
-                "(attach_lazy_clusters); update the store and reopen instead "
-                "of registering clusters in memory"
-            )
-        offset = len(self.clusters)
-        for cluster in clusters:
-            cluster.cluster_id += offset
-        self.clusters.extend(clusters)
-        self._cluster_version += 1
-        if not self.use_cluster_expressions:
-            for cluster in self.clusters:
-                self._restrict_to_representative(cluster)
 
     # -- persistence --------------------------------------------------------------
 

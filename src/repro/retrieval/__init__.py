@@ -1,10 +1,8 @@
 """Approximate nearest-cluster retrieval (`docs/ARCHITECTURE.md`).
 
-A cheap, deterministic feature vector per program lets both the clusterer
-and the repair pipeline *order* candidate clusters nearest-first and try
-the expensive exact procedures (full dynamic matching at build time,
-Def. 4.1 structural matching at repair time) against the likeliest
-clusters before the rest.  The exact matcher remains the decision
+A cheap, deterministic feature vector per program lets the repair
+pipeline *order* candidate clusters nearest-first and try the Def. 4.1
+structural match against the likeliest clusters before the rest.  The exact matcher remains the decision
 procedure — the prefilter never drops a candidate the exact ladder would
 have accepted — so outcomes are field-identical with the prefilter on or
 off; only the number of expensive match attempts changes.

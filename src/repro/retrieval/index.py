@@ -1,17 +1,14 @@
 """Top-k nearest-neighbour ordering of candidate clusters, plus counters.
 
-:func:`ranked_candidates` is the single ordering primitive shared by the
-build-time placement loops (:func:`repro.core.clustering.cluster_programs`,
-:meth:`repro.clusterstore.store.ClusterStore.add_correct_source`) and the
-repair-time structural gate (:meth:`repro.core.pipeline.Clara.repair_program`).
-It never *drops* a candidate: the ``k`` nearest come first (by squared-L2
+:func:`ranked_candidates` orders the candidates of the repair-time
+structural gate (:meth:`repro.core.pipeline.Clara.repair_program`).  It
+never *drops* a candidate: the ``k`` nearest come first (by squared-L2
 distance, ties broken by position so the ordering is total and
 deterministic), and every remaining candidate follows in its original
-order as the exact-fallback tail.  Since dynamic equivalence ``∼_I`` is an
-equivalence relation, at most one existing cluster can accept any given
-program — so a first-match-wins scan over *any* permutation of the
-candidates reaches the same cluster; the permutation only decides how many
-expensive exact matches run before the hit.
+order as the exact-fallback tail, so the permutation only decides how many
+structural matches run before the hit.  Clustering does not rank
+(:func:`repro.core.clustering.place_program` tries clusters in creation
+order).
 
 :class:`RetrievalStats` carries the deterministic counters surfaced by
 ``batch --profile``, the service ``stats`` op and the committed

@@ -88,17 +88,6 @@ def test_pruned_clustering_identical_to_exhaustive(problem_name):
         assert pruned.stats.full_matches < exhaustive.stats.full_matches
 
 
-def test_parallel_cluster_build_is_deterministic():
-    problem = get_problem("derivatives")
-    corpus = generate_corpus(problem, 14, 0, seed=3)
-
-    def build(workers):
-        programs = [parse_python_source(s) for s in corpus.correct_sources]
-        return cluster_programs(programs, problem.cases, workers=workers)
-
-    assert build(1).signature() == build(4).signature()
-
-
 # -- serialization --------------------------------------------------------------------
 
 

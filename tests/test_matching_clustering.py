@@ -141,3 +141,25 @@ def test_clustering_reports_failures_gracefully(deriv_cases):
     result = cluster_programs([diverging], deriv_cases)
     assert result.cluster_count == 1
     assert not result.failures
+
+
+def test_repeated_add_correct_sources_extends_the_same_clusters():
+    """Adding a pool in two calls places the second half into the clusters
+    of the first (first match wins across calls), so the clustering equals
+    one call over the concatenation instead of splitting classes."""
+    from repro import Clara
+    from repro.core.clustering import ClusteringResult
+    from repro.datasets import generate_corpus, get_problem
+
+    spec = get_problem("derivatives")
+    sources = generate_corpus(spec, 20, 0, seed=7).correct_sources
+
+    def clustering(*batches):
+        clara = Clara(cases=spec.cases, language=spec.language, entry=spec.entry)
+        for batch in batches:
+            clara.add_correct_sources(batch)
+        return ClusteringResult(clara.clusters).signature()
+
+    whole = clustering(sources)
+    assert len(whole) < len(sources)
+    assert clustering(sources[:10], sources[10:]) == whole

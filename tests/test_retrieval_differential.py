@@ -1,9 +1,8 @@
 """Differential property harness for the nearest-cluster retrieval prefilter.
 
 The prefilter's contract (``repro.retrieval``): feature vectors only
-*order* candidate clusters and *cut* provably-unmatchable ones — the
-exact procedures (dynamic matching at build time, Def. 4.1 structural
-matching at repair time) still decide everything.  These tests hold the
+*order* candidate clusters at repair time and *cut* provably-unmatchable
+ones — the exact Def. 4.1 structural matching still decides everything.  These tests hold the
 implementation to that contract:
 
 * seeded random corpora, prefilter on vs off: clusterings, repair
@@ -128,20 +127,6 @@ def test_pipeline_field_identical_prefilter_on_vs_off(
     off, on = outcomes
     assert signatures[0] == signatures[1]
     assert_outcomes_field_identical(on, off)
-
-
-def test_build_time_clustering_identical_prefilter_on_vs_off():
-    """cluster_programs with ranked placement produces the identical
-    clustering (ids, sizes, pools) as the exhaustive scan — ∼_I classes
-    are disjoint, so probe order cannot change the fixpoint."""
-    spec = get_problem("derivatives")
-    corpus = generate_corpus(spec, 12, 0, seed=29)
-    programs = [parse_python_source(s) for s in list(corpus.correct_sources) + [TWO_LOOP]]
-    exhaustive = cluster_programs(programs, spec.cases, prefilter=False)
-    reparsed = [parse_python_source(s) for s in list(corpus.correct_sources) + [TWO_LOOP]]
-    ranked = cluster_programs(reparsed, spec.cases, prefilter=True)
-    assert ranked.signature() == exhaustive.signature()
-    assert ranked.failures == exhaustive.failures
 
 
 # -- adversarial: the top-k cut must never decide -------------------------------------

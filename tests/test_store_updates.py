@@ -20,8 +20,11 @@ from repro.clusterstore import (
     open_lazy,
     read_store_header,
 )
-from repro.clusterstore.segments import segment_dir
+from repro.clusterstore.segments import UNFINGERPRINTED_SEGMENT, segment_dir
+from repro.clusterstore.store import save_clusters
+from repro.core.clustering import cluster_programs
 from repro.datasets import generate_corpus, get_problem
+from repro.frontend import parse_source
 
 #: A correct strategy deliberately absent from the tiny hand-picked pools
 #: below: loop over the *full* index range with the real work behind a
@@ -135,6 +138,51 @@ def test_incremental_add_mints_new_cluster(tmp_path, spec, paper_sources):
     inc_doc, inc_segments = _store_state(inc_path)
     full_doc, full_segments = _store_state(full_path)
     inc_doc.pop("revision"), full_doc.pop("revision")
+    assert inc_doc == full_doc
+    assert inc_segments == full_segments
+
+
+def test_incremental_add_into_unfingerprinted_store(tmp_path, spec, corpus):
+    """A store saved from an exhaustive (``prune=False``) clustering holds
+    clusters without a fingerprint digest; they are tried unconditionally.
+    The added solution joins the cluster an exhaustive rebuild puts it in,
+    and the saved tree equals that rebuild's (modulo revision)."""
+    base, extra = corpus.correct_sources[:-1], corpus.correct_sources[-1]
+
+    def exhaustive(sources):
+        programs = [
+            parse_source(source, language=spec.language, entry=spec.entry)
+            for source in sources
+        ]
+        return cluster_programs(programs, spec.cases, prune=False).clusters
+
+    def save(path, clusters):
+        save_clusters(
+            path, clusters, spec.cases, language=spec.language, entry=spec.entry
+        )
+
+    inc_path, full_path = tmp_path / "inc.json", tmp_path / "full.json"
+    save(inc_path, exhaustive(base))
+    assert [entry.name for entry in segment_dir(inc_path).iterdir()] == [
+        UNFINGERPRINTED_SEGMENT
+    ]
+
+    store = ClusterStore.open_indexed(inc_path, spec.cases)
+    outcome = store.add_correct_source(extra)
+    store.save()
+
+    rebuilt = exhaustive(list(base) + [extra])
+    assert outcome.status == "joined"
+    assert outcome.cluster_id == next(
+        cluster.cluster_id
+        for cluster in rebuilt
+        if any(member.source == extra for member in cluster.members)
+    )
+    save(full_path, rebuilt)
+    inc_doc, inc_segments = _store_state(inc_path)
+    full_doc, full_segments = _store_state(full_path)
+    assert inc_doc.pop("revision") == 1
+    assert full_doc.pop("revision") == 0
     assert inc_doc == full_doc
     assert inc_segments == full_segments
 
