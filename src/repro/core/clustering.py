@@ -25,7 +25,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..interpreter.compile import CompileCache
 from ..interpreter.evaluator import evaluate
 from ..model.expr import Expr, intern_expr
 from ..model.program import Program
@@ -210,34 +209,21 @@ class Cluster:
             self._pre_state_cache[loc_id] = states
         return states
 
-    def reference_values(
-        self, loc_id: int, var: str, *, compile_cache: CompileCache | None = None
-    ) -> tuple:
+    def reference_values(self, loc_id: int, var: str) -> tuple:
         """Representative expression values at each visit to ``loc_id``.
 
         ``evaluate(representative.update_for(loc_id, var), pre)`` for every
         pre-state of :meth:`reference_pre_states` — hoisted out of the
         per-candidate matching loop of Def. 4.5, where it used to be
-        recomputed identically for every candidate at a site.  With a
-        ``compile_cache`` the expression is compiled once and the closure
-        applied per pre-state; the values are identical either way (the two
-        evaluators are semantics-equivalent by construction and by test),
-        so the memoized tuple is shared between callers regardless of which
-        path filled it.
+        recomputed identically for every candidate at a site.
         """
         key = (loc_id, var)
         values = self._ref_value_cache.get(key)
         if values is None:
             expr = self.representative.update_for(loc_id, var)
-            if compile_cache is not None:
-                fn = compile_cache.fn(expr)
-                values = tuple(
-                    fn(pre) for pre in self.reference_pre_states(loc_id)
-                )
-            else:
-                values = tuple(
-                    evaluate(expr, pre) for pre in self.reference_pre_states(loc_id)
-                )
+            values = tuple(
+                evaluate(expr, pre) for pre in self.reference_pre_states(loc_id)
+            )
             self._ref_value_cache[key] = values
         return values
 

@@ -15,28 +15,23 @@ Partial variable relations are enumerated only over the variables occurring
 in the expression at hand (plus the assigned variable), which the paper notes
 keeps the enumeration feasible.
 
-The fast path (docs/ARCHITECTURE.md, "Repair fast path" and "Execution
-fast path"):
+The fast path (docs/ARCHITECTURE.md, "Repair fast path"):
 
 * the representative expression's value at each trace visit is evaluated
   once per (location, variable) — via :meth:`Cluster.reference_values` —
   instead of once per candidate relation;
-* candidate screening (Def. 4.5) evaluates candidates through the
-  compiled-expression cache when one is threaded in
-  (:class:`repro.interpreter.compile.CompileCache`, from
-  ``RepairCaches.compiled``): each translated candidate compiles to a
-  closure once and is then applied to every recorded pre-state, instead of
-  re-walking its tree per visit.  ``compile_cache=None`` keeps the
-  interpreted reference semantics (:func:`repro.interpreter.evaluate`),
-  which benchmarks compare against;
+* keep candidates enumerate their partial relations over the expression's
+  variables in the implementation's :func:`variables_for_matching` order,
+  so the candidate lists do not depend on ``PYTHONHASHSEED``;
 * pool expressions carry precomputed indexes
   (:class:`repro.core.clustering.PoolEntryIndex`): their variable sets feed
   the relation enumeration, and their tree annotations are *renamed* (an
   O(n) label substitution, shape shared) to seed the TED cache for each
   translated candidate, so the Zhang–Shasha preprocessing never re-walks a
   pool expression;
-* edit distances run through a :class:`repro.ted.TedCache` (annotation +
-  distance memo), with an optional branch-and-bound ``cost_bound``: a
+* edit distances run through the :class:`repro.ted.TedCache` of the
+  :class:`repro.engine.cache.RepairCaches` handle (annotation + distance
+  memo), with an optional branch-and-bound ``cost_bound``: a
   candidate whose cost reaches the bound cannot be part of a repair
   cheaper than the best already found (costs are non-negative and
   additive), so it is dropped — and the TED DP itself is skipped whenever
@@ -47,18 +42,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from ..interpreter.compile import CompileCache
 from ..interpreter.evaluator import evaluate
 from ..interpreter.values import values_equal
 from ..model.expr import Expr, Var, intern_expr
 from ..model.program import Program
 from ..model.trace import Trace
-from ..ted import TedCache, expr_edit_distance
 from .clustering import Cluster, PoolEntryIndex
 from .matching import FIXED_VARS, variables_for_matching
-from .profile import PhaseProfiler, profiled
+from .profile import profiled
+
+if TYPE_CHECKING:  # pragma: no cover - engine imports core; annotation only
+    from ..engine.cache import RepairCaches
 
 __all__ = [
     "LocalRepairCandidate",
@@ -118,59 +114,36 @@ def expressions_match(
     reference: Expr,
     traces: Sequence[Trace],
     loc_id: int,
-    *,
-    compile_cache: CompileCache | None = None,
 ) -> bool:
     """Expression matching ``candidate ≃_{Γ,ℓ} reference`` (Def. 4.5).
 
     Both expressions must range over the representative's variables; they are
     evaluated on the pre-state of every visit to ``loc_id`` in the
     representative traces (via the per-location step index,
-    :meth:`Trace.steps_at`).  With a ``compile_cache``, both expressions are
-    compiled once and the closures applied per visit.
+    :meth:`Trace.steps_at`).
     """
-    if candidate == reference:
-        return True
-    if compile_cache is not None:
-        left_fn = compile_cache.fn(candidate)
-        right_fn = compile_cache.fn(reference)
-        for trace in traces:
-            for step in trace.steps_at(loc_id):
-                if not values_equal(left_fn(step.pre), right_fn(step.pre)):
-                    return False
-        return True
-    for trace in traces:
-        for step in trace.steps_at(loc_id):
-            left = evaluate(candidate, step.pre)
-            right = evaluate(reference, step.pre)
-            if not values_equal(left, right):
-                return False
-    return True
+    pre_states = [step.pre for trace in traces for step in trace.steps_at(loc_id)]
+    return _matches_reference(
+        candidate,
+        reference,
+        pre_states,
+        (evaluate(reference, pre) for pre in pre_states),
+    )
 
 
 def _matches_reference(
     candidate: Expr,
     reference: Expr,
     pre_states: Sequence,
-    reference_values: Sequence,
-    compile_cache: CompileCache | None = None,
+    reference_values: Iterable,
 ) -> bool:
     """Def. 4.5 against precomputed reference values (the hoisted fast path).
 
     ``reference_values[i]`` is ``evaluate(reference, pre_states[i])``,
     computed once per (location, variable) by
-    :meth:`Cluster.reference_values` instead of once per candidate.  With a
-    ``compile_cache``, the candidate compiles to a closure once (a memo hit
-    for every duplicate candidate across sites, attempts and clusters) and
-    the closure runs per pre-state.
+    :meth:`Cluster.reference_values` instead of once per candidate.
     """
     if candidate == reference:
-        return True
-    if compile_cache is not None:
-        fn = compile_cache.fn(candidate)
-        for pre, expected in zip(pre_states, reference_values):
-            if not values_equal(fn(pre), expected):
-                return False
         return True
     for pre, expected in zip(pre_states, reference_values):
         if not values_equal(evaluate(candidate, pre), expected):
@@ -227,31 +200,13 @@ def _invert(relation: Mapping[str, str]) -> dict[str, str]:
     return {target: source for source, target in relation.items()}
 
 
-def sites_for(implementation: Program) -> list[Site]:
-    """All location/variable sites of the implementation.
-
-    Every matchable variable is considered at every location (missing updates
-    are implicit identities); fixed special variables are only considered at
-    locations where either the implementation or any cluster member assigns
-    them -- handled by the caller, which passes the cluster.
-    """
-    sites: list[Site] = []
-    variables = variables_for_matching(implementation)
-    for loc_id in implementation.location_ids():
-        for var in variables:
-            sites.append(Site(loc_id, var, fixed=False))
-    return sites
-
-
 def generate_local_repairs(
     implementation: Program,
     cluster: Cluster,
     location_map: Mapping[int, int],
     *,
-    ted_cache: TedCache | None = None,
-    compile_cache: CompileCache | None = None,
+    caches: "RepairCaches | None" = None,
     cost_bound: float | None = None,
-    profiler: PhaseProfiler | None = None,
 ) -> dict[Site, list[LocalRepairCandidate]]:
     """Generate the candidate sets ``LR(ℓ, v)`` (Fig. 5, lines 4-14).
 
@@ -261,18 +216,21 @@ def generate_local_repairs(
             traces and the expression pools).
         location_map: Structural matching π, implementation location →
             representative location.
-        ted_cache: Memo table for tree-edit distances and annotations
-            (defaults to the module-level cache of :mod:`repro.ted`).
-        compile_cache: Compiled-expression memo used to screen candidates
-            against the recorded pre-states; ``None`` evaluates
-            interpretively (the reference path).
+        caches: The :class:`repro.engine.cache.RepairCaches` handle whose
+            TED memo costs the replacement candidates and whose profiler
+            (if any) times the ``ted`` phase and counts candidates.
+            Defaults to a fresh instance.
         cost_bound: Branch-and-bound budget — the cost of the best repair
             already found.  Candidates whose cost reaches it are dropped;
             repairs cheaper than the bound are unaffected (see
             :func:`repro.core.repair.find_best_repair`).
-        profiler: Optional per-phase profiler (``ted`` phase + candidate
-            counters).
     """
+    if caches is None:
+        # Imported lazily: the engine package imports core modules at
+        # module level, so the core must not import it back eagerly.
+        from ..engine.cache import RepairCaches
+
+        caches = RepairCaches()
     representative = cluster.representative
     impl_vars = variables_for_matching(implementation)
     rep_vars = variables_for_matching(representative)
@@ -298,10 +256,8 @@ def generate_local_repairs(
                         rep_var,
                         rep_vars,
                         impl_vars,
-                        ted_cache=ted_cache,
-                        compile_cache=compile_cache,
+                        caches=caches,
                         cost_bound=cost_bound,
-                        profiler=profiler,
                     )
                 )
             candidates[site] = _dedupe(site_candidates)
@@ -331,19 +287,17 @@ def generate_local_repairs(
                 var,
                 rep_vars,
                 impl_vars,
-                ted_cache=ted_cache,
-                compile_cache=compile_cache,
+                caches=caches,
                 cost_bound=cost_bound,
-                profiler=profiler,
             )
             candidates[site] = _dedupe(site_candidates)
 
-    if profiler is not None:
+    if caches.profiler is not None:
         # Counter-only: the size of the ILP the solver fast path receives
         # (one indicator variable per surviving candidate, see
         # :func:`repro.core.repair._build_ilp`).  Deterministic per corpus,
         # so it may appear in committed reports.
-        profiler.count(
+        caches.profiler.count(
             "candidates_generated",
             sum(len(site_candidates) for site_candidates in candidates.values()),
         )
@@ -361,27 +315,29 @@ def _candidates_for_target(
     rep_vars: Sequence[str],
     impl_vars: Sequence[str],
     *,
-    ted_cache: TedCache | None,
-    compile_cache: CompileCache | None,
+    caches: "RepairCaches",
     cost_bound: float | None,
-    profiler: PhaseProfiler | None,
 ) -> list[LocalRepairCandidate]:
     """Candidates for one implementation site against one representative variable."""
     representative = cluster.representative
     rep_expr = representative.update_for(rep_loc, rep_var)
     pre_states = cluster.reference_pre_states(rep_loc)
-    ref_values = cluster.reference_values(rep_loc, rep_var, compile_cache=compile_cache)
+    ref_values = cluster.reference_values(rep_loc, rep_var)
     out: list[LocalRepairCandidate] = []
 
     # Step 1 (Fig. 5, lines 9-11): keep the implementation expression if it
     # matches the representative expression under some partial relation.
+    # Relations are enumerated over the mentioned variables in their
+    # variables_for_matching order (not set order), so the candidate order
+    # is the same under every PYTHONHASHSEED.
+    mentioned = impl_expr.variables() | {var}
+    sources = [v for v in impl_vars if v in mentioned]
+    sources.extend(sorted(mentioned.difference(sources)))
     for relation in enumerate_partial_relations(
-        impl_expr.variables() | {var}, rep_vars, forced=(var, rep_var)
+        sources, rep_vars, forced=(var, rep_var)
     ):
         translated = _apply_relation(impl_expr, relation)
-        if _matches_reference(
-            translated, rep_expr, pre_states, ref_values, compile_cache
-        ):
+        if _matches_reference(translated, rep_expr, pre_states, ref_values):
             out.append(
                 LocalRepairCandidate(
                     loc_id=loc_id,
@@ -400,9 +356,7 @@ def _candidates_for_target(
         # expression so that a spurious implementation assignment can be
         # dropped.
         out.extend(
-            _identity_candidates(
-                loc_id, var, rep_var, impl_expr, ted_cache, cost_bound, profiler
-            )
+            _identity_candidates(loc_id, var, rep_var, impl_expr, caches, cost_bound)
         )
     if pool:
         pool_index = cluster.pool_index_for(rep_loc, rep_var)
@@ -418,9 +372,8 @@ def _candidates_for_target(
                     impl_expr,
                     rep_var,
                     impl_vars,
-                    ted_cache=ted_cache,
+                    caches=caches,
                     cost_bound=cost_bound,
-                    profiler=profiler,
                 )
             )
     return out
@@ -437,11 +390,12 @@ def _pool_candidates(
     rep_var: str,
     impl_vars: Sequence[str],
     *,
-    ted_cache: TedCache | None,
+    caches: "RepairCaches",
     cost_bound: float | None,
-    profiler: PhaseProfiler | None,
 ) -> list[LocalRepairCandidate]:
     """Replacement candidates drawn from one pool expression."""
+    ted = caches.ted
+    profiler = caches.profiler
     out: list[LocalRepairCandidate] = []
     source_vars: Iterable[str] = entry_index.variables
     if rep_var not in entry_index.variables:
@@ -450,22 +404,15 @@ def _pool_candidates(
         source_vars, impl_vars, forced=(rep_var, var)
     ):
         replacement = intern_expr(_apply_relation(expr, relation))
-        if ted_cache is not None:
-            # Derive the translated expression's annotation from the pool
-            # index (labels substituted, shape shared) so the TED never has
-            # to re-walk it.
-            ted_cache.seed_annotation(
-                replacement, entry_index.annotation.rename_vars(relation)
-            )
+        # Derive the translated expression's annotation from the pool index
+        # (labels substituted, shape shared) so the TED never has to re-walk
+        # it.
+        ted.seed_annotation(replacement, entry_index.annotation.rename_vars(relation))
         if profiler is None:  # innermost loop: skip the context-manager cost
-            cost = expr_edit_distance(
-                impl_expr, replacement, cache=ted_cache, budget=cost_bound
-            )
+            cost = ted.distance(impl_expr, replacement, budget=cost_bound)
         else:
             with profiler.phase("ted"):
-                cost = expr_edit_distance(
-                    impl_expr, replacement, cache=ted_cache, budget=cost_bound
-                )
+                cost = ted.distance(impl_expr, replacement, budget=cost_bound)
         if cost_bound is not None and cost >= cost_bound:
             # A repair using this candidate costs at least ``cost`` —
             # already no better than the best repair found so far.
@@ -489,18 +436,15 @@ def _identity_candidates(
     var: str,
     rep_var: str,
     impl_expr: Expr,
-    ted_cache: TedCache | None = None,
-    cost_bound: float | None = None,
-    profiler: PhaseProfiler | None = None,
+    caches: "RepairCaches",
+    cost_bound: float | None,
 ) -> list[LocalRepairCandidate]:
     """Offer "remove this assignment" when the representative has none."""
     identity = Var(var)
     if impl_expr == identity:
         return []
-    with profiled(profiler, "ted"):
-        cost = expr_edit_distance(
-            impl_expr, identity, cache=ted_cache, budget=cost_bound
-        )
+    with profiled(caches.profiler, "ted"):
+        cost = caches.ted.distance(impl_expr, identity, budget=cost_bound)
     if cost_bound is not None and cost >= cost_bound:
         return []
     return [

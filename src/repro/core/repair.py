@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..ilp import IlpProblem, InfeasibleError, solve_fast
 from ..model.expr import Expr, Var
@@ -502,10 +502,11 @@ def repair_against_cluster(
             ``implementation`` and the cluster representative, e.g. from
             :meth:`repro.engine.cache.RepairCaches.structural_match`.  When
             omitted it is computed here.
-        caches: Optional :class:`repro.engine.cache.RepairCaches`; provides
-            the TED memo table, the compiled-expression cache, the ILP
-            solve memo (:class:`repro.ilp.SolveCache`) and the per-phase
-            profiler to candidate generation and solving.
+        caches: The :class:`repro.engine.cache.RepairCaches` handle; it
+            provides the TED memo table and the profiler to candidate
+            generation, and the ILP solve memo
+            (:class:`repro.ilp.SolveCache`) and the profiler to solving.
+            Defaults to a fresh instance.
         cost_bound: Branch-and-bound budget, the cost of the best repair
             found so far.  Candidates costing at least this much are pruned
             during generation, and the bound warm-starts the ILP solve as
@@ -521,9 +522,13 @@ def repair_against_cluster(
         does not match or no consistent repair exists.
     """
     start = time.perf_counter()
-    ted_cache = caches.ted if caches is not None else None
-    compile_cache = caches.compiled if caches is not None else None
-    profiler = caches.profiler if caches is not None else None
+    if caches is None:
+        # Imported lazily: the engine package imports core modules at
+        # module level, so the core must not import it back eagerly.
+        from ..engine.cache import RepairCaches
+
+        caches = RepairCaches()
+    profiler = caches.profiler
     if location_map is None:
         location_map = structural_match(implementation, cluster.representative)
     if location_map is None:
@@ -531,13 +536,7 @@ def repair_against_cluster(
 
     with profiled(profiler, "candidate_gen"):
         candidates = generate_local_repairs(
-            implementation,
-            cluster,
-            location_map,
-            ted_cache=ted_cache,
-            compile_cache=compile_cache,
-            cost_bound=cost_bound,
-            profiler=profiler,
+            implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
         )
 
     if solver == "enumerate":
@@ -549,13 +548,12 @@ def repair_against_cluster(
         indexed = _rebuild_index(candidates)
     elif solver == "ilp":
         problem, indexed = _build_ilp(implementation, cluster, candidates)
-        solve_cache = caches.solve if caches is not None else None
         try:
             with profiled(profiler, "ilp"):
                 solution = solve_fast(
                     problem,
                     node_limit=ilp_node_limit,
-                    cache=solve_cache,
+                    cache=caches.solve,
                     upper_bound=cost_bound,
                 )
         except InfeasibleError:
@@ -596,8 +594,6 @@ def find_best_repair(
     *,
     solver: str = "ilp",
     timeout: float | None = None,
-    max_clusters: int | None = None,
-    match_lookup: Callable[[Program, Program], Mapping[int, int] | None] | None = None,
     caches: "RepairCaches | None" = None,
     cost_bound: bool = True,
 ) -> Repair | None:
@@ -635,27 +631,21 @@ def find_best_repair(
         solver: Repair-selection solver, ``"ilp"`` or ``"enumerate"``.
         timeout: Wall-clock budget in seconds; cluster iteration stops once
             it is exceeded.
-        max_clusters: Upper bound on the number of (largest) clusters tried.
-        match_lookup: Structural-match provider ``(implementation,
-            representative) -> location map or None``.  Defaults to
-            ``caches.structural_match`` when ``caches`` is given (so each
+        caches: The :class:`repro.engine.cache.RepairCaches` handle shared
+            by every cluster's repair; its structural-match memo means each
             (attempt, cluster) pair is matched exactly once across the
-            pipeline's gate check and the search), else to computing the
-            match directly.
-        caches: Optional :class:`repro.engine.cache.RepairCaches`; provides
-            the structural-match memo, the TED memo and the profiler.
+            pipeline's gate check and the search.  Defaults to a fresh
+            instance.
         cost_bound: Enable best-cost-so-far pruning (see above).
 
     Returns:
         The cheapest repair over all clusters, or ``None``.
     """
-    if match_lookup is None:
-        match_lookup = (
-            caches.structural_match if caches is not None else structural_match
-        )
+    if caches is None:
+        from ..engine.cache import RepairCaches
+
+        caches = RepairCaches()
     ordered = sorted(clusters, key=lambda c: (-c.size, c.cluster_id))
-    if max_clusters is not None:
-        ordered = ordered[:max_clusters]
     best: Repair | None = None
     start = time.perf_counter()
     for cluster in ordered:
@@ -665,7 +655,7 @@ def find_best_repair(
         if bound is not None and bound <= 0:
             # Nothing can strictly beat a zero-cost repair.
             break
-        location_map = match_lookup(implementation, cluster.representative)
+        location_map = caches.structural_match(implementation, cluster.representative)
         if location_map is None:
             continue
         repair = repair_against_cluster(

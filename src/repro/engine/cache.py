@@ -28,11 +28,19 @@ It additionally owns the three fast-path memos and threads them into the
 layers that use them: a :class:`repro.ted.TedCache` (annotations + edit
 distances, candidate costing), a
 :class:`repro.interpreter.compile.CompileCache` (compiled expression
-closures, trace execution and candidate screening) and a
+closures, trace execution only — candidate screening evaluates through
+:func:`repro.interpreter.evaluate`) and a
 :class:`repro.ilp.SolveCache` (ILP solutions keyed by canonical problem
 fingerprint, threaded into :func:`repro.core.repair.repair_against_cluster`
 via :func:`repro.ilp.solve_fast`).  All cache-routed executions run under
 the profiler's ``exec`` phase; solves run under ``ilp``.
+
+One instance is also the single handle the repair core takes:
+:func:`repro.core.repair.find_best_repair`,
+:func:`~repro.core.repair.repair_against_cluster` and
+:func:`repro.core.localrepair.generate_local_repairs` accept ``caches``
+and substitute a fresh ``RepairCaches()`` for ``None`` once, at entry, so
+nothing below them branches on a missing cache.
 
 All tables are guarded by a single lock, making one :class:`RepairCaches`
 instance safe to share across the worker threads of
@@ -221,6 +229,8 @@ class RepairCaches:
         enabled: When ``False`` every lookup misses and nothing is stored;
             computations still run, making this the switch for uncached
             baselines and for callers that mutate programs in place.
+            ``RepairCaches(enabled=False)`` is the one uncached reference
+            of the repair search.
 
     One instance is owned by each :class:`repro.core.pipeline.Clara` and is
     shared by every worker thread of a batch run.  All public methods are
@@ -235,9 +245,9 @@ class RepairCaches:
     #: caches' — an uncached baseline also measures uncached TED.
     ted: TedCache | None = None
     #: Compiled-expression memo (closures per interned expression, see
-    #: :mod:`repro.interpreter.compile`) threaded into trace execution and
-    #: candidate screening.  Created in ``__post_init__``; its ``enabled``
-    #: flag follows the caches' so uncached baselines recompile per use.
+    #: :mod:`repro.interpreter.compile`) threaded into trace execution.
+    #: Created in ``__post_init__``; its ``enabled`` flag follows the
+    #: caches' so uncached baselines recompile per use.
     compiled: CompileCache | None = None
     #: ILP solve memo (optimal solutions and proven-infeasible verdicts per
     #: canonical problem fingerprint, see :mod:`repro.ilp.fastpath`)

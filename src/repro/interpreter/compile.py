@@ -2,11 +2,12 @@
 
 :func:`repro.interpreter.evaluator.evaluate` re-walks an ``Expr`` tree on
 every evaluation: per node it pays an ``isinstance`` dispatch, an operation
-name comparison, an argument list build and a library lookup.  Clustering
-evaluates every correct program on every case, candidate screening
-re-evaluates candidate and reference expressions on every trace visit, and a
-warm service request repeats all of it — the same trees, walked millions of
-times.
+name comparison, an argument list build and a library lookup.  Trace
+execution (Def. 3.5) evaluates every update expression of a program on every
+step of every case, for every correct program clustered and every attempt
+checked — the same trees, walked over and over.  This module serves trace
+execution only; repair-candidate screening (Def. 4.5) evaluates through
+:func:`~repro.interpreter.evaluator.evaluate`.
 
 :func:`compile_expr` walks a tree **once** and returns a closure
 ``fn(memory) -> value`` with all dispatch decided at compile time:
@@ -25,13 +26,12 @@ freeze_value`'s snapshot guarantee);
 Compiled closures are pure functions of the memory mapping passed in, safe
 to share between threads and to cache forever.  :class:`CompileCache`
 memoizes them per expression — keyed on structural equality, so with
-:func:`repro.model.expr.intern_expr` in play (pools, candidates and cluster
-representatives all intern) the cache is global across pools, candidates and
-clusters, and a lookup is one dict probe on a cached hash.  The semantics
-are *enforced* to match the interpreter: ``tests/test_exec_fastpath.py``
-asserts compiled == interpreted on random programs and memories, and
-``benchmarks/test_exec_throughput.py`` asserts field-identical traces and
-repair outcomes.
+:func:`repro.model.expr.intern_expr` in play structurally identical update
+expressions of different programs share one closure, and a lookup is one
+dict probe on a cached hash.  The semantics are *enforced* to match the
+interpreter: ``tests/test_exec_fastpath.py`` asserts compiled ==
+interpreted on random programs and memories, and
+``benchmarks/test_exec_throughput.py`` asserts field-identical traces.
 """
 
 from __future__ import annotations
@@ -287,7 +287,8 @@ class CompileCache:
 
 
 #: Process-wide default cache used when no engine-owned cache is threaded in
-#: (the executor's default, direct ``expressions_match`` calls, tests).
+#: (execution plans built without ``RepairCaches``, e.g. clustering and
+#: direct ``program_traces`` calls, and tests).
 _DEFAULT_CACHE = CompileCache()
 
 

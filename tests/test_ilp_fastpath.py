@@ -515,8 +515,6 @@ def test_repair_outcomes_identical_with_solve_cache_on_vs_off():
     baseline = [
         find_best_repair(p, clusters, caches=uncached) for p in attempts
     ]
-    for cluster in clusters:  # drop reference-value memos filled above
-        cluster.reset_runtime_caches()
     cached = RepairCaches()
     memoized = [
         find_best_repair(p, clusters, caches=cached) for p in attempts

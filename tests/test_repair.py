@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.clustering import cluster_programs
@@ -198,23 +203,43 @@ def test_find_best_repair_prefers_cheapest_cluster(paper_sources, deriv_cases):
 def test_find_best_repair_visits_clusters_in_deterministic_order(
     paper_sources, deriv_cases
 ):
-    """Under max_clusters (and timeouts) the search must try bigger clusters
-    first and break size ties by ascending cluster_id, independent of the
-    order the cluster list happens to arrive in."""
+    """Under a timeout the search must try bigger clusters first and break
+    size ties by ascending cluster_id, independent of the order the cluster
+    list happens to arrive in.  The visit order is read off the structural
+    matches the search asks its caches for."""
+    from repro.engine import RepairCaches
+
     programs = [
         parse_python_source(paper_sources["C1"]),
         parse_python_source(paper_sources["C2"]),
     ]
-    # Two singleton clusters of the same strategy: equal sizes, ids 0 and 1.
+    # Two singleton clusters of the same strategy (equal sizes, ids 0 and
+    # 1) and one two-member cluster (id 2).
     clusters = [
         cluster_programs([program], deriv_cases).clusters[0] for program in programs
     ]
     clusters[1].cluster_id = 1
+    pair = cluster_programs(
+        [parse_python_source(paper_sources[name]) for name in ("C1", "C2")],
+        deriv_cases,
+    ).clusters[0]
+    pair.cluster_id = 2
+    clusters.append(pair)
+    cluster_of = {id(cluster.representative): cluster.cluster_id for cluster in clusters}
     implementation = parse_python_source(paper_sources["I1"])
     for ordering in (clusters, list(reversed(clusters))):
-        best = find_best_repair(implementation, ordering, max_clusters=1)
+        caches = RepairCaches()
+        visited = []
+        match = caches.structural_match
+
+        def spy(program, representative):
+            visited.append(cluster_of[id(representative)])
+            return match(program, representative)
+
+        caches.structural_match = spy
+        best = find_best_repair(implementation, ordering, caches=caches, cost_bound=False)
         assert best is not None
-        assert best.cluster_id == 0  # tie on size -> lowest cluster_id wins
+        assert visited == [2, 0, 1]  # size first, then lowest cluster_id
 
 
 def test_enumeration_solver_agrees_with_ilp(paper_sources, deriv_cases, deriv_cluster):
@@ -278,6 +303,53 @@ def test_cost_bounded_search_skips_ted_dps(paper_sources, deriv_cases):
 
     assert fast.ted.dp_runs < baseline.ted.dp_runs
     assert fast.ted.memo_hits + fast.ted.lb_prunes > 0
+
+
+_CANDIDATE_ORDER_SCRIPT = r"""
+from repro.core.clustering import cluster_programs
+from repro.core.inputs import InputCase
+from repro.core.localrepair import generate_local_repairs
+from repro.core.matching import structural_match
+from repro.frontend import parse_python_source
+
+correct = "def f(a, b):\n    s = a + b\n    return s\n"
+attempt = "def f(x, y):\n    t = y + x\n    return t + 0\n"
+cases = [InputCase(args=(1, 2)), InputCase(args=(5, -3))]
+cluster = cluster_programs([parse_python_source(correct)], cases).clusters[0]
+implementation = parse_python_source(attempt)
+location_map = structural_match(implementation, cluster.representative)
+candidates = generate_local_repairs(implementation, cluster, location_map)
+for site, site_candidates in candidates.items():
+    print(site, [(c.rep_var, c.omega, str(c.new_expr), c.cost) for c in site_candidates])
+"""
+
+
+def test_candidate_lists_are_hashseed_independent():
+    """``t = y + x`` mentions two free variables, and ``+`` is commutative,
+    so two keep candidates (ω pairing x, y with a, b either way) match the
+    representative's ``s = a + b``.  Their order follows the enumeration
+    order of the expression's variables, which must be the implementation's
+    variable order, not the per-process ``set`` order (the two seeds below
+    iterate ``{x, y, t}`` differently)."""
+    outputs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", _CANDIDATE_ORDER_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    keeps = [
+        line for line in outputs[0].splitlines() if "var='t'" in line
+    ]
+    assert keeps and keeps[0].count("'None', 0") == 2, outputs[0]
+    assert outputs[0] == outputs[1], "candidate lists vary with PYTHONHASHSEED"
 
 
 def test_generate_local_repairs_prunes_only_at_or_above_bound(
