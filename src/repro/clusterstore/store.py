@@ -69,9 +69,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core.clustering import Cluster, new_cluster, place_program
-from ..core.inputs import InputCase, program_traces, trace_passes_case
+from ..core.inputs import InputCase, trace_passes_case
 from ..model.program import Program
-from .fingerprint import program_fingerprint
 from .segments import (
     FORMAT_VERSION,
     SegmentIndexEntry,
@@ -722,8 +721,9 @@ class ClusterStore:
             seeds the handle.
         cases: The test-case set the clustering is relative to (Def. 4.4);
             must match the store's ``case_signature``.
-        caches: Optional :class:`repro.engine.cache.RepairCaches` through
-            which executions and fingerprints are routed.
+        caches: The :class:`repro.engine.cache.RepairCaches` through which
+            executions and fingerprints are routed.  Defaults to a fresh
+            instance.
     """
 
     def __init__(
@@ -738,6 +738,12 @@ class ClusterStore:
         self.language = source.language
         self.entry = source.entry
         self.problem = source.problem
+        if caches is None:
+            # Imported lazily: the engine package imports this module at
+            # module level, so it must not import the engine back eagerly.
+            from ..engine.cache import RepairCaches
+
+            caches = RepairCaches()
         self.caches = caches
         self._revision = source.revision
         self._signature = source.case_signature
@@ -787,9 +793,7 @@ class ClusterStore:
     import_v2 = staticmethod(import_clusters)
 
     def _traces(self, program: Program):
-        if self.caches is not None:
-            return self.caches.traces(program, self.cases)
-        return program_traces(program, self.cases)
+        return self.caches.traces(program, self.cases)
 
     @property
     def revision(self) -> int:
@@ -850,10 +854,7 @@ class ClusterStore:
                 self._revision,
             )
 
-        if self.caches is not None:
-            fingerprint = self.caches.fingerprint(program, self.cases, traces=traces)
-        else:
-            fingerprint = program_fingerprint(program, traces)
+        fingerprint = self.caches.fingerprint(program, self.cases, traces=traces)
         # Page in exactly the candidate set — the new program's bucket plus
         # clusters stored without a digest — in cluster-id order.
         candidates = self._pager.clusters_for_fingerprint(fingerprint.digest)

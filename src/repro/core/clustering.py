@@ -30,7 +30,7 @@ from ..model.expr import Expr, intern_expr
 from ..model.program import Program
 from ..model.trace import Trace
 from ..ted import AnnotatedTree
-from .inputs import InputCase, program_traces
+from .inputs import InputCase
 from .matching import MatchResult, find_matching
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports core; annotation only
@@ -392,9 +392,10 @@ def cluster_programs(
             is identical to the exhaustive ``prune=False`` path, which
             tries every cluster and exists as the reference for tests and
             benchmarks.
-        caches: Optional :class:`repro.engine.cache.RepairCaches` through
-            which program executions are routed, so a solution that also
-            appears elsewhere in a batch is traced once.
+        caches: The :class:`repro.engine.cache.RepairCaches` through which
+            program executions and fingerprints are routed, so a solution
+            that also appears elsewhere in a batch is traced once.
+            Defaults to a fresh instance.
         clusters: An existing clustering (ids ``0..n-1``, in creation
             order) to extend.  The clusters are updated in place and
             returned at the head of the result, so clustering a pool in
@@ -402,6 +403,12 @@ def cluster_programs(
             concatenation.  With ``prune`` every cluster needs its
             fingerprint digest.
     """
+    if caches is None:
+        # Imported lazily: the engine package imports core modules at
+        # module level, so the core must not import it back eagerly.
+        from ..engine.cache import RepairCaches
+
+        caches = RepairCaches()
     stats = ClusteringStats()
     failures: list[tuple[int, str]] = []
     placed = list(clusters)
@@ -414,21 +421,13 @@ def cluster_programs(
     for index, program in enumerate(programs):
         stats.programs += 1
         try:
-            if caches is not None:
-                traces = caches.traces(program, cases)
-            else:
-                traces = program_traces(program, cases)
+            traces = caches.traces(program, cases)
         except Exception as exc:  # noqa: BLE001 - defensive: report, don't crash
             failures.append((index, f"execution error: {exc}"))
             continue
         digest = None
         if prune:
-            from ..clusterstore.fingerprint import program_fingerprint
-
-            if caches is not None:
-                digest = caches.fingerprint(program, cases, traces=traces).digest
-            else:
-                digest = program_fingerprint(program, traces).digest
+            digest = caches.fingerprint(program, cases, traces=traces).digest
         bucket_sizes[digest] = bucket_sizes.get(digest, 0) + 1
         bucket = buckets.setdefault(digest, [])
         joined, full_matches = place_program(program, traces, bucket, cases, digest)

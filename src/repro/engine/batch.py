@@ -122,15 +122,19 @@ class BatchReport:
         return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
     def latency_percentile(self, q: float) -> float:
-        """Per-attempt latency percentile ``q`` in [0, 100], in seconds."""
+        """Per-attempt latency percentile ``q`` in [0, 100], in seconds.
+
+        ``q`` is rounded to a whole percentile; 0 gives the fastest attempt
+        and 100 the slowest.
+        """
         if not self.records:
             return 0.0
         latencies = sorted(record.elapsed for record in self.records)
         if len(latencies) == 1:
             return latencies[0]
         quantiles = statistics.quantiles(latencies, n=100, method="inclusive")
-        index = min(98, max(0, round(q) - 1))
-        return quantiles[index]
+        points = [latencies[0], *quantiles, latencies[-1]]
+        return points[min(100, max(0, round(q)))]
 
     @property
     def p50_latency(self) -> float:

@@ -20,7 +20,7 @@ from .executor import (
     run_on_inputs,
 )
 from .libfuncs import LIBRARY, lookup, register
-from .values import UNDEF, Undefined, freeze_value, is_undef, values_equal
+from .values import UNDEF, Undefined, is_undef, values_equal
 
 __all__ = [
     "evaluate",
@@ -44,5 +44,4 @@ __all__ = [
     "Undefined",
     "is_undef",
     "values_equal",
-    "freeze_value",
 ]

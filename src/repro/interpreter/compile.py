@@ -13,9 +13,9 @@ execution only; repair-candidate screening (Def. 4.5) evaluates through
 ``fn(memory) -> value`` with all dispatch decided at compile time:
 
 * variables close over their name (one ``memory.get``);
-* constants close over their frozen value (list-bearing constants still
-  return a fresh copy per call, preserving :func:`~repro.interpreter.values.\
-freeze_value`'s snapshot guarantee);
+* constants close over their value and return that same object on every
+  call, as :func:`evaluate` does (values are immutable once built, see
+  :mod:`repro.interpreter.values`);
 * ``And``/``Or`` short-circuit and return the deciding *operand* (not a
   bool), exactly like Python and :func:`evaluate`;
 * ``ite`` evaluates its condition first and only the taken branch;
@@ -41,20 +41,12 @@ from typing import Callable, Mapping
 
 from ..model.expr import Const, Expr, Op, Var
 from .libfuncs import lookup
-from .values import UNDEF, freeze_value, is_undef
+from .values import UNDEF, is_undef
 
 __all__ = ["CompiledExpr", "CompileCache", "compile_expr", "default_compile_cache"]
 
 #: A compiled expression: memory mapping → value in the computation domain.
 CompiledExpr = Callable[[Mapping[str, object]], object]
-
-
-def _contains_list(value: object) -> bool:
-    if isinstance(value, list):
-        return True
-    if isinstance(value, tuple):
-        return any(_contains_list(item) for item in value)
-    return False
 
 
 def _undef(_memory: Mapping[str, object]) -> object:
@@ -72,17 +64,7 @@ def _compile_node(expr: Expr, recurse: Callable[[Expr], CompiledExpr]) -> Compil
         return eval_var
 
     if isinstance(expr, Const):
-        frozen = freeze_value(expr.value)
-        if _contains_list(frozen):
-            # Mutable payload: hand out a fresh snapshot per evaluation so
-            # two trace steps can never alias one list object, exactly as
-            # the interpreter does.
-            def eval_const_list(_memory: Mapping[str, object], _v=frozen) -> object:
-                return freeze_value(_v)
-
-            return eval_const_list
-
-        def eval_const(_memory: Mapping[str, object], _v=frozen) -> object:
+        def eval_const(_memory: Mapping[str, object], _v=expr.value) -> object:
             return _v
 
         return eval_const

@@ -12,7 +12,7 @@ from typing import Mapping
 
 from ..model.expr import Const, Expr, Op, Var
 from .libfuncs import lookup
-from .values import UNDEF, freeze_value, is_undef
+from .values import UNDEF, is_undef
 
 __all__ = ["evaluate", "truthy"]
 
@@ -29,7 +29,7 @@ def evaluate(expr: Expr, memory: Mapping[str, object]) -> object:
     if isinstance(expr, Var):
         return memory.get(expr.name, UNDEF)
     if isinstance(expr, Const):
-        return freeze_value(expr.value)
+        return expr.value
     if not isinstance(expr, Op):  # pragma: no cover - defensive
         return UNDEF
 

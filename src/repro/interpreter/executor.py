@@ -4,8 +4,10 @@ The executor walks locations from the initial one, performing the parallel
 assignment of each location and following the successor chosen by the value
 of the ``$cond`` variable.  Execution is bounded by a step limit so that
 non-terminating student attempts (a common class of mistakes) still yield a
-finite, comparable trace; an optional evaluation-ops budget additionally
-bounds total expression work (see :class:`ExecutionLimits`).
+finite, comparable trace (see :class:`ExecutionLimits`).  Values are shared,
+not copied: inputs, constants and computed values go into the trace as the
+objects they are, because nothing mutates a value once built
+(:mod:`repro.interpreter.values`).
 
 Two fast-path mechanisms make :func:`execute` cheap enough for
 corpus-scale workloads (docs/ARCHITECTURE.md, "Execution fast path"):
@@ -33,7 +35,7 @@ from ..model.program import Program
 from ..model.trace import StepMemory, Trace, TraceMemory, TraceStep
 from .compile import CompileCache, CompiledExpr, default_compile_cache
 from .evaluator import evaluate, truthy
-from .values import UNDEF, freeze_value, is_undef, values_equal
+from .values import UNDEF, is_undef, values_equal
 
 __all__ = [
     "execute",
@@ -54,52 +56,38 @@ class ExecutionLimits:
 
     Args:
         max_steps: Maximum number of location steps (bounds non-terminating
-            control flow).
-        max_eval_ops: Optional budget on total expression evaluation work,
-            measured in statically counted AST nodes of the update
-            expressions each step evaluates.  ``None`` (the default) means
-            unbounded.  The step limit alone does not bound work per step —
-            one pathological, enormously deep expression inside a loop can
-            burn arbitrary time in few steps — so services that must meet a
-            deadline can cap total ops instead.  A budgeted execution that
-            would exceed the cap stops *before* the offending step and
-            returns an aborted trace, exactly like hitting ``max_steps``.
+            control flow).  An execution that reaches it stops and returns
+            an aborted trace.  Since each location's expressions are fixed,
+            this also bounds the number of operations evaluated, though not
+            the size of the values they build.
     """
 
-    def __init__(
-        self,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        max_eval_ops: int | None = None,
-    ) -> None:
+    def __init__(self, max_steps: int = DEFAULT_MAX_STEPS) -> None:
         self.max_steps = max_steps
-        self.max_eval_ops = max_eval_ops
 
 
 class ExecutionPlan:
     """Precompiled per-program execution state.
 
     For each location: the ``(var, compiled expression)`` pairs of its
-    parallel assignment in update order, the statically counted AST node
-    total of those expressions (the per-step cost charged against
-    :attr:`ExecutionLimits.max_eval_ops`), and its successor pair — plus
-    the initial-memory template (every program variable bound to ⊥ and the
-    special variables preset), which :func:`execute` copies instead of
-    re-deriving the variable set per run.  Build once per program and reuse
-    across cases — :func:`run_on_inputs` and
-    :func:`repro.core.inputs.program_traces` do.
+    parallel assignment in update order, the variables it writes, and its
+    successor pair — plus the initial-memory template (every program
+    variable bound to ⊥ and the special variables preset), which
+    :func:`execute` copies instead of re-deriving the variable set per run.
+    Build once per program and reuse across cases — :func:`run_on_inputs`
+    and :func:`repro.core.inputs.program_traces` do.
 
     A plan snapshots the program's *current* updates and successors;
     callers that mutate a program (the repair decoder edits copies) must
     build a fresh plan.
     """
 
-    __slots__ = ("updates", "written_vars", "step_ops", "successors", "initial_memory")
+    __slots__ = ("updates", "written_vars", "successors", "initial_memory")
 
     def __init__(
         self,
         updates: dict[int, tuple[tuple[str, CompiledExpr], ...]],
         written_vars: dict[int, tuple[str, ...]],
-        step_ops: dict[int, int],
         successors: dict[int, "tuple[int | None, int | None, bool]"],
         initial_memory: dict[str, object],
     ) -> None:
@@ -107,7 +95,6 @@ class ExecutionPlan:
         #: Per location, the assigned variable names in update order —
         #: shared by every step taken at the location.
         self.written_vars = written_vars
-        self.step_ops = step_ops
         #: ``loc_id -> (on_true, on_false, branching)``.
         self.successors = successors
         #: Template pre-state; copied (never mutated) per execution.
@@ -128,25 +115,19 @@ class ExecutionPlan:
             cache = default_compile_cache()
         updates: dict[int, tuple[tuple[str, CompiledExpr], ...]] = {}
         written_vars: dict[int, tuple[str, ...]] = {}
-        step_ops: dict[int, int] = {}
         successors: dict[int, tuple[int | None, int | None, bool]] = {}
         for loc_id, location in program.locations.items():
             updates[loc_id] = tuple(
                 (var, cache.fn(expr)) for var, expr in location.updates.items()
             )
             written_vars[loc_id] = tuple(location.updates)
-            step_ops[loc_id] = sum(
-                expr.size() for expr in location.updates.values()
-            )
             on_true = program.successor(loc_id, True)
             on_false = program.successor(loc_id, False)
             successors[loc_id] = (on_true, on_false, on_true != on_false)
         # One construction path for the initial state: the interpreted
         # reference applies the same function per run, so the two executors
         # can never disagree on what a fresh memory contains.
-        return cls(
-            updates, written_vars, step_ops, successors, _initial_memory(program, {})
-        )
+        return cls(updates, written_vars, successors, _initial_memory(program, {}))
 
 
 def _initial_memory(program: Program, inputs: Mapping[str, object]) -> dict[str, object]:
@@ -157,8 +138,7 @@ def _initial_memory(program: Program, inputs: Mapping[str, object]) -> dict[str,
     memory[VAR_RETFLAG] = False
     memory[VAR_RET] = UNDEF
     memory[VAR_COND] = UNDEF
-    for name, value in inputs.items():
-        memory[name] = freeze_value(value)
+    memory.update(inputs)
     return memory
 
 
@@ -175,7 +155,7 @@ def execute(
     Args:
         program: The program model to run.
         inputs: Initial bindings (parameters, ``$stdin``).
-        limits: Step / evaluation-ops bounds (defaults apply when omitted).
+        limits: Step bound (the default applies when omitted).
         plan: Precompiled :class:`ExecutionPlan` for ``program``; built on
             the fly when omitted.  Callers executing one program on many
             inputs should build the plan once.
@@ -187,8 +167,7 @@ def execute(
     if plan is None:
         plan = ExecutionPlan.for_program(program, cache=compile_cache)
     initial = dict(plan.initial_memory)
-    for name, value in inputs.items():
-        initial[name] = freeze_value(value)
+    initial.update(inputs)
     memory = TraceMemory(initial)
     # Flat evolving state for O(1) reads during evaluation; the changelog
     # above serves the lazy per-step views.
@@ -196,8 +175,6 @@ def execute(
     steps: list[TraceStep] = []
     aborted = False
     max_steps = limits.max_steps
-    ops_budget = limits.max_eval_ops
-    ops_used = 0
     plan_updates = plan.updates
     plan_successors = plan.successors
 
@@ -208,18 +185,11 @@ def execute(
         if index >= max_steps:
             aborted = True
             break
-        if ops_budget is not None:
-            ops_used += plan.step_ops[current]
-            if ops_used > ops_budget:
-                aborted = True
-                break
         updates = plan_updates[current]
         if updates:
             # Parallel assignment: evaluate everything on the pre-state
             # before writing anything.
-            computed = [
-                (var, freeze_value(fn(current_memory))) for var, fn in updates
-            ]
+            computed = [(var, fn(current_memory)) for var, fn in updates]
             for var, value in computed:
                 memory.write(index, var, value)
                 current_memory[var] = value
@@ -264,8 +234,6 @@ def execute_interpreted(
     memory = _initial_memory(program, inputs)
     steps: list[TraceStep] = []
     aborted = False
-    ops_budget = limits.max_eval_ops
-    ops_used = 0
 
     current = program.init_loc
     while current is not None:
@@ -273,15 +241,10 @@ def execute_interpreted(
             aborted = True
             break
         location = program.locations[current]
-        if ops_budget is not None:
-            ops_used += sum(expr.size() for expr in location.updates.values())
-            if ops_used > ops_budget:
-                aborted = True
-                break
         pre = dict(memory)
         post = dict(memory)
         for var, expr in location.updates.items():
-            post[var] = freeze_value(evaluate(expr, pre))
+            post[var] = evaluate(expr, pre)
         steps.append(
             TraceStep(
                 loc_id=current,

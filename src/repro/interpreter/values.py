@@ -6,6 +6,13 @@ paper's ⊥).  All operations in :mod:`repro.interpreter.libfuncs` are
 *functional*: they never mutate their arguments, they return fresh values, and
 they return ``UNDEF`` whenever real Python would raise.
 
+A value is therefore immutable once built, lists included, and the
+executors share value objects instead of copying them: a trace step, the
+input binding it came from and the ``Const`` it was read from may all hold
+the same list.  Nothing in the interpreter, or in any consumer of traces,
+may mutate a value in place; ``tests/test_exec_fastpath.py`` checks this
+contract over every registered problem.
+
 Value equality (:func:`values_equal`) is what "take the same values" means for
 dynamic equivalence: exact for discrete types, tolerance-based for floats, and
 structural for sequences.
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["UNDEF", "Undefined", "is_undef", "values_equal", "freeze_value"]
+__all__ = ["UNDEF", "Undefined", "is_undef", "values_equal"]
 
 #: Relative tolerance used when comparing floating point trace values.
 FLOAT_REL_TOL = 1e-6
@@ -92,17 +99,3 @@ def _sequences_equal(left: Iterable[object], right: Iterable[object]) -> bool:
         return False
     return all(values_equal(a, b) for a, b in zip(left_items, right_items))
 
-
-def freeze_value(value: object) -> object:
-    """Return a snapshot of ``value`` safe to store in a trace.
-
-    Lists are shallow-copied recursively; everything else in the domain is
-    immutable already.  Library operations never mutate values in place, so a
-    structural copy is sufficient to guarantee that later steps cannot change
-    what an earlier trace step recorded.
-    """
-    if isinstance(value, list):
-        return [freeze_value(item) for item in value]
-    if isinstance(value, tuple):
-        return tuple(freeze_value(item) for item in value)
-    return value

@@ -180,9 +180,8 @@ class Trace:
     def __init__(self, steps: Iterable[TraceStep], *, aborted: bool = False) -> None:
         self.steps: list[TraceStep] = list(steps)
         #: ``True`` when execution hit a resource limit (the step budget of
-        #: a non-terminating attempt, or the optional evaluation-ops
-        #: budget) or encountered a state from which no successor could be
-        #: chosen.
+        #: a non-terminating attempt) or encountered a state from which no
+        #: successor could be chosen.
         self.aborted = aborted
         #: Lazily built per-location index behind :meth:`steps_at`.
         self._loc_index: dict[int, list[TraceStep]] | None = None

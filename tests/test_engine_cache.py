@@ -4,7 +4,14 @@ with the sequential pipeline."""
 from __future__ import annotations
 
 from repro import Clara, InputCase, parse_source
-from repro.engine import BatchAttempt, BatchRepairEngine, RepairCaches
+from repro.engine import (
+    BatchAttempt,
+    BatchRecord,
+    BatchRepairEngine,
+    BatchReport,
+    CacheStats,
+    RepairCaches,
+)
 from repro.engine.cache import case_set_key, freeze_key
 
 
@@ -209,6 +216,17 @@ def test_batch_report_serialises_to_jsonl(tmp_path, deriv_cases, paper_sources):
     summary = lines[1]["summary"]
     assert summary["attempts"] == 1
     assert set(summary["cache"]) >= {"trace_hit_rate", "match_hit_rate", "repair_hit_rate"}
+
+
+def test_latency_percentile_ends_are_fastest_and_slowest():
+    records = [BatchRecord(f"a{i}", "repaired", float(i)) for i in range(1, 11)]
+    report = BatchReport(records, [], wall_time=55.0, workers=1, cache_stats=CacheStats())
+    assert report.latency_percentile(0) == 1.0
+    assert report.latency_percentile(100) == 10.0
+    assert report.p50_latency == 5.5
+    assert abs(report.p95_latency - 9.55) < 1e-9
+    assert abs(report.latency_percentile(1) - 1.09) < 1e-9
+    assert abs(report.latency_percentile(99) - 9.91) < 1e-9
 
 
 def test_repair_source_is_batch_size_one(deriv_cases, paper_sources):

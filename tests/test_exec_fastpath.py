@@ -1,5 +1,5 @@
 """Tests for the execution fast path: compiled expressions, copy-on-write
-traces, the per-location step index and the evaluation-ops budget.
+traces, the per-location step index and shared (never copied) values.
 
 The contract under test everywhere: the compiled path is *observationally
 identical* to the interpreted reference (`evaluate` /
@@ -7,18 +7,19 @@ identical* to the interpreted reference (`evaluate` /
 
 from __future__ import annotations
 
+import copy
 import random
 
 from repro.core.inputs import InputCase, program_traces
 from repro.core.repair import find_best_repair
-from repro.datasets import generate_corpus, get_problem
+from repro.datasets import all_problems, generate_corpus, get_problem
 from repro.engine import RepairCaches
-from repro.frontend import parse_python_source
+from repro.frontend import FrontendError, parse_python_source, parse_source
 from repro.interpreter.compile import CompileCache, compile_expr, default_compile_cache
 from repro.interpreter.evaluator import evaluate
 from repro.interpreter.executor import (
+    DEFAULT_MAX_STEPS,
     ExecutionLimits,
-    ExecutionPlan,
     execute,
     execute_interpreted,
     returned_value,
@@ -37,7 +38,7 @@ def _random_expr(rng, depth: int = 3):
 
     Mirrors the TED property test's generator, but biased toward the
     operations with bespoke compiled forms (And/Or/ite) and toward
-    list-valued constants (the freeze-per-evaluation path)."""
+    list-valued constants."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
             return Var(rng.choice("abcxyz"))
@@ -99,14 +100,6 @@ def test_compiled_undef_propagation():
     assert is_undef(compile_expr(Op("Add", Var("x"), Const(1)))({}))
     assert is_undef(compile_expr(Op("Div", Const(1), Const(0)))({}))
     assert is_undef(compile_expr(Op("Method_length", Var("x")))({"x": 3}))
-
-
-def test_compiled_list_constants_are_fresh_per_evaluation():
-    fn = compile_expr(Const([1, [2]]))
-    first, second = fn({}), fn({})
-    assert first == second == [1, [2]]
-    assert first is not second  # traces must never alias one list object
-    assert first[1] is not second[1]
 
 
 def test_compile_cache_counters_and_sharing():
@@ -219,6 +212,118 @@ def test_execute_matches_interpreted_on_real_corpus():
             assert_traces_identical(trace, reference)
 
 
+#: Runaway loops: the counter is never incremented, so every case with a
+#: non-empty argument runs to the step bound while a value keeps growing.
+RUNAWAY_SOURCES = {
+    "oddTuples": (
+        "def oddTuples(aTup):\n"
+        "    ans = ()\n"
+        "    count = 0\n"
+        "    while count < len(aTup):\n"
+        "        ans = ans + (aTup[count],)\n"
+        "    return ans\n"
+    ),
+    "derivatives": (
+        "def computeDeriv(poly):\n"
+        "    result = []\n"
+        "    i = 0\n"
+        "    while i < len(poly):\n"
+        "        result.append(float(i * poly[i]))\n"
+        "    return result\n"
+    ),
+}
+
+
+#: List edits of every kind the frontend emits (slice, element update,
+#: concatenation, append); a library operation that edited its argument in
+#: place would change a value an earlier step recorded.
+LIST_EDITS_SOURCE = (
+    "def computeDeriv(poly):\n"
+    "    result = poly[1:]\n"
+    "    for i in range(len(result)):\n"
+    "        result[i] = result[i] * (i + 1)\n"
+    "    result = result + [0.0]\n"
+    "    result.append(1.0)\n"
+    "    return result[:-2]\n"
+)
+
+
+def test_execute_matches_interpreted_on_runaway_loops():
+    for name, source in RUNAWAY_SOURCES.items():
+        # The first three cases hold an empty argument and two that loop.
+        cases = get_problem(name).cases[:3]
+        program = parse_python_source(source)
+        compiled = program_traces(program, cases)
+        for trace, case in zip(compiled, cases):
+            reference = execute_interpreted(program, case.memory_for(program))
+            assert trace.aborted == (len(case.args[0]) > 0)
+            if trace.aborted:
+                assert len(trace) == DEFAULT_MAX_STEPS
+            assert_traces_identical(trace, reference)
+
+
+def test_execute_shares_input_values():
+    """Inputs enter the trace as the objects given, not as copies."""
+    program = parse_python_source("def f(xs):\n    return len(xs)\n")
+    inputs = {"xs": [1, [2, 3]]}
+    for trace in (execute(program, inputs), execute_interpreted(program, inputs)):
+        assert trace.steps[0].pre["xs"] is inputs["xs"]
+
+
+def _constants(program: Program) -> list[Const]:
+    return [
+        node
+        for location in program.locations.values()
+        for expr in location.updates.values()
+        for node in expr.walk()
+        if isinstance(node, Const)
+    ]
+
+
+def _assert_steps_self_consistent(program: Program, trace: Trace) -> None:
+    """Each recorded post-state is still what the step's location computes
+    from a deep copy of its recorded pre-state, so no later step changed a
+    value an earlier one recorded."""
+    for step in trace.steps:
+        updates = program.locations[step.loc_id].updates
+        for var, expr in updates.items():
+            reads = {name: copy.deepcopy(step.pre.get(name)) for name in expr.variables()}
+            assert values_equal(evaluate(expr, reads), step.post[var]), (var, expr)
+
+
+def test_executors_never_mutate_shared_values():
+    """The sharing contract behind uncopied traces (repro.interpreter.values):
+    on a small corpus of every registered problem plus the runaway loops
+    and a program of list edits, running both executors leaves the inputs,
+    the programs' constants and every recorded step value unchanged."""
+    limits = ExecutionLimits(max_steps=400)
+    checked = 0
+    for problem in all_problems():
+        corpus = generate_corpus(problem, 3, 3, seed=5)
+        sources = corpus.correct_sources + corpus.incorrect_sources
+        if problem.name in RUNAWAY_SOURCES:
+            sources.append(RUNAWAY_SOURCES[problem.name])
+        if problem.name == "derivatives":
+            sources.append(LIST_EDITS_SOURCE)
+        for source in sources:
+            try:
+                program = parse_source(source, language=problem.language, entry=problem.entry)
+            except FrontendError:
+                continue
+            constants = _constants(program)
+            constant_values = copy.deepcopy([node.value for node in constants])
+            for case in problem.cases:
+                inputs = case.memory_for(program)
+                input_values = copy.deepcopy(inputs)
+                for run in (execute, execute_interpreted):
+                    trace = run(program, inputs, limits)
+                    _assert_steps_self_consistent(program, trace)
+                    assert inputs == input_values
+                    checked += len(trace)
+            assert [node.value for node in constants] == constant_values
+    assert checked > 0
+
+
 def test_cow_steps_record_only_written_vars():
     program = _counting_loop_program(Op("Lt", Var("i"), Var("n")))
     trace = execute(program, {"n": 2})
@@ -257,52 +362,6 @@ def test_steps_at_uses_shared_index():
     assert trace.steps_at(1) == [steps[1], steps[2]]
     assert trace.steps_at(1) is trace.steps_at(1)  # built once, shared
     assert trace.steps_at(99) == []
-
-
-# -- evaluation-ops budget ----------------------------------------------------------
-
-
-def test_eval_ops_budget_defaults_off_and_aborts_when_exceeded():
-    program = _counting_loop_program(Op("Lt", Var("i"), Var("n")))
-    unbounded = execute(program, {"n": 100})
-    assert not unbounded.aborted
-
-    capped = execute(program, {"n": 100}, ExecutionLimits(max_eval_ops=40))
-    assert capped.aborted
-    assert len(capped) < len(unbounded)
-    # The interpreted reference applies the identical static accounting.
-    assert_traces_identical(
-        capped, execute_interpreted(program, {"n": 100}, ExecutionLimits(max_eval_ops=40))
-    )
-
-    # A budget covering the whole run changes nothing.
-    total_ops = sum(
-        ExecutionPlan.for_program(program).step_ops[loc]
-        for loc in unbounded.location_sequence
-    )
-    roomy = execute(program, {"n": 100}, ExecutionLimits(max_eval_ops=total_ops))
-    assert_traces_identical(roomy, unbounded)
-    # One op less stops before the final step.
-    tight = execute(program, {"n": 100}, ExecutionLimits(max_eval_ops=total_ops - 1))
-    assert tight.aborted and len(tight) == len(unbounded) - 1
-
-
-def test_eval_ops_budget_stops_deep_expression_early():
-    """A single pathologically deep expression is stopped by the ops budget
-    even though the *step* budget would never trip."""
-    deep = Var("x")
-    for _ in range(300):
-        deep = Op("Add", deep, Const(1))
-    program = Program("f", params=["x"])
-    loc = program.add_location("entry")
-    program.set_update(loc.loc_id, VAR_RET, deep)
-    program.set_successor(loc.loc_id, None, None)
-
-    trace = execute(program, {"x": 1}, ExecutionLimits(max_eval_ops=100))
-    assert trace.aborted and len(trace) == 0
-
-    full = execute(program, {"x": 1})
-    assert not full.aborted and returned_value(full) == 301
 
 
 # -- compiled evaluation threaded through the repair layers -------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from repro.interpreter.evaluator import evaluate, truthy
 from repro.interpreter.executor import ExecutionLimits, execute, printed_output, returned_value
 from repro.interpreter.libfuncs import LIBRARY, lookup
-from repro.interpreter.values import UNDEF, freeze_value, is_undef, values_equal
+from repro.interpreter.values import UNDEF, is_undef, values_equal
 from repro.model.expr import Const, Op, VAR_COND, VAR_OUT, VAR_RET, Var
 from repro.model.program import Program
 
@@ -25,13 +25,6 @@ def test_values_equal_basic():
     assert values_equal(UNDEF, UNDEF)
     assert not values_equal(UNDEF, 0)
     assert values_equal("ab", "ab")
-
-
-def test_freeze_value_copies_lists():
-    original = [[1, 2], 3]
-    frozen = freeze_value(original)
-    original[0].append(99)
-    assert frozen == [[1, 2], 3]
 
 
 def test_undef_is_falsy_singleton():
