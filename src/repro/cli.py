@@ -108,8 +108,16 @@ def _cmd_list_problems(_args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    spec = get_problem(args.problem)
-    source = Path(args.file).read_text(encoding="utf-8")
+    try:
+        spec = get_problem(args.problem)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    try:
+        source = Path(args.file).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        print(f"no such file: {args.file}", file=sys.stderr)
+        return 2
     corpus = generate_corpus(spec, args.correct, 0, seed=args.seed)
     clara = Clara(cases=spec.cases, language=spec.language, entry=spec.entry)
     clara.add_correct_sources(corpus.correct_sources)

@@ -135,9 +135,6 @@ class Cluster:
     def expressions_for(self, loc_id: int, var: str) -> list[ClusterExpression]:
         return self.expressions.get((loc_id, var), [])
 
-    def distinct_expression_count(self, loc_id: int, var: str) -> int:
-        return len(self.expressions_for(loc_id, var))
-
     def add_member(self, program: Program, witness: MatchResult) -> None:
         """Add a member and merge its expressions into the pools.
 
@@ -278,9 +275,6 @@ class ClusteringResult:
 
     def total_members(self) -> int:
         return sum(cluster.size for cluster in self.clusters)
-
-    def sorted_by_size(self) -> list[Cluster]:
-        return sorted(self.clusters, key=lambda c: (-c.size, c.cluster_id))
 
     def signature(self) -> list[tuple[int, int, dict]]:
         """Order-sensitive comparable view of the whole clustering."""

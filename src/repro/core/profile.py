@@ -19,13 +19,14 @@ Counters are deterministic for a given corpus and single-worker run, which
 is what the CI fast-tests exercise; timings are machine-dependent and only
 ever written to the gitignored ``results/local/``.
 
-Profilers are mergeable: :meth:`PhaseProfiler.merge` sums two accumulators
-field by field (commutative, with a fresh profiler as the identity) and
-:meth:`PhaseProfiler.diff` subtracts one snapshot from another.  The
-process-parallel batch engine (:mod:`repro.engine.parallel`) relies on
-merge to fold per-worker profiler payloads — shipped across the pipe as
-:meth:`as_dict` / :meth:`from_dict` — into one report whose *counters*
-equal the single-process run exactly.
+Counters merge by plain sums: :func:`sum_counters` adds flat counter dicts
+key by key, and :func:`merge_phases` adds :meth:`PhaseProfiler.as_dict`
+payloads in the same canonical phase order and timing rounding that a
+single profiler reports.  The process-parallel batch engine
+(:mod:`repro.engine.parallel`) and the fleet router use them to fold
+per-worker payloads into one report whose *counters* equal the
+single-process run exactly.  This module imports nothing from
+:mod:`repro`, so every layer can use it without import cycles.
 """
 
 from __future__ import annotations
@@ -33,12 +34,52 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
-__all__ = ["PhaseProfiler", "profiled", "PHASES"]
+__all__ = ["PhaseProfiler", "profiled", "PHASES", "sum_counters", "merge_phases"]
 
 #: Canonical phase order for reports.
 PHASES = ("parse", "exec", "match", "candidate_gen", "ted", "ilp")
+
+
+def _canonical(values: dict) -> dict:
+    """``values`` re-keyed in report order: :data:`PHASES`, then the rest sorted."""
+    ordered = [p for p in PHASES if p in values]
+    ordered += sorted(set(values) - set(PHASES))
+    return {phase: values[phase] for phase in ordered}
+
+
+def sum_counters(sections: Iterable[dict]) -> dict:
+    """Key-wise sum of flat ``{name: number}`` counter dicts.
+
+    Keys keep their first-seen order, so summing payloads that share one
+    key order reproduces that order.  Commutative in the values, with
+    ``{}`` as the identity; the operands are not mutated.
+    """
+    merged: dict = {}
+    for section in sections:
+        for name, value in section.items():
+            merged[name] = merged.get(name, 0) + value
+    return merged
+
+
+def merge_phases(payloads: Iterable[dict]) -> dict:
+    """Sum :meth:`PhaseProfiler.as_dict` payloads into one payload.
+
+    Counters and timings are summed per phase, reported in canonical
+    phase order with timings rounded as :meth:`PhaseProfiler.timings`
+    does, so the result does not depend on the order of ``payloads``.
+    Counter-only phases stay out of ``timings``.
+    """
+    payloads = list(payloads)
+    counters = sum_counters(payload["counters"] for payload in payloads)
+    timings = sum_counters(payload["timings"] for payload in payloads)
+    return {
+        "counters": _canonical(counters),
+        "timings": {
+            phase: round(seconds, 6) for phase, seconds in _canonical(timings).items()
+        },
+    }
 
 
 class PhaseProfiler:
@@ -78,81 +119,16 @@ class PhaseProfiler:
     def counters(self) -> dict[str, int]:
         """Timing-free call counts per phase (deterministic for a corpus)."""
         with self._lock:
-            ordered = [p for p in PHASES if p in self._calls]
-            ordered += sorted(set(self._calls) - set(PHASES))
-            return {phase: self._calls[phase] for phase in ordered}
+            return _canonical(self._calls)
 
     def timings(self) -> dict[str, float]:
         """Accumulated wall-clock seconds per phase (machine-dependent)."""
         with self._lock:
-            ordered = [p for p in PHASES if p in self._seconds]
-            ordered += sorted(set(self._seconds) - set(PHASES))
-            return {phase: round(self._seconds[phase], 6) for phase in ordered}
+            return {p: round(s, 6) for p, s in _canonical(self._seconds).items()}
 
     def as_dict(self) -> dict:
         """``{"counters": {...}, "timings": {...}}`` for JSON reports."""
         return {"counters": self.counters(), "timings": self.timings()}
-
-    # -- algebra ---------------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PhaseProfiler":
-        """Rebuild a profiler from an :meth:`as_dict` payload.
-
-        The inverse of :meth:`as_dict` (modulo its 6-decimal timing
-        rounding); this is how per-worker profilers cross the process
-        boundary in :mod:`repro.engine.parallel`.  Unknown payload shapes
-        (missing keys) read as empty sections.
-        """
-        profiler = cls()
-        for phase, seconds in (payload.get("timings") or {}).items():
-            profiler._seconds[phase] = float(seconds)
-        for phase, calls in (payload.get("counters") or {}).items():
-            profiler._calls[phase] = int(calls)
-        return profiler
-
-    def merge(self, other: "PhaseProfiler") -> "PhaseProfiler":
-        """Return a new profiler with both operands' phases summed.
-
-        Commutative (``a.merge(b)`` equals ``b.merge(a)``) with a fresh
-        profiler as the identity, so folding any permutation of per-worker
-        profilers yields the same counters — the property the
-        process-parallel batch merge rests on.  Neither operand is
-        mutated.
-        """
-        merged = PhaseProfiler()
-        with self._lock:
-            merged._seconds.update(self._seconds)
-            merged._calls.update(self._calls)
-        with other._lock:
-            for phase, seconds in other._seconds.items():
-                merged._seconds[phase] = merged._seconds.get(phase, 0.0) + seconds
-            for phase, calls in other._calls.items():
-                merged._calls[phase] = merged._calls.get(phase, 0) + calls
-        return merged
-
-    def diff(self, other: "PhaseProfiler") -> "PhaseProfiler":
-        """Return a new profiler holding ``self - other`` per phase.
-
-        The inverse of :meth:`merge` (``a.merge(b).diff(b)`` reports the
-        same values as ``a``): use it to isolate the work done between two
-        snapshots.  Phases that cancel to exactly zero are pruned — so the
-        inverse law holds even for phases only ``other`` knew — while a
-        *negative* residue is kept visible rather than silently dropped.
-        Neither operand is mutated.
-        """
-        result = PhaseProfiler()
-        with self._lock:
-            result._seconds.update(self._seconds)
-            result._calls.update(self._calls)
-        with other._lock:
-            for phase, seconds in other._seconds.items():
-                result._seconds[phase] = result._seconds.get(phase, 0.0) - seconds
-            for phase, calls in other._calls.items():
-                result._calls[phase] = result._calls.get(phase, 0) - calls
-        result._seconds = {p: s for p, s in result._seconds.items() if s != 0.0}
-        result._calls = {p: c for p, c in result._calls.items() if c != 0}
-        return result
 
 
 @contextmanager

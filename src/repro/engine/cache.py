@@ -187,31 +187,18 @@ class CacheStats:
 
         The hit rates are derived values and are recomputed from the
         counters, so ``CacheStats.from_dict(stats.as_dict())`` round-trips
-        exactly; this is how per-worker cache deltas cross the process
-        boundary in :mod:`repro.engine.parallel`.
+        exactly.  :mod:`repro.engine.parallel` builds the merged report's
+        stats as ``CacheStats.from_dict(sum_counters(...))`` over the
+        workers' payloads; the summed rates are ignored.
         """
         return cls(**{name: int(payload.get(name, 0)) for name in cls._COUNTER_FIELDS})
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Return a new snapshot with both operands' counters summed.
-
-        Commutative, with ``CacheStats()`` as the identity — folding any
-        permutation of per-worker deltas yields the same totals (and hence
-        the same derived hit rates).  Neither operand is mutated.
-        """
-        return CacheStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in self._COUNTER_FIELDS
-            }
-        )
 
     def diff(self, other: "CacheStats") -> "CacheStats":
         """Return a new snapshot holding ``self - other`` per counter.
 
-        The inverse of :meth:`merge`; the batch engine uses it to isolate
-        the counters accumulated *during* one run from whatever the shared
-        caches saw before it started.
+        The batch engine uses it to isolate the counters accumulated
+        *during* one run from whatever the shared caches saw before it
+        started.
         """
         return CacheStats(
             **{

@@ -11,8 +11,13 @@ cluster store header-only with its own warm shared-nothing
 :class:`~repro.engine.cache.RepairCaches` and answers one ``repair``
 request per attempt, in order.  The parent merges the responses into one
 :class:`~repro.engine.batch.BatchReport` in submission order and folds
-every worker's per-problem ``stats`` section by commutative sum, so
-``--profile`` output is byte-stable regardless of process count.
+every worker's per-problem ``stats`` section by plain sums —
+:func:`~repro.core.profile.merge_phases` for ``phases``,
+:func:`~repro.core.profile.sum_counters` for every flat counter section
+(the ``cache`` section then rebuilds its hit rates through
+:meth:`~repro.engine.cache.CacheStats.from_dict`) and
+:func:`merge_store_paging` for ``store_paging`` — so ``--profile`` output
+is byte-stable regardless of process count.
 
 Why the merged counters *equal* a single-process run (not merely sum to
 something plausible): shards are planned by **CFG-skeleton digest**
@@ -61,8 +66,7 @@ from typing import Iterable, Sequence
 
 from ..clusterstore.segments import skeleton_digest
 from ..clusterstore.store import StoreHeader, read_store_header
-from ..core.profile import PhaseProfiler
-from ..retrieval.index import RetrievalStats
+from ..core.profile import merge_phases, sum_counters
 from .batch import BatchAttempt, BatchRecord, BatchRepairEngine, BatchReport
 from .cache import CacheStats
 
@@ -155,15 +159,6 @@ def merge_store_paging(sections: Iterable[dict | None]) -> dict | None:
         "clusters_total": clusters_total,
         "clusters_loaded": sum(section["clusters_loaded"] for section in reported),
     }
-
-
-def _sum_counter_dicts(sections: Iterable[dict]) -> dict:
-    """Key-wise sum of flat ``{name: int}`` counter dicts (order-preserving)."""
-    merged: dict = {}
-    for section in sections:
-        for name, value in section.items():
-            merged[name] = merged.get(name, 0) + value
-    return merged
 
 
 # -- the engine ----------------------------------------------------------------------
@@ -355,25 +350,18 @@ def _report(
     """Fold the workers' per-problem ``stats`` sections into one report."""
     from ..core.pipeline import RepairOutcome
 
-    cache_stats = CacheStats()
     profile: dict | None = None
     if sections:
-        profiler = PhaseProfiler()
-        retrieval = RetrievalStats()
-        for section in sections:
-            cache_stats = cache_stats.merge(CacheStats.from_dict(section["cache"]))
-            profiler = profiler.merge(PhaseProfiler.from_dict(section["phases"]))
-            retrieval = retrieval.merge(RetrievalStats.from_dict(section["retrieval"]))
         profile = {
-            "phases": profiler.as_dict(),
+            "phases": merge_phases(section["phases"] for section in sections),
             **{
-                name: _sum_counter_dicts(section[name] for section in sections)
+                name: sum_counters(section[name] for section in sections)
                 for name in _SUMMED_SECTIONS
             },
             "store_paging": merge_store_paging(
                 section["store_paging"] for section in sections
             ),
-            "retrieval": retrieval.as_dict(),
+            "retrieval": sum_counters(section["retrieval"] for section in sections),
         }
     return BatchReport(
         records=records,
@@ -383,6 +371,8 @@ def _report(
         ],
         wall_time=wall_time,
         workers=workers,
-        cache_stats=cache_stats,
+        cache_stats=CacheStats.from_dict(
+            sum_counters(section["cache"] for section in sections)
+        ),
         profile=profile,
     )

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-import statistics
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .experiment import AttemptResult, ProblemResult
+from .experiment import ProblemResult
 
 __all__ = [
     "relative_size_histogram",
@@ -147,11 +146,3 @@ def quality_proxy(results: Iterable[ProblemResult]) -> dict[str, float]:
         "large_rewrite": large / len(repaired),
         "passes": passes / len(repaired),
     }
-
-
-def summarize_times(attempts: Sequence[AttemptResult]) -> tuple[float, float]:
-    """(average, median) repair time over repaired attempts."""
-    times = [a.elapsed for a in attempts if a.repaired]
-    if not times:
-        return 0.0, 0.0
-    return statistics.fmean(times), statistics.median(times)

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..clusterstore.store import ClusterStoreError, read_store_header
+from ..core.profile import sum_counters
 from ..service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -179,10 +180,7 @@ class FleetService:
 
     def fleet_counters(self) -> dict:
         """Aggregated recovery counters across shards (deterministic order)."""
-        totals: dict[str, int] = {}
-        for supervisor in self.supervisors:
-            for key, value in supervisor.counters.items():
-                totals[key] = totals.get(key, 0) + value
+        totals = sum_counters(supervisor.counters for supervisor in self.supervisors)
         return dict(sorted(totals.items()))
 
     def _fleet_stats(self) -> dict:

@@ -62,10 +62,6 @@ class IlpProblem:
             self.objective[name] = self.objective.get(name, 0.0) + objective
         return name
 
-    def set_objective_coefficient(self, name: str, coefficient: float) -> None:
-        self.add_variable(name)
-        self.objective[name] = coefficient
-
     def add_constraint(
         self,
         coeffs: Mapping[str, float] | Iterable[tuple[str, float]],

@@ -35,7 +35,7 @@ from ..model.program import Program
 from ..model.trace import StepMemory, Trace, TraceMemory, TraceStep
 from .compile import CompileCache, CompiledExpr, default_compile_cache
 from .evaluator import evaluate, truthy
-from .values import UNDEF, is_undef, values_equal
+from .values import UNDEF, values_equal
 
 __all__ = [
     "execute",
@@ -292,8 +292,3 @@ def printed_output(trace: Trace) -> str:
 def result_matches(actual: object, expected: object) -> bool:
     """Compare an observed result against an expected one."""
     return values_equal(actual, expected)
-
-
-def is_error(value: object) -> bool:
-    """Return ``True`` when a result is the undefined value."""
-    return is_undef(value)

@@ -54,10 +54,6 @@ class Location:
         """Return ``U(ℓ, var)``, defaulting to the identity update."""
         return self.updates.get(var, Var(var))
 
-    def assigned_vars(self) -> list[str]:
-        """Return the variables explicitly assigned at this location."""
-        return list(self.updates)
-
     def copy(self) -> "Location":
         return Location(self.loc_id, self.name, self.line, dict(self.updates))
 

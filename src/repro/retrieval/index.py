@@ -12,7 +12,9 @@ order).
 
 :class:`RetrievalStats` carries the deterministic counters surfaced by
 ``batch --profile``, the service ``stats`` op and the committed
-``results/retrieval_throughput.json`` gate.
+``results/retrieval_throughput.json`` gate.  Per-worker counters cross a
+process boundary as :meth:`RetrievalStats.as_dict` payloads and merge by
+:func:`repro.core.profile.sum_counters`.
 """
 
 from __future__ import annotations
@@ -138,50 +140,3 @@ class RetrievalStats:
                 "matches_skipped": self.matches_skipped,
                 "fallbacks": self.fallbacks,
             }
-
-    def snapshot(self) -> "RetrievalStats":
-        """An independent copy of the current counter values."""
-        return self.from_dict(self.as_dict())
-
-    # -- algebra ---------------------------------------------------------------
-
-    _COUNTER_FIELDS = (
-        "candidates_ranked",
-        "matches_attempted",
-        "matches_skipped",
-        "fallbacks",
-    )
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RetrievalStats":
-        """Rebuild counters from an :meth:`as_dict` payload.
-
-        The exact inverse of :meth:`as_dict`; this is how per-worker
-        retrieval counters cross the process boundary in
-        :mod:`repro.engine.parallel`.
-        """
-        return cls(**{name: int(payload.get(name, 0)) for name in cls._COUNTER_FIELDS})
-
-    def merge(self, other: "RetrievalStats") -> "RetrievalStats":
-        """Return a new snapshot with both operands' counters summed.
-
-        Commutative, with ``RetrievalStats()`` as the identity: each repair
-        contributes a fixed per-attempt amount, so folding per-worker
-        snapshots in any order reproduces the single-process totals.
-        Neither operand is mutated.
-        """
-        mine, theirs = self.as_dict(), other.as_dict()
-        return RetrievalStats(
-            **{name: mine[name] + theirs[name] for name in self._COUNTER_FIELDS}
-        )
-
-    def diff(self, other: "RetrievalStats") -> "RetrievalStats":
-        """Return a new snapshot holding ``self - other`` per counter.
-
-        The inverse of :meth:`merge`, for isolating the counters one run
-        accumulated on a long-lived shared instance.
-        """
-        mine, theirs = self.as_dict(), other.as_dict()
-        return RetrievalStats(
-            **{name: mine[name] - theirs[name] for name in self._COUNTER_FIELDS}
-        )

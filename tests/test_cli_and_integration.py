@@ -42,6 +42,24 @@ def test_cli_repair_command(tmp_path, capsys):
     assert "change" in output or "Add" in output
 
 
+def test_cli_repair_unknown_problem_exits_2(tmp_path, capsys):
+    attempt = tmp_path / "attempt.py"
+    attempt.write_text("def computeDeriv(poly):\n    return poly\n")
+    code = main(["repair", "--problem", "no-such-problem", "--file", str(attempt)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.strip().splitlines()) == 1  # one line, no traceback
+    assert "unknown problem 'no-such-problem'" in captured.err
+
+
+def test_cli_repair_missing_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.py"
+    code = main(["repair", "--problem", "derivatives", "--file", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == f"no such file: {missing}"
+
+
 def test_cli_batch_command(tmp_path, capsys):
     import json
 

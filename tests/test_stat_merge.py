@@ -1,21 +1,54 @@
-"""Unit tests for the counter-snapshot algebra (merge / diff / from_dict).
+"""Unit tests for the one counter merge (``sum_counters`` / ``merge_phases``).
 
-The process-parallel batch engine folds per-worker counter payloads into
-one report by commutative sum; these tests pin the algebraic laws that
-merge correctness rests on — commutativity, a fresh instance as the
-identity, diff as merge's inverse, and from_dict/as_dict round-tripping —
-for all three mergeable snapshot types: :class:`PhaseProfiler`,
-:class:`CacheStats` and :class:`RetrievalStats`.
+The process-parallel batch engine and the fleet router fold per-worker
+counter payloads into one report by plain key-wise sums; these tests pin
+the laws that merge correctness rests on — commutativity, ``{}`` as the
+identity, canonical phase order whatever order shards report in — and the
+:class:`CacheStats` payload round trip that recomputes derived hit rates.
 """
 
 from __future__ import annotations
 
-from repro.core.profile import PhaseProfiler
+import json
+
+from repro.core.profile import PhaseProfiler, merge_phases, sum_counters
 from repro.engine.cache import CacheStats
 from repro.retrieval.index import RetrievalStats
 
 
-# -- PhaseProfiler -------------------------------------------------------------------
+# -- sum_counters --------------------------------------------------------------------
+
+
+def test_sum_counters_is_commutative_with_empty_identity():
+    a = {"hits": 3, "misses": 1}
+    b = {"misses": 4, "entries": 2}
+    assert sum_counters([a, b]) == sum_counters([b, a]) == {
+        "hits": 3,
+        "misses": 5,
+        "entries": 2,
+    }
+    assert sum_counters([a, {}]) == sum_counters([{}, a]) == a
+    assert sum_counters([]) == {}
+    # Keys keep their first-seen order; neither operand is mutated.
+    assert list(sum_counters([a, b])) == ["hits", "misses", "entries"]
+    assert a == {"hits": 3, "misses": 1}
+
+
+def test_retrieval_counters_sum_fieldwise_in_payload_order():
+    a = RetrievalStats(candidates_ranked=10, matches_attempted=4, fallbacks=1)
+    b = RetrievalStats(candidates_ranked=5, matches_skipped=6)
+    merged = sum_counters([a.as_dict(), b.as_dict()])
+    assert json.dumps(merged) == json.dumps(
+        {
+            "candidates_ranked": 15,
+            "matches_attempted": 4,
+            "matches_skipped": 6,
+            "fallbacks": 1,
+        }
+    )
+
+
+# -- merge_phases --------------------------------------------------------------------
 
 
 def _profiler(**phases: int) -> PhaseProfiler:
@@ -28,45 +61,65 @@ def _profiler(**phases: int) -> PhaseProfiler:
 def test_profiler_merge_sums_counters_and_timings():
     a = _profiler(parse=2, exec=5)
     b = _profiler(exec=3, ilp=1)
-    merged = a.merge(b)
-    assert merged.counters() == {"parse": 2, "exec": 8, "ilp": 1}
-    assert merged.timings() == {"parse": 0.5, "exec": 2.0, "ilp": 0.25}
+    merged = merge_phases([a.as_dict(), b.as_dict()])
+    assert merged == {
+        "counters": {"parse": 2, "exec": 8, "ilp": 1},
+        "timings": {"parse": 0.5, "exec": 2.0, "ilp": 0.25},
+    }
     # Neither operand is mutated.
     assert a.counters() == {"parse": 2, "exec": 5}
     assert b.counters() == {"exec": 3, "ilp": 1}
 
 
 def test_profiler_merge_is_commutative_with_empty_identity():
-    a = _profiler(parse=2, ted=7)
-    b = _profiler(ted=1, match=4)
-    assert a.merge(b).as_dict() == b.merge(a).as_dict()
-    assert a.merge(PhaseProfiler()).as_dict() == a.as_dict()
-    assert PhaseProfiler().merge(a).as_dict() == a.as_dict()
+    a = _profiler(parse=2, ted=7).as_dict()
+    b = _profiler(ted=1, match=4).as_dict()
+    empty = PhaseProfiler().as_dict()
+    assert json.dumps(merge_phases([a, b])) == json.dumps(merge_phases([b, a]))
+    assert merge_phases([a, empty]) == merge_phases([empty, a]) == a
+    assert merge_phases([]) == empty
 
 
-def test_profiler_diff_inverts_merge():
-    a = _profiler(parse=2, exec=5)
-    b = _profiler(exec=3, ilp=1)  # ilp is a phase only b knows
-    assert a.merge(b).diff(b).as_dict() == a.as_dict()
-
-
-def test_profiler_diff_keeps_negative_residue_visible():
-    a = _profiler(exec=1)
-    b = _profiler(exec=3)
-    assert a.diff(b).counters() == {"exec": -2}
+def test_merge_phases_orders_phases_canonically():
+    ilp_shard = _profiler(ilp=1)
+    ilp_shard.count("zeta_counter", 2)
+    parse_shard = PhaseProfiler()
+    parse_shard.count("exec_steps", 40)
+    parse_shard.add("parse", seconds=0.5)
+    parse_shard.count("alpha_counter", 1)
+    for shards in ([ilp_shard, parse_shard], [parse_shard, ilp_shard]):
+        merged = merge_phases(shard.as_dict() for shard in shards)
+        # PHASES order first, then any other counter sorted by name.
+        assert list(merged["counters"]) == [
+            "parse",
+            "ilp",
+            "alpha_counter",
+            "exec_steps",
+            "zeta_counter",
+        ]
+        assert list(merged["timings"]) == ["parse", "ilp"]
 
 
 def test_profiler_counter_only_phases_survive_the_round_trip():
     profiler = PhaseProfiler()
     profiler.add("exec", seconds=0.5, calls=2)
     profiler.count("exec_steps", 40)  # counted, never timed
-    rebuilt = PhaseProfiler.from_dict(profiler.as_dict())
-    assert rebuilt.as_dict() == profiler.as_dict()
-    assert "exec_steps" not in rebuilt.timings()
+    other = PhaseProfiler()
+    other.count("exec_steps", 2)
+    other.count("ilp_nodes", 7)
+    assert merge_phases([profiler.as_dict()]) == profiler.as_dict()
+    merged = merge_phases([profiler.as_dict(), other.as_dict()])
+    assert merged["counters"] == {"exec": 2, "exec_steps": 42, "ilp_nodes": 7}
+    assert merged["timings"] == {"exec": 0.5}
 
 
-def test_profiler_from_dict_tolerates_missing_sections():
-    assert PhaseProfiler.from_dict({}).as_dict() == {"counters": {}, "timings": {}}
+def test_merge_phases_rounds_summed_timings():
+    a = PhaseProfiler()
+    a.add("ted", seconds=0.1)
+    b = PhaseProfiler()
+    b.add("ted", seconds=0.2)
+    # 0.1 + 0.2 is 0.30000000000000004 in binary floating point.
+    assert merge_phases([a.as_dict(), b.as_dict()])["timings"] == {"ted": 0.3}
 
 
 # -- CacheStats ----------------------------------------------------------------------
@@ -75,20 +128,21 @@ def test_profiler_from_dict_tolerates_missing_sections():
 def test_cache_stats_merge_and_diff_are_fieldwise():
     a = CacheStats(trace_hits=3, trace_misses=1, match_hits=5, repair_misses=2)
     b = CacheStats(trace_hits=1, match_misses=4, repair_hits=6, repair_misses=1)
-    merged = a.merge(b)
-    # as_dict also carries derived hit rates; comparing whole dicts checks
-    # those recompute consistently from the summed counters.
-    assert merged.as_dict() == CacheStats(
+    # The payloads carry derived hit rates, which sum to nonsense; from_dict
+    # ignores them and recomputes the rates from the summed counters.
+    merged = CacheStats.from_dict(sum_counters([a.as_dict(), b.as_dict()]))
+    expected = CacheStats(
         trace_hits=4,
         trace_misses=1,
         match_hits=5,
         match_misses=4,
         repair_hits=6,
         repair_misses=3,
-    ).as_dict()
+    )
+    assert merged.as_dict() == expected.as_dict()
+    assert merged.trace_hit_rate == 0.8
+    assert merged.repair_hit_rate == 6 / 9
     assert merged.diff(b).as_dict() == a.as_dict()
-    assert a.merge(b).as_dict() == b.merge(a).as_dict()
-    assert a.merge(CacheStats()).as_dict() == a.as_dict()
 
 
 def test_cache_stats_from_dict_round_trips():
@@ -97,33 +151,9 @@ def test_cache_stats_from_dict_round_trips():
     assert CacheStats.from_dict({}).as_dict() == CacheStats().as_dict()
 
 
-# -- RetrievalStats ------------------------------------------------------------------
-
-
-def test_retrieval_stats_merge_and_diff_are_fieldwise():
-    a = RetrievalStats(candidates_ranked=10, matches_attempted=4, fallbacks=1)
-    b = RetrievalStats(candidates_ranked=5, matches_skipped=6)
-    merged = a.merge(b)
-    assert merged.as_dict() == {
-        "candidates_ranked": 15,
-        "matches_attempted": 4,
-        "matches_skipped": 6,
-        "fallbacks": 1,
-    }
-    assert merged.diff(b).as_dict() == a.as_dict()
-    assert a.merge(b).as_dict() == b.merge(a).as_dict()
-    assert a.merge(RetrievalStats()).as_dict() == a.as_dict()
-
-
-def test_retrieval_stats_from_dict_round_trips():
-    stats = RetrievalStats(matches_attempted=9, fallbacks=2)
-    assert RetrievalStats.from_dict(stats.as_dict()).as_dict() == stats.as_dict()
-    assert RetrievalStats.from_dict({}).as_dict() == RetrievalStats().as_dict()
-
-
 def test_snapshots_are_independent_copies():
-    stats = RetrievalStats(candidates_ranked=1)
+    stats = CacheStats(trace_hits=1)
     frozen = stats.snapshot()
-    stats.record(ranked=5)
-    assert frozen.candidates_ranked == 1
-    assert stats.candidates_ranked == 6
+    stats.trace_hits += 5
+    assert frozen.trace_hits == 1
+    assert stats.trace_hits == 6

@@ -11,7 +11,9 @@ Drives the real CLI end to end (the same entry points an operator uses):
 4. assert the two runs' JSONL reports are identical modulo per-attempt
    wall-clock, and that the deterministic counter sections of
    ``results/local/batch_profile.json`` — phase counters, trace/match/
-   repair cache counters, retrieval counters, store paging — are *equal*.
+   repair cache counters, retrieval counters, store paging — are *equal*,
+   key order included: the profile's sections come in the same order and
+   each compared section serialises to the same ``json.dumps`` text.
 
 Exit code 0 on identity, 1 with a section-by-section diff on divergence.
 Used by the ``batch-parallel-smoke`` CI job and ``make
@@ -135,14 +137,24 @@ def main() -> int:
                 f"  --processes 1: {json.dumps(reports[1])}\n"
                 f"  --processes 2: {json.dumps(reports[2])}"
             )
+        if list(profiles[1]) != list(profiles[2]):
+            failures.append(
+                "profile section order diverged:\n"
+                f"  --processes 1: {list(profiles[1])}\n"
+                f"  --processes 2: {list(profiles[2])}"
+            )
         single = dict(profiles[1], phases=profiles[1]["phases"]["counters"])
         merged = dict(profiles[2], phases=profiles[2]["phases"]["counters"])
         for section in ("phases",) + IDENTICAL_SECTIONS:
-            if single[section] != merged[section]:
+            # Compared as serialised text, which is stricter than dict
+            # equality: the merge must also reproduce the key order.
+            single_text = json.dumps(single[section])
+            merged_text = json.dumps(merged[section])
+            if single_text != merged_text:
                 failures.append(
                     f"profile section {section!r} diverged:\n"
-                    f"  --processes 1: {json.dumps(single[section], sort_keys=True)}\n"
-                    f"  --processes 2: {json.dumps(merged[section], sort_keys=True)}"
+                    f"  --processes 1: {single_text}\n"
+                    f"  --processes 2: {merged_text}"
                 )
 
         if failures:
