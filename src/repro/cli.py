@@ -369,15 +369,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     print(f"statuses: {histogram}", file=sys.stderr)
+    cache = summary["cache"]
     print(
-        "cache: trace {trace_hits}/{trace_total} hits, match {match_hits}/{match_total},"
-        " repair {repair_hits}/{repair_total}".format(
-            trace_hits=summary["cache"]["trace_hits"],
-            trace_total=summary["cache"]["trace_hits"] + summary["cache"]["trace_misses"],
-            match_hits=summary["cache"]["match_hits"],
-            match_total=summary["cache"]["match_hits"] + summary["cache"]["match_misses"],
-            repair_hits=summary["cache"]["repair_hits"],
-            repair_total=summary["cache"]["repair_hits"] + summary["cache"]["repair_misses"],
+        "cache: "
+        + ", ".join(
+            f"{table} {cache[f'{table}_hits']}/"
+            f"{cache[f'{table}_hits'] + cache[f'{table}_misses']}"
+            + (" hits" if table == "trace" else "")
+            for table in ("trace", "match", "repair", "site")
         ),
         file=sys.stderr,
     )

@@ -35,12 +35,20 @@ The fast path (docs/ARCHITECTURE.md, "Repair fast path"):
   candidate whose cost reaches the bound cannot be part of a repair
   cheaper than the best already found (costs are non-negative and
   additive), so it is dropped — and the TED DP itself is skipped whenever
-  the cheap lower bound already reaches the bound.
+  the cheap lower bound already reaches the bound;
+* each site's candidates are generated once per canonical renaming of the
+  attempt's variables (``#i`` by position in :func:`variables_for_matching`)
+  and memoized on the :class:`~repro.engine.cache.RepairCaches` handle
+  (:meth:`~repro.engine.cache.RepairCaches.candidate_site`), so attempts
+  that write the same expression under other names share the relation
+  enumeration, screening and TED work; hits are renamed back, with the
+  cost-bound and staleness rules documented there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -217,6 +225,7 @@ def generate_local_repairs(
         location_map: Structural matching π, implementation location →
             representative location.
         caches: The :class:`repro.engine.cache.RepairCaches` handle whose
+            candidate-site memo serves repeated sites (when enabled), whose
             TED memo costs the replacement candidates and whose profiler
             (if any) times the ``ted`` phase and counts candidates.
             Defaults to a fresh instance.
@@ -235,32 +244,35 @@ def generate_local_repairs(
     impl_vars = variables_for_matching(implementation)
     rep_vars = variables_for_matching(representative)
 
+    names = _CanonicalNames(impl_vars) if caches.enabled else None
+
+    def for_site(
+        loc_id: int, rep_loc: int, var: str, impl_expr: Expr, targets: Sequence[str]
+    ) -> list[LocalRepairCandidate]:
+        return _site_candidates(
+            cluster,
+            loc_id,
+            rep_loc,
+            var,
+            impl_expr,
+            targets,
+            rep_vars,
+            impl_vars,
+            names,
+            caches=caches,
+            cost_bound=cost_bound,
+        )
+
     candidates: dict[Site, list[LocalRepairCandidate]] = {}
 
     # Ordinary (non-fixed) variables: every location × variable site.
     for loc_id in implementation.location_ids():
         rep_loc = location_map[loc_id]
         for var in impl_vars:
-            site = Site(loc_id, var, fixed=False)
             impl_expr = implementation.update_for(loc_id, var)
-            site_candidates: list[LocalRepairCandidate] = []
-            for rep_var in rep_vars:
-                site_candidates.extend(
-                    _candidates_for_target(
-                        implementation,
-                        cluster,
-                        loc_id,
-                        rep_loc,
-                        var,
-                        impl_expr,
-                        rep_var,
-                        rep_vars,
-                        impl_vars,
-                        caches=caches,
-                        cost_bound=cost_bound,
-                    )
-                )
-            candidates[site] = _dedupe(site_candidates)
+            candidates[Site(loc_id, var, fixed=False)] = _dedupe(
+                for_site(loc_id, rep_loc, var, impl_expr, rep_vars)
+            )
 
     # Fixed special variables ($cond, $ret, $out, ...): they are related
     # identically, but their expressions still have to match and may need
@@ -276,21 +288,9 @@ def generate_local_repairs(
             pool = cluster.expressions_for(rep_loc, var)
             if impl_expr == Var(var) and rep_expr == Var(var) and not pool:
                 continue
-            site = Site(loc_id, var, fixed=True)
-            site_candidates = _candidates_for_target(
-                implementation,
-                cluster,
-                loc_id,
-                rep_loc,
-                var,
-                impl_expr,
-                var,
-                rep_vars,
-                impl_vars,
-                caches=caches,
-                cost_bound=cost_bound,
+            candidates[Site(loc_id, var, fixed=True)] = _dedupe(
+                for_site(loc_id, rep_loc, var, impl_expr, (var,))
             )
-            candidates[site] = _dedupe(site_candidates)
 
     if caches.profiler is not None:
         # Counter-only: the size of the ILP the solver fast path receives
@@ -304,8 +304,135 @@ def generate_local_repairs(
     return candidates
 
 
+class _CanonicalNames:
+    """The attempt's matching variables renamed ``#i`` by position.
+
+    ``#i`` is the i-th entry of :func:`variables_for_matching`; fixed
+    special variables and names outside that list keep their names.  Source
+    identifiers never start with ``#``, so the renaming is injective.  One
+    instance lives for one :func:`generate_local_repairs` call and renames
+    each distinct canonical replacement expression and relation back once.
+    """
+
+    def __init__(self, impl_vars: Sequence[str]) -> None:
+        self.forward = {var: f"#{index}" for index, var in enumerate(impl_vars)}
+        self.inverse = {name: var for var, name in self.forward.items()}
+        self.variables = tuple(self.forward.values())
+        self._exprs: dict[Expr, Expr] = {}
+        self._omegas: dict[tuple, tuple[tuple[str, str], ...]] = {}
+
+    def restore(
+        self, candidate: LocalRepairCandidate, loc_id: int, var: str
+    ) -> LocalRepairCandidate:
+        """``candidate`` in the attempt's own names, at site ``(loc_id, var)``."""
+        new_expr = candidate.new_expr
+        if new_expr is not None:
+            renamed = self._exprs.get(new_expr)
+            if renamed is None:
+                renamed = intern_expr(new_expr.rename_vars(self.inverse))
+                self._exprs[new_expr] = renamed
+            new_expr = renamed
+        omega = self._omegas.get(candidate.omega)
+        if omega is None:
+            # Re-sorted by real names: _build_ilp adds the relation
+            # implications in omega order.
+            omega = tuple(
+                sorted(
+                    (self.inverse.get(source, source), target)
+                    for source, target in candidate.omega
+                )
+            )
+            self._omegas[candidate.omega] = omega
+        return LocalRepairCandidate(
+            loc_id=loc_id,
+            var=var,
+            rep_var=candidate.rep_var,
+            omega=omega,
+            new_expr=new_expr,
+            cost=candidate.cost,
+            provenance=candidate.provenance,
+        )
+
+
+def _site_candidates(
+    cluster: Cluster,
+    loc_id: int,
+    rep_loc: int,
+    var: str,
+    impl_expr: Expr,
+    targets: Sequence[str],
+    rep_vars: Sequence[str],
+    impl_vars: Sequence[str],
+    names: _CanonicalNames | None,
+    *,
+    caches: "RepairCaches",
+    cost_bound: float | None,
+) -> list[LocalRepairCandidate]:
+    """Candidates for one site against each representative variable in ``targets``.
+
+    With ``names`` (caching enabled) each target's candidates come from the
+    site memo (:meth:`RepairCaches.candidate_site`), computed in canonical
+    names and renamed back; without, they are computed directly in the
+    attempt's names.  Both give the same candidates in the same order:
+    relation enumeration walks ``impl_vars`` and ``rep_vars`` by position,
+    TED compares labels only by equality, and Def. 4.5 screening evaluates
+    the translated expression, which renaming does not change.
+    """
+    out: list[LocalRepairCandidate] = []
+    if names is None:
+        for rep_var in targets:
+            out.extend(
+                _candidates_for_target(
+                    cluster,
+                    loc_id,
+                    rep_loc,
+                    var,
+                    impl_expr,
+                    rep_var,
+                    rep_vars,
+                    impl_vars,
+                    caches=caches,
+                    cost_bound=cost_bound,
+                )
+            )
+        return out
+    canonical_var = names.forward.get(var, var)
+    canonical_expr = intern_expr(impl_expr.rename_vars(names.forward))
+    for rep_var in targets:
+        memoized = caches.candidate_site(
+            (id(cluster), rep_loc, rep_var, canonical_var, canonical_expr, len(impl_vars)),
+            cluster,
+            len(cluster.expressions_for(rep_loc, rep_var)),
+            cost_bound,
+            partial(
+                _candidates_for_target,
+                cluster,
+                loc_id,
+                rep_loc,
+                canonical_var,
+                canonical_expr,
+                rep_var,
+                rep_vars,
+                names.variables,
+                caches=caches,
+                cost_bound=cost_bound,
+            ),
+        )
+        for candidate in memoized:
+            # A memo entry generated under a wider bound (or none) still
+            # holds replacements this query's bound prunes; keep candidates
+            # (cost 0) always pass, as on the direct path.
+            if (
+                cost_bound is not None
+                and candidate.new_expr is not None
+                and candidate.cost >= cost_bound
+            ):
+                continue
+            out.append(names.restore(candidate, loc_id, var))
+    return out
+
+
 def _candidates_for_target(
-    implementation: Program,
     cluster: Cluster,
     loc_id: int,
     rep_loc: int,

@@ -4,7 +4,7 @@ MOOC dumps are highly redundant: students resubmit unchanged code, copy each
 other, and converge on the same handful of mistakes, so a naive loop over a
 corpus re-executes identical programs and re-matches identical control-flow
 graphs thousands of times.  This module provides :class:`RepairCaches`, one
-object bundling three memo tables that remove that redundancy:
+object bundling four memo tables that remove that redundancy:
 
 * a **trace/correctness cache** — executions of a program on a case set
   (Def. 3.5 traces, and the correctness predicate of §1, footnote 1) are
@@ -22,7 +22,14 @@ object bundling three memo tables that remove that redundancy:
   identity, clustering version, budget, source positions), so duplicate
   attempts skip the ILP entirely; see
   :meth:`RepairCaches.repair_outcome` for what is deliberately *not*
-  cached.
+  cached;
+* a **candidate-site memo** — the local repair candidates of one
+  (cluster, representative site, attempt site) triple, computed with the
+  attempt's variables renamed ``#i`` by position
+  (:func:`repro.core.localrepair.generate_local_repairs`), so attempts that
+  write the same expression under different names share one candidate
+  generation; see :meth:`RepairCaches.candidate_site` for the staleness
+  and cost-bound rules.
 
 It additionally owns the three fast-path memos and threads them into the
 layers that use them: a :class:`repro.ted.TedCache` (annotations + edit
@@ -47,15 +54,16 @@ instance safe to share across the worker threads of
 :class:`repro.engine.batch.BatchRepairEngine`.  Constructing the caches with
 ``enabled=False`` turns every lookup into a miss without storing anything,
 which is how the uncached baseline of ``benchmarks/test_batch_throughput.py``
-is measured.
+is measured; candidate generation then bypasses the site memo entirely and
+computes in the attempt's own variable names.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, MutableMapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, MutableMapping, Sequence
 
 from ..clusterstore.fingerprint import Fingerprint, program_fingerprint
 from ..core.inputs import InputCase, program_traces, trace_passes_case
@@ -68,6 +76,10 @@ from ..model.program import Program
 from ..model.trace import Trace
 from ..retrieval import RetrievalStats
 from ..ted import TedCache
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..core.clustering import Cluster
+    from ..core.localrepair import LocalRepairCandidate
 
 __all__ = ["CacheStats", "RepairCaches", "case_set_key", "freeze_key"]
 
@@ -112,14 +124,30 @@ def case_set_key(cases: Sequence[InputCase]) -> tuple:
     return tuple(_case_key(case) for case in cases)
 
 
+#: Bulk-flush threshold of the candidate-site memo.  Like the expression
+#: intern table, a rare full clear only costs recomputation, so there is no
+#: per-entry eviction bookkeeping.
+MAX_CANDIDATE_SITES = 1 << 14
+
+
 @dataclass
 class CacheStats:
-    """Hit/miss counters for the three memo tables.
+    """Hit/miss counters for the memo tables.
 
     ``trace`` counts trace/correctness lookups, ``match`` counts
-    structural-match lookups, ``repair`` counts whole-outcome lookups.  A
-    lookup with caching disabled counts as a miss, so hit rates remain
-    comparable between cached and uncached runs.
+    structural-match lookups, ``repair`` counts whole-outcome lookups and
+    ``site`` counts candidate-site lookups.  A lookup with caching disabled
+    counts as a miss, so hit rates remain comparable between cached and
+    uncached runs; the exception is the site memo, which disabled caches
+    bypass without a lookup (its counters stay 0).
+
+    The site counters are deterministic for a fixed sequence of repairs on
+    one thread, and they do not depend on how ``batch --processes`` shards
+    while :func:`repro.engine.parallel.shard_plan` shards by CFG skeleton:
+    the memo is keyed per cluster, a cluster only ever serves attempts of
+    its own skeleton (Def. 4.1), and the store pager never evicts a loaded
+    cluster, so every shard sees the same lookups for its clusters in the
+    same order as one process would.
     """
 
     trace_hits: int = 0
@@ -128,6 +156,8 @@ class CacheStats:
     match_misses: int = 0
     repair_hits: int = 0
     repair_misses: int = 0
+    site_hits: int = 0
+    site_misses: int = 0
 
     @staticmethod
     def _rate(hits: int, misses: int) -> float:
@@ -146,6 +176,10 @@ class CacheStats:
     def repair_hit_rate(self) -> float:
         return self._rate(self.repair_hits, self.repair_misses)
 
+    @property
+    def site_hit_rate(self) -> float:
+        return self._rate(self.site_hits, self.site_misses)
+
     def as_dict(self) -> dict[str, float]:
         """Flat dict of all counters and rates, for JSON reports."""
         return {
@@ -158,17 +192,13 @@ class CacheStats:
             "repair_hits": self.repair_hits,
             "repair_misses": self.repair_misses,
             "repair_hit_rate": self.repair_hit_rate,
+            "site_hits": self.site_hits,
+            "site_misses": self.site_misses,
+            "site_hit_rate": self.site_hit_rate,
         }
 
     def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            trace_hits=self.trace_hits,
-            trace_misses=self.trace_misses,
-            match_hits=self.match_hits,
-            match_misses=self.match_misses,
-            repair_hits=self.repair_hits,
-            repair_misses=self.repair_misses,
-        )
+        return replace(self)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -179,6 +209,8 @@ class CacheStats:
         "match_misses",
         "repair_hits",
         "repair_misses",
+        "site_hits",
+        "site_misses",
     )
 
     @classmethod
@@ -265,6 +297,9 @@ class RepairCaches:
     _repair_inflight: dict[tuple, threading.Event] = field(
         default_factory=dict, init=False, repr=False
     )
+    #: Candidate-site memo: key -> (cluster, its ``expressions`` dict, pool
+    #: length, cost bound, canonical candidates); see :meth:`candidate_site`.
+    _sites: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ted is None:
@@ -490,6 +525,71 @@ class RepairCaches:
                 self._repair_inflight.pop(key, None)
             event.set()
 
+    # -- candidate-site memo ---------------------------------------------------------
+
+    def candidate_site(
+        self,
+        key: tuple,
+        cluster: "Cluster",
+        pool_size: int,
+        cost_bound: float | None,
+        compute: Callable[[], list["LocalRepairCandidate"]],
+    ) -> list["LocalRepairCandidate"]:
+        """Canonical local repair candidates of one site, memoized.
+
+        Args:
+            key: ``(id(cluster), rep_loc, rep_var, canonical var, canonical
+                impl_expr, len(impl_vars))`` as built by
+                :func:`repro.core.localrepair.generate_local_repairs`.
+            cluster: The cluster the candidates are drawn from.
+            pool_size: Current length of the cluster's pool at
+                ``(rep_loc, rep_var)``.
+            cost_bound: The query's branch-and-bound budget (``None`` for
+                none).
+            compute: Generates the candidates under ``cost_bound`` on a miss.
+
+        An entry is *fresh* when it was stored for this very ``cluster``
+        object, whose ``expressions`` dict is still the same object and
+        whose pool still has ``pool_size`` entries — pools are
+        append-or-replace (:meth:`Cluster.pool_index_for` uses the same
+        rule), so ``add_member`` and the representative-only ablation both
+        show up here.  A fresh entry generated under bound ``B`` serves any
+        query with ``cost_bound <= B``, and one generated without a bound
+        serves every query.  The returned list may therefore hold
+        replacement candidates whose cost reaches ``cost_bound``; the
+        caller drops them (costs below a TED budget are exact, so what
+        remains is exactly what ``compute`` would return).  Anything else
+        recomputes and replaces the entry.  Computation runs outside the
+        lock; the table is cleared in bulk at :data:`MAX_CANDIDATE_SITES`.
+        """
+        with self._lock:
+            entry = self._sites.get(key)
+            if (
+                entry is not None
+                and entry[0] is cluster
+                and entry[1] is cluster.expressions
+                and entry[2] == pool_size
+                and (
+                    entry[3] is None
+                    or (cost_bound is not None and cost_bound <= entry[3])
+                )
+            ):
+                self.stats.site_hits += 1
+                return entry[4]
+            self.stats.site_misses += 1
+        candidates = compute()
+        with self._lock:
+            if len(self._sites) >= MAX_CANDIDATE_SITES:
+                self._sites.clear()
+            self._sites[key] = (
+                cluster,
+                cluster.expressions,
+                pool_size,
+                cost_bound,
+                candidates,
+            )
+        return candidates
+
     # -- maintenance ---------------------------------------------------------------
 
     def drop_repair_memos(self, token: object) -> int:
@@ -500,12 +600,15 @@ class RepairCaches:
         retired — e.g. a service hot reload replacing one generation of
         engine with the next — so a long-lived shared cache does not
         accumulate unreachable entries for pipelines that no longer exist.
-        Returns the number of entries evicted.
+        The candidate-site memo is emptied too (its entries pin their
+        clusters, which a reload retires).  Returns the number of repair
+        outcomes evicted.
         """
         with self._lock:
             dead = [key for key in self._repairs if key[1][0] is token]
             for key in dead:
                 del self._repairs[key]
+            self._sites.clear()
             return len(dead)
 
     def clear(self) -> None:
@@ -517,6 +620,7 @@ class RepairCaches:
             self._matches.clear()
             self._fingerprints.clear()
             self._repairs.clear()
+            self._sites.clear()
         self.ted.clear()
         self.compiled.clear()
         self.solve.clear()
@@ -530,6 +634,7 @@ class RepairCaches:
                 "matches": len(self._matches),
                 "fingerprints": len(self._fingerprints),
                 "repairs": len(self._repairs),
+                "candidate_sites": len(self._sites),
             }
         counts.update(self.ted.entry_counts())
         counts.update(self.compiled.entry_counts())

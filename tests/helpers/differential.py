@@ -46,6 +46,25 @@ def report_rows(report):
     ]
 
 
+def candidate_fields(candidates):
+    """Comparable projection of ``generate_local_repairs`` output.
+
+    Sites in their order, each with its candidates in order and field for
+    field; the ILP numbers its variables in this order, so order is part of
+    the contract.
+    """
+    return [
+        (
+            site,
+            [
+                (c.loc_id, c.var, c.rep_var, c.omega, c.new_expr, c.cost, c.provenance)
+                for c in site_candidates
+            ],
+        )
+        for site, site_candidates in candidates.items()
+    ]
+
+
 def assert_repairs_field_identical(actual, baseline):
     """Assert two sequences of repairs are pairwise field-identical."""
     assert [repair_fields(r) for r in actual] == [repair_fields(r) for r in baseline]

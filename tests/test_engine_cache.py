@@ -104,6 +104,7 @@ def test_disabled_caches_always_recompute(deriv_cases, paper_sources):
         "matches": 0,
         "fingerprints": 0,
         "repairs": 0,
+        "candidate_sites": 0,
         "ted_annotations": 0,
         "ted_distances": 0,
         "compiled_exprs": 0,

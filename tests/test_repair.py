@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers.differential import assert_repairs_field_identical, candidate_fields, repair_fields
 
 from repro.core.clustering import cluster_programs
 from repro.core.inputs import is_correct
@@ -374,3 +375,180 @@ def test_generate_local_repairs_prunes_only_at_or_above_bound(
             "pruning must drop exactly the candidates whose cost reaches the "
             "bound, with identical costs for the survivors"
         )
+
+
+# -- the candidate-site memo -----------------------------------------------------------
+
+
+def _local_repairs(implementation, cluster, caches, cost_bound=None):
+    location_map = structural_match(implementation, cluster.representative)
+    return generate_local_repairs(
+        implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
+    )
+
+
+def _uncached(implementation, cluster, cost_bound=None):
+    from repro.engine import RepairCaches
+
+    return candidate_fields(
+        _local_repairs(implementation, cluster, RepairCaches(enabled=False), cost_bound)
+    )
+
+
+def test_site_memo_serves_a_renamed_twin_field_identically(paper_sources, deriv_cluster):
+    """The twin renames ``new``/``i`` so that sorting by real names orders
+    the relations differently from the canonical ``#i`` positions: the
+    memo's answer has to be renamed back and re-sorted to match."""
+    from repro.engine import RepairCaches
+
+    original = parse_python_source(paper_sources["I1"])
+    twin = original.rename_variables({"new": "znew", "i": "ai"})
+    caches = RepairCaches()
+    _local_repairs(original, deriv_cluster, caches)
+    misses = caches.stats.site_misses
+    assert caches.stats.site_hits == 0 and misses > 0
+
+    served = candidate_fields(_local_repairs(twin, deriv_cluster, caches))
+    assert caches.stats.site_misses == misses
+    assert caches.stats.site_hits == misses
+    assert served == _uncached(twin, deriv_cluster)
+    assert any(
+        len(fields[3]) > 1 for _, site in served for fields in site
+    ), "the twin must have multi-variable relations"
+
+    clusters = [deriv_cluster]
+    assert_repairs_field_identical(
+        [find_best_repair(twin, clusters, caches=caches)],
+        [find_best_repair(twin, clusters, caches=RepairCaches(enabled=False))],
+    )
+
+
+def test_site_memo_cost_bounds(paper_sources, deriv_cluster):
+    from repro.engine import RepairCaches
+
+    implementation = parse_python_source(paper_sources["I2"])
+    costs = sorted(
+        fields[5]
+        for _, site in _uncached(implementation, deriv_cluster)
+        for fields in site
+        if fields[5] > 0
+    )
+    bound = float(costs[len(costs) // 2])
+
+    # Unbounded first: every narrower query is a hit, with no TED work.
+    caches = RepairCaches()
+    _local_repairs(implementation, deriv_cluster, caches)
+    dp_runs, misses = caches.ted.dp_runs, caches.stats.site_misses
+    for narrower in (bound, 1.0, 0):
+        served = candidate_fields(_local_repairs(implementation, deriv_cluster, caches, narrower))
+        assert served == _uncached(implementation, deriv_cluster, narrower)
+        assert caches.ted.dp_runs == dp_runs
+        assert caches.stats.site_misses == misses
+    # Keep candidates (cost 0) survive even a zero bound, as on the direct path.
+    assert any(fields[4] is None for _, site in served for fields in site)
+
+    # Bounded first: a wider bound, or none, has to recompute.
+    caches = RepairCaches()
+    _local_repairs(implementation, deriv_cluster, caches, bound)
+    for wider in (bound + 2, None):
+        misses = caches.stats.site_misses
+        served = candidate_fields(_local_repairs(implementation, deriv_cluster, caches, wider))
+        assert served == _uncached(implementation, deriv_cluster, wider)
+        assert caches.stats.site_misses > misses
+
+
+def test_site_memo_sees_changed_pools(paper_sources, deriv_cases):
+    from repro.core.matching import find_matching
+    from repro.core.pipeline import Clara
+    from repro.engine import RepairCaches
+
+    implementation = parse_python_source(paper_sources["I1"])
+    c1, c2 = (parse_python_source(paper_sources[name]) for name in ("C1", "C2"))
+
+    # A pool that grows through add_member.
+    cluster = cluster_programs([c1], deriv_cases).clusters[0]
+    caches = RepairCaches()
+    before = candidate_fields(_local_repairs(implementation, cluster, caches))
+    witness = find_matching(c2, cluster.representative, deriv_cases)
+    assert witness is not None
+    cluster.add_member(c2, witness)
+    after = candidate_fields(_local_repairs(implementation, cluster, caches))
+    assert after == _uncached(implementation, cluster)
+    assert after != before
+
+    # Pools replaced by the representative-only ablation.
+    cluster = cluster_programs([c1, c2], deriv_cases).clusters[0]
+    caches = RepairCaches()
+    before = candidate_fields(_local_repairs(implementation, cluster, caches))
+    Clara._restrict_to_representative(cluster)
+    after = candidate_fields(_local_repairs(implementation, cluster, caches))
+    assert after == _uncached(implementation, cluster)
+    assert after != before
+
+
+def test_site_memo_is_emptied_by_clear_and_drop_repair_memos(paper_sources, deriv_cluster):
+    from repro.engine import RepairCaches
+
+    implementation = parse_python_source(paper_sources["I1"])
+    caches = RepairCaches()
+    for empty in (caches.clear, lambda: caches.drop_repair_memos(object())):
+        _local_repairs(implementation, deriv_cluster, caches)
+        assert caches.entry_counts()["candidate_sites"] == caches.stats.site_misses > 0
+        empty()
+        assert caches.entry_counts()["candidate_sites"] == 0
+        caches.stats.site_misses = 0
+
+    uncached = RepairCaches(enabled=False)
+    _local_repairs(implementation, deriv_cluster, uncached)
+    assert uncached.entry_counts()["candidate_sites"] == 0
+    assert uncached.stats.site_hits == uncached.stats.site_misses == 0
+
+
+def test_site_memo_is_shared_safely_across_threads(paper_sources, deriv_cases):
+    """More threads than cores repair renamed twins through one cache with
+    a short switch interval: every result equals the uncached reference,
+    and no lookup is lost from the hit/miss counters."""
+    import threading
+
+    from repro.engine import RepairCaches
+
+    clusters = [
+        cluster_programs([parse_python_source(paper_sources[name])], deriv_cases).clusters[0]
+        for name in ("C1", "C2")
+    ]
+    clusters[1].cluster_id = 1
+    twins = [
+        parse_python_source(paper_sources[name]).rename_variables(
+            {"i": f"i{index}", "result": f"r{index}", "new": f"n{index}"}
+        )
+        for index in range(4)
+        for name in ("I1", "I2")
+    ]
+    expected = [
+        repair_fields(find_best_repair(twin, clusters, caches=RepairCaches(enabled=False)))
+        for twin in twins
+    ]
+    sequential = RepairCaches()
+    for twin in twins:
+        find_best_repair(twin, clusters, caches=sequential)
+    lookups = sequential.stats.site_hits + sequential.stats.site_misses
+
+    shared = RepairCaches()
+    results: dict[int, object] = {}
+
+    def work(index):
+        results[index] = repair_fields(find_best_repair(twins[index], clusters, caches=shared))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(twins))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[i] for i in range(len(twins))] == expected
+    assert shared.stats.site_hits + shared.stats.site_misses == lookups

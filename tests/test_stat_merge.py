@@ -126,8 +126,12 @@ def test_merge_phases_rounds_summed_timings():
 
 
 def test_cache_stats_merge_and_diff_are_fieldwise():
-    a = CacheStats(trace_hits=3, trace_misses=1, match_hits=5, repair_misses=2)
-    b = CacheStats(trace_hits=1, match_misses=4, repair_hits=6, repair_misses=1)
+    a = CacheStats(
+        trace_hits=3, trace_misses=1, match_hits=5, repair_misses=2, site_hits=9
+    )
+    b = CacheStats(
+        trace_hits=1, match_misses=4, repair_hits=6, repair_misses=1, site_misses=3
+    )
     # The payloads carry derived hit rates, which sum to nonsense; from_dict
     # ignores them and recomputes the rates from the summed counters.
     merged = CacheStats.from_dict(sum_counters([a.as_dict(), b.as_dict()]))
@@ -138,16 +142,20 @@ def test_cache_stats_merge_and_diff_are_fieldwise():
         match_misses=4,
         repair_hits=6,
         repair_misses=3,
+        site_hits=9,
+        site_misses=3,
     )
     assert merged.as_dict() == expected.as_dict()
     assert merged.trace_hit_rate == 0.8
     assert merged.repair_hit_rate == 6 / 9
+    assert merged.site_hit_rate == 0.75
     assert merged.diff(b).as_dict() == a.as_dict()
 
 
 def test_cache_stats_from_dict_round_trips():
-    stats = CacheStats(trace_hits=7, match_misses=2, repair_hits=1)
+    stats = CacheStats(trace_hits=7, match_misses=2, repair_hits=1, site_hits=4, site_misses=1)
     assert CacheStats.from_dict(stats.as_dict()).as_dict() == stats.as_dict()
+    assert list(stats.as_dict())[-3:] == ["site_hits", "site_misses", "site_hit_rate"]
     assert CacheStats.from_dict({}).as_dict() == CacheStats().as_dict()
 
 

@@ -13,7 +13,11 @@ Drives the real CLI end to end (the same entry points an operator uses):
    ``results/local/batch_profile.json`` — phase counters, trace/match/
    repair cache counters, retrieval counters, store paging — are *equal*,
    key order included: the profile's sections come in the same order and
-   each compared section serialises to the same ``json.dumps`` text.
+   each compared section serialises to the same ``json.dumps`` text;
+5. assert the one-process run reused candidate sites
+   (``cache["site_hits"] > 0``): the non-ASCII attempt writes the
+   single-loop attempt's expressions under another variable name.  With
+   step 4, this pins that the site counters do not depend on sharding.
 
 Exit code 0 on identity, 1 with a section-by-section diff on divergence.
 Used by the ``batch-parallel-smoke`` CI job and ``make
@@ -131,6 +135,11 @@ def main() -> int:
             reports[processes] = _rows(report_path)
 
         failures = []
+        if not profiles[1]["cache"]["site_hits"] > 0:
+            failures.append(
+                "--processes 1 reused no candidate site: "
+                f"{json.dumps(profiles[1]['cache'])}"
+            )
         if reports[1] != reports[2]:
             failures.append(
                 "JSONL report rows diverged:\n"
