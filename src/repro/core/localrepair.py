@@ -42,7 +42,9 @@ The fast path (docs/ARCHITECTURE.md, "Repair fast path"):
   (:meth:`~repro.engine.cache.RepairCaches.candidate_site`), so attempts
   that write the same expression under other names share the relation
   enumeration, screening and TED work; hits are renamed back, with the
-  cost-bound and staleness rules documented there.
+  cost-bound and staleness rules documented there;
+* the fixed-variable sites are generated first, and a cluster they alone
+  refute (:func:`fixed_sites_refute`) gets no ordinary site generated.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ __all__ = [
     "LocalRepairCandidate",
     "expressions_match",
     "enumerate_partial_relations",
+    "fixed_sites_refute",
     "generate_local_repairs",
     "Site",
 ]
@@ -233,6 +236,17 @@ def generate_local_repairs(
             already found.  Candidates whose cost reaches it are dropped;
             repairs cheaper than the bound are unaffected (see
             :func:`repro.core.repair.find_best_repair`).
+
+    Returns:
+        Each site's candidates, cheapest first: the ordinary sites, then the
+        fixed ones.  The fixed sites are generated first, and as soon as
+        :func:`fixed_sites_refute` holds for them (a fixed site has no
+        candidate, or their cheapest candidates sum to at least
+        ``cost_bound``) generation stops: the dict then holds only the fixed
+        sites generated so far, in order, and no ordinary site.  No repair
+        against the cluster is cheaper than the bound in that case, and
+        :func:`repro.core.repair.repair_against_cluster` returns ``None``
+        for it without building an ILP.
     """
     if caches is None:
         # Imported lazily: the engine package imports core modules at
@@ -263,20 +277,12 @@ def generate_local_repairs(
             cost_bound=cost_bound,
         )
 
-    candidates: dict[Site, list[LocalRepairCandidate]] = {}
-
-    # Ordinary (non-fixed) variables: every location × variable site.
-    for loc_id in implementation.location_ids():
-        rep_loc = location_map[loc_id]
-        for var in impl_vars:
-            impl_expr = implementation.update_for(loc_id, var)
-            candidates[Site(loc_id, var, fixed=False)] = _dedupe(
-                for_site(loc_id, rep_loc, var, impl_expr, rep_vars)
-            )
-
-    # Fixed special variables ($cond, $ret, $out, ...): they are related
-    # identically, but their expressions still have to match and may need
-    # repair (e.g. a wrong loop condition or a wrong return expression).
+    # Fixed special variables ($cond, $ret, $out, ...) first: they are
+    # related identically, but their expressions still have to match and
+    # may need repair (e.g. a wrong loop condition or a wrong return
+    # expression).  Each fixed site must take one of its candidates, so
+    # they alone can refute the cluster before any ordinary site is built.
+    fixed: dict[Site, list[LocalRepairCandidate]] = {}
     fixed_vars = sorted(
         (set(implementation.variables) | set(representative.variables)) & FIXED_VARS
     )
@@ -288,10 +294,55 @@ def generate_local_repairs(
             pool = cluster.expressions_for(rep_loc, var)
             if impl_expr == Var(var) and rep_expr == Var(var) and not pool:
                 continue
-            candidates[Site(loc_id, var, fixed=True)] = _dedupe(
+            fixed[Site(loc_id, var, fixed=True)] = _dedupe(
                 for_site(loc_id, rep_loc, var, impl_expr, (var,))
             )
+            if fixed_sites_refute(fixed, cost_bound):
+                _count_candidates(caches, fixed)
+                return fixed
 
+    # Ordinary (non-fixed) variables: every location × variable site.
+    candidates: dict[Site, list[LocalRepairCandidate]] = {}
+    for loc_id in implementation.location_ids():
+        rep_loc = location_map[loc_id]
+        for var in impl_vars:
+            impl_expr = implementation.update_for(loc_id, var)
+            candidates[Site(loc_id, var, fixed=False)] = _dedupe(
+                for_site(loc_id, rep_loc, var, impl_expr, rep_vars)
+            )
+    candidates.update(fixed)
+    _count_candidates(caches, candidates)
+    return candidates
+
+
+def fixed_sites_refute(
+    candidates: Mapping[Site, Sequence[LocalRepairCandidate]],
+    cost_bound: float | None,
+) -> bool:
+    """Whether the fixed sites alone rule out a repair cheaper than ``cost_bound``.
+
+    True when a fixed site has no candidate, or when the cheapest
+    candidates of the fixed sites already sum to at least ``cost_bound``.
+    A fixed site's ILP group is "exactly one of its candidates", with no
+    deletion option, and every cost in the ILP is non-negative and
+    additive, so either way no repair against the cluster costs less than
+    the bound (docs/ARCHITECTURE.md, "Cost-bounded cluster search").
+    """
+    floor = 0
+    for site, site_candidates in candidates.items():
+        if not site.fixed:
+            continue
+        if not site_candidates:
+            return True
+        floor += min(candidate.cost for candidate in site_candidates)
+        if cost_bound is not None and floor >= cost_bound:
+            return True
+    return False
+
+
+def _count_candidates(
+    caches: "RepairCaches", candidates: Mapping[Site, Sequence[LocalRepairCandidate]]
+) -> None:
     if caches.profiler is not None:
         # Counter-only: the size of the ILP the solver fast path receives
         # (one indicator variable per surviving candidate, see
@@ -301,7 +352,6 @@ def generate_local_repairs(
             "candidates_generated",
             sum(len(site_candidates) for site_candidates in candidates.values()),
         )
-    return candidates
 
 
 class _CanonicalNames:

@@ -27,7 +27,12 @@ from ..ilp import IlpProblem, InfeasibleError, solve_fast
 from ..model.expr import Expr, Var
 from ..model.program import Program
 from .clustering import Cluster
-from .localrepair import LocalRepairCandidate, Site, generate_local_repairs
+from .localrepair import (
+    LocalRepairCandidate,
+    Site,
+    fixed_sites_refute,
+    generate_local_repairs,
+)
 from .matching import FIXED_VARS, structural_match, variables_for_matching
 from .profile import profiled
 
@@ -210,6 +215,8 @@ def _build_ilp(
             else:
                 # A fixed site with no candidate at all: unrepairable against
                 # this cluster (e.g. no matching loop condition exists).
+                # repair_against_cluster refutes such a cluster before
+                # building; only direct callers see this marker.
                 problem.add_constraint([], "==", 1.0, name="infeasible")
         else:
             group = names + [_del_var(site.var)]
@@ -515,7 +522,13 @@ def repair_against_cluster(
             unpruned path, while a cluster whose cheapest repair reaches
             the bound may return a different same-or-costlier repair or
             ``None`` — callers comparing with a strict ``<``
-            (:func:`find_best_repair`) are unaffected.
+            (:func:`find_best_repair`) are unaffected.  When the fixed
+            sites alone refute the cluster
+            (:func:`repro.core.localrepair.fixed_sites_refute`: a fixed site
+            without candidates, or fixed-site minimum costs summing to at
+            least the bound), :func:`generate_local_repairs` returns only
+            those fixed sites and ``None`` is returned here without building
+            or solving an ILP — the same ``None`` the solve would give.
 
     Returns:
         The cheapest consistent repair, or ``None`` when the control flow
@@ -538,6 +551,10 @@ def repair_against_cluster(
         candidates = generate_local_repairs(
             implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
         )
+    if fixed_sites_refute(candidates, cost_bound):
+        # The fixed sites alone prove that nothing beats the bound (or that
+        # no repair exists); the dict holds only them, so nothing is solved.
+        return None
 
     if solver == "enumerate":
         with profiled(profiler, "ilp"):

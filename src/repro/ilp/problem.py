@@ -24,9 +24,6 @@ class Constraint:
     rhs: float
     name: str = ""
 
-    def variables(self) -> list[str]:
-        return [var for var, _ in self.coeffs]
-
 
 @dataclass
 class IlpSolution:
@@ -42,12 +39,16 @@ class IlpSolution:
 
 
 class IlpProblem:
-    """A 0-1 ILP under construction."""
+    """A 0-1 ILP under construction.
+
+    ``index`` maps each variable to its position in ``variables``, assigned
+    as it is declared; the solver indexes its rows by it.
+    """
 
     def __init__(self, *, minimize: bool = True) -> None:
         self.minimize = minimize
         self.variables: list[str] = []
-        self._variable_set: set[str] = set()
+        self.index: dict[str, int] = {}
         self.constraints: list[Constraint] = []
         self.objective: dict[str, float] = {}
 
@@ -55,9 +56,9 @@ class IlpProblem:
 
     def add_variable(self, name: str, objective: float = 0.0) -> str:
         """Declare a binary variable; repeated declarations are idempotent."""
-        if name not in self._variable_set:
+        if name not in self.index:
+            self.index[name] = len(self.variables)
             self.variables.append(name)
-            self._variable_set.add(name)
         if objective:
             self.objective[name] = self.objective.get(name, 0.0) + objective
         return name
@@ -72,9 +73,15 @@ class IlpProblem:
         """Add ``sum(coeff * var) sense rhs``; unknown variables are declared."""
         if sense not in ("==", ">=", "<="):
             raise ValueError(f"invalid constraint sense: {sense!r}")
-        items = tuple(coeffs.items()) if isinstance(coeffs, Mapping) else tuple(coeffs)
+        # A list or tuple skips the (slower) Mapping ABC check.
+        if type(coeffs) in (list, tuple) or not isinstance(coeffs, Mapping):
+            items = tuple(coeffs)
+        else:
+            items = tuple(coeffs.items())
+        index = self.index
         for var, _ in items:
-            self.add_variable(var)
+            if var not in index:
+                self.add_variable(var)
         constraint = Constraint(items, sense, float(rhs), name)
         self.constraints.append(constraint)
         return constraint

@@ -117,17 +117,18 @@ class _Solver:
     ) -> None:
         self.problem = problem
         self.node_limit = node_limit
-        self.variables = list(problem.variables)
-        index = {var: i for i, var in enumerate(self.variables)}
+        self.variables = problem.variables
+        index = problem.index
         # Objective in the normalized (minimisation) space.
         self.cost = [problem.objective.get(var, 0.0) for var in self.variables]
         if not problem.minimize:
             self.cost = [-coeff for coeff in self.cost]
 
-        # Rows: each variable's coefficients merged into (pos, neg), the sums
-        # of its positive and negative occurrences, so a variable repeated in
-        # a row moves the row's bounds exactly as its occurrences would.  A
-        # row is consistent while lower <= row_max and upper >= row_min.
+        # Rows: each variable's coefficients as (pos, neg), the sums of its
+        # positive and negative occurrences, so a variable repeated in a row
+        # moves the row's bounds exactly as its occurrences would (a row
+        # without repeats needs no merging).  A row is consistent while
+        # lower <= row_max and upper >= row_min.
         self.row_terms: list[list[tuple[int, float, float]]] = []
         self.row_min: list[float] = []
         self.row_max: list[float] = []
@@ -138,31 +139,37 @@ class _Solver:
         # "Exactly one" choice groups, as member index lists (a repeated
         # member stays repeated, as in the constraint).
         self.groups: list[list[int]] = []
+        var_rows, inf = self.var_rows, float("inf")
         for row, constraint in enumerate(problem.constraints):
-            merged: dict[int, tuple[float, float]] = {}
-            for var, coeff in constraint.coeffs:
-                pos, neg = merged.get(index[var], (0.0, 0.0))
-                merged[index[var]] = (pos + coeff, neg) if coeff >= 0 else (pos, neg + coeff)
-            terms = [(var, pos, neg) for var, (pos, neg) in merged.items()]
+            coeffs = constraint.coeffs
+            terms = [
+                (index[var], coeff, 0.0) if coeff >= 0 else (index[var], 0.0, coeff)
+                for var, coeff in coeffs
+            ]
+            if len({term[0] for term in terms}) < len(terms):
+                merged: dict[int, tuple[float, float]] = {}
+                for var, pos, neg in terms:
+                    old_pos, old_neg = merged.get(var, (0.0, 0.0))
+                    merged[var] = (old_pos + pos, old_neg + neg)
+                terms = [(var, pos, neg) for var, (pos, neg) in merged.items()]
             self.row_terms.append(terms)
             low = high = widest = 0.0
             for var, pos, neg in terms:
-                self.var_rows[var].append((row, pos, neg))
+                var_rows[var].append((row, pos, neg))
                 low += neg
                 high += pos
-                widest = max(widest, pos, -neg)
+                if pos > widest:
+                    widest = pos
+                if -neg > widest:
+                    widest = -neg
             self.lower.append(low)
             self.upper.append(high)
             self.row_widest.append(widest)
             rhs, sense = constraint.rhs, constraint.sense
-            self.row_min.append(rhs - _EPS if sense != "<=" else float("-inf"))
-            self.row_max.append(rhs + _EPS if sense != ">=" else float("inf"))
-            if (
-                sense == "=="
-                and rhs == 1.0
-                and all(coeff == 1.0 for _, coeff in constraint.coeffs)
-            ):
-                self.groups.append([index[var] for var, _ in constraint.coeffs])
+            self.row_min.append(rhs - _EPS if sense != "<=" else -inf)
+            self.row_max.append(rhs + _EPS if sense != ">=" else inf)
+            if sense == "==" and rhs == 1.0 and all(coeff == 1.0 for _, coeff in coeffs):
+                self.groups.append([index[var] for var, _ in coeffs])
         # Variables whose (normalized) cost is negative: every one still
         # unassigned may yet lower the objective, so the lower bound must
         # charge them.  Repair instances have non-negative costs only, but
@@ -379,4 +386,17 @@ class _Solver:
             self._undo(*marks)
 
     def _complete_is_feasible(self) -> bool:
-        return self.problem.is_feasible(dict(zip(self.variables, self.values)))
+        """Check the complete assignment against every row's activity.
+
+        The same check as :meth:`IlpProblem.is_feasible` (the spec), on the
+        int-indexed rows and the value array.
+        """
+        values, row_min, row_max = self.values, self.row_min, self.row_max
+        for row, terms in enumerate(self.row_terms):
+            activity = 0.0
+            for var, pos, neg in terms:
+                if values[var]:
+                    activity += pos + neg
+            if activity < row_min[row] or activity > row_max[row]:
+                return False
+        return True

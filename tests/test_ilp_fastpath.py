@@ -36,6 +36,7 @@ from repro.ilp import (
     solve,
     solve_fast,
 )
+from repro.ilp.solver import _Solver
 
 SEED = 20180618
 
@@ -163,7 +164,7 @@ def test_solve_fast_objective_identical_on_def55_problems():
 # dispatches to is the memo, which answers without exploring a node.
 
 
-def test_degenerate_dispatch_is_exact_and_explores_no_nodes():
+def test_memoized_assignment_problems_are_exact_and_explore_no_nodes():
     rng = random.Random(SEED)
     solved = infeasible = 0
     for trial in range(150):
@@ -191,7 +192,7 @@ def test_degenerate_dispatch_is_exact_and_explores_no_nodes():
     assert solved > 50 and infeasible > 10  # both regimes exercised
 
 
-def test_solutions_returned_by_degenerate_dispatch_are_feasible():
+def test_memoized_assignment_problem_solutions_are_feasible():
     rng = random.Random(SEED + 1)
     returned = 0
     for trial in range(80):
@@ -367,8 +368,10 @@ def test_unproven_infeasibility_is_not_cached():
 
 
 def test_empty_choice_group_is_proven_infeasible():
-    # ``sum([]) == 1`` is the marker _build_ilp emits for an unrepairable
-    # fixed site: root propagation refutes it before any node is explored.
+    # ``sum([]) == 1`` is the marker _build_ilp emits for a fixed site with
+    # no candidate.  Repair refutes such a cluster before building an ILP
+    # (fixed_sites_refute), so only direct _build_ilp callers solve it; root
+    # propagation refutes it before any node is explored.
     problem = IlpProblem()
     problem.add_variable("x", objective=1.0)
     problem.add_exactly_one(["x"])
@@ -379,6 +382,31 @@ def test_empty_choice_group_is_proven_infeasible():
     assert excinfo.value.proven and excinfo.value.nodes_explored == 0
     assert cache.bnb_fallbacks == 1 and cache.nodes_explored == 0
     assert cache.entry_counts() == {"solves": 1}
+
+
+def test_leaf_check_on_int_rows_agrees_with_is_feasible():
+    """The solver's leaf check on its own int-indexed rows accepts exactly
+    the complete assignments :meth:`IlpProblem.is_feasible` (the spec)
+    accepts: on Def. 5.5-shaped and mixed-coefficient problems (repeated
+    variables within a row included), with and without an empty
+    ``sum([]) == 1`` row."""
+    rng = random.Random(SEED + 2)
+    verdicts = {True: 0, False: 0}
+    for trial in range(300):
+        if trial % 2:
+            problem = _random_weighted_problem(rng)
+        else:
+            problem = _random_def55_problem(rng)
+        if rng.random() < 0.2:
+            problem.add_constraint([], "==", 1.0, name="infeasible")
+        solver = _Solver(problem, node_limit=1)
+        for _ in range(8):
+            assignment = [rng.randint(0, 1) for _ in problem.variables]
+            solver.values = list(assignment)
+            expected = problem.is_feasible(dict(zip(problem.variables, assignment)))
+            assert solver._complete_is_feasible() == expected, (trial, assignment)
+            verdicts[expected] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 
 # -- the search itself: same nodes, same answers ------------------------------------

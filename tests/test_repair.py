@@ -377,6 +377,179 @@ def test_generate_local_repairs_prunes_only_at_or_above_bound(
         )
 
 
+# -- fixed-site refutation ------------------------------------------------------------
+
+
+def _reference_repair(implementation, cluster, location_map, unbounded, bound):
+    """Def. 5.5 solved over the full candidate lists, pruned only to ``bound``.
+
+    ``unbounded`` is ``generate_local_repairs`` without a bound; pruning keeps
+    the replacements cheaper than the bound and every keep candidate, as
+    bounded generation does.
+    """
+    from repro.core.repair import _build_ilp, _decode_solution
+    from repro.ilp import InfeasibleError, solve_fast
+
+    candidates = {
+        site: [
+            c for c in site_candidates if bound is None or c.new_expr is None or c.cost < bound
+        ]
+        for site, site_candidates in unbounded.items()
+    }
+    problem, indexed = _build_ilp(implementation, cluster, candidates)
+    try:
+        solution = solve_fast(problem, upper_bound=bound)
+    except InfeasibleError:
+        return None
+    if solution is None:
+        return None
+    return _decode_solution(
+        solution.values, implementation, cluster, location_map, indexed, solution.objective
+    )
+
+
+def test_fixed_site_refutation_is_exact_on_the_derivatives_corpus(monkeypatch):
+    """For every (attempt, cluster) pair and every bound (none, each repair
+    cost seen, and one above the pair's own cost), the repair equals the ILP
+    over the full candidate lists.  Refuted clusters (no ordinary site generated) occur for both
+    reasons: a fixed site left without candidates, and fixed-site minimum
+    costs summing to the bound."""
+    import repro.core.repair as repair_module
+    from repro.datasets import generate_corpus, get_problem
+    from repro.engine import RepairCaches
+
+    problem = get_problem("derivatives")
+    corpus = generate_corpus(problem, 8, 6, seed=11)
+    clusters = cluster_programs(
+        [parse_python_source(s) for s in corpus.correct_sources], problem.cases
+    ).clusters
+    pairs = []
+    for source in corpus.incorrect_sources:
+        implementation = parse_python_source(source)
+        for cluster in clusters:
+            location_map = structural_match(implementation, cluster.representative)
+            if location_map is not None:
+                unbounded = generate_local_repairs(implementation, cluster, location_map)
+                pairs.append((implementation, cluster, location_map, unbounded))
+    cheapest = [
+        repair_against_cluster(implementation, cluster, location_map=location_map)
+        for implementation, cluster, location_map, _ in pairs
+    ]
+    costs = sorted({repair.cost for repair in cheapest if repair is not None})
+    assert pairs and costs
+
+    generated = []
+    original = repair_module.generate_local_repairs
+
+    def spy(*args, **kwargs):
+        generated.append(original(*args, **kwargs))
+        return generated[-1]
+
+    monkeypatch.setattr(repair_module, "generate_local_repairs", spy)
+    caches = RepairCaches()
+    refuted = {"empty": 0, "sum": 0}
+    for (implementation, cluster, location_map, unbounded), own in zip(pairs, cheapest):
+        # Just above the pair's own cost, the rule must not refute.
+        tight = [own.cost + 1] if own is not None else []
+        for bound in [None, *costs, *tight]:
+            repair = repair_against_cluster(
+                implementation,
+                cluster,
+                location_map=location_map,
+                caches=caches,
+                cost_bound=bound,
+            )
+            reference = _reference_repair(
+                implementation, cluster, location_map, unbounded, bound
+            )
+            assert repair_fields(repair) == repair_fields(reference), (bound, cluster.cluster_id)
+            candidates = generated[-1]
+            if all(site.fixed for site in candidates):
+                # Generation stops at the fixed site that refutes.
+                assert repair is None
+                refuting = candidates[list(candidates)[-1]]
+                refuted["sum" if refuting else "empty"] += 1
+    assert refuted["empty"] > 0 and refuted["sum"] > 0, refuted
+
+
+_LOOP_CORRECT = """
+def f(n):
+    s = 0
+    i = 0
+    while i < n:
+        s = s + i
+        i = i + 1
+    return s
+"""
+
+# A wrong loop condition (cheapest fix costs 1) and a wrong return
+# expression (cheapest fix costs 2): the cheapest repair costs 3.
+_LOOP_ATTEMPT = """
+def f(n):
+    s = 0
+    i = 0
+    while i <= n:
+        s = s + i
+        i = i + 1
+    return s + 1
+"""
+
+
+@pytest.mark.parametrize(
+    "bound, refuting",
+    [
+        (1.0, ["$cond"]),  # the loop condition has no candidate under 1
+        (2.0, ["$cond", "$ret"]),  # the return has none under 2
+        (3.0, ["$cond", "$ret"]),  # both have one, but 1 + 2 reaches 3
+    ],
+)
+def test_refuted_cluster_generates_only_fixed_sites_and_solves_nothing(
+    monkeypatch, bound, refuting
+):
+    import repro.core.localrepair as localrepair_module
+    import repro.core.repair as repair_module
+    from repro.core.inputs import InputCase
+
+    cases = [InputCase(args=(k,), expected_return=sum(range(k))) for k in (0, 1, 3, 5)]
+    cluster = cluster_programs([parse_python_source(_LOOP_CORRECT)], cases).clusters[0]
+    implementation = parse_python_source(_LOOP_ATTEMPT)
+    unbounded = generate_local_repairs(
+        implementation,
+        cluster,
+        structural_match(implementation, cluster.representative),
+    )
+    assert repair_against_cluster(implementation, cluster, cost_bound=4.0).cost == 3.0
+
+    sites_generated = []
+    original_sites = localrepair_module._site_candidates
+
+    def site_spy(cluster, loc_id, rep_loc, var, *args, **kwargs):
+        sites_generated.append(var)
+        return original_sites(cluster, loc_id, rep_loc, var, *args, **kwargs)
+
+    generated = []
+    original_generate = repair_module.generate_local_repairs
+
+    def generate_spy(*args, **kwargs):
+        generated.append(original_generate(*args, **kwargs))
+        return generated[-1]
+
+    def no_ilp(*args, **kwargs):
+        raise AssertionError("a refuted cluster must not build or solve an ILP")
+
+    monkeypatch.setattr(localrepair_module, "_site_candidates", site_spy)
+    monkeypatch.setattr(repair_module, "generate_local_repairs", generate_spy)
+    monkeypatch.setattr(repair_module, "_build_ilp", no_ilp)
+    monkeypatch.setattr(repair_module, "solve_fast", no_ilp)
+
+    assert repair_against_cluster(implementation, cluster, cost_bound=bound) is None
+    assert sites_generated == refuting
+    (candidates,) = generated
+    fixed_sites = [site for site in unbounded if site.fixed]
+    assert list(candidates) == fixed_sites[: len(refuting)]
+    assert [site.var for site in candidates] == refuting
+
+
 # -- the candidate-site memo -----------------------------------------------------------
 
 
