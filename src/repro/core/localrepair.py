@@ -36,13 +36,17 @@ The fast path (docs/ARCHITECTURE.md, "Repair fast path"):
   cheaper than the best already found (costs are non-negative and
   additive), so it is dropped — and the TED DP itself is skipped whenever
   the cheap lower bound already reaches the bound;
-* each site's candidates are generated once per canonical renaming of the
-  attempt's variables (``#i`` by position in :func:`variables_for_matching`)
-  and memoized on the :class:`~repro.engine.cache.RepairCaches` handle
+* candidates are computed in *canonical names*: the attempt's matching
+  variables renamed ``#i`` by position in :func:`variables_for_matching`
+  (:func:`canonical_renaming`).  Each site's candidates are memoized on the
+  :class:`~repro.engine.cache.RepairCaches` handle
   (:meth:`~repro.engine.cache.RepairCaches.candidate_site`), so attempts
   that write the same expression under other names share the relation
-  enumeration, screening and TED work; hits are renamed back, with the
-  cost-bound and staleness rules documented there;
+  enumeration, screening and TED work and the very candidate objects, with
+  the cost-bound and staleness rules documented there.  Nothing is renamed
+  back here: the repair ILP is built on the canonical names, and only the
+  chosen candidates are renamed back when the solution is decoded
+  (:mod:`repro.core.repair`);
 * the fixed-variable sites are generated first, and a cluster they alone
   refute (:func:`fixed_sites_refute`) gets no ordinary site generated.
 """
@@ -68,6 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - engine imports core; annotation only
 
 __all__ = [
     "LocalRepairCandidate",
+    "canonical_renaming",
     "expressions_match",
     "enumerate_partial_relations",
     "fixed_sites_refute",
@@ -82,24 +87,26 @@ MAX_RELATIONS_PER_EXPRESSION = 4096
 
 @dataclass(frozen=True)
 class LocalRepairCandidate:
-    """One possible local repair for an implementation site ``(loc, var)``.
+    """One possible local repair for an implementation site.
+
+    Candidates are in the attempt's canonical names
+    (:func:`canonical_renaming`) and carry no site of their own: one
+    memoized candidate list serves every site, in every attempt, whose
+    canonical form is the same.  The :class:`Site` key it is listed under
+    names the site in the attempt's own names.
 
     Attributes:
-        loc_id: Implementation location.
-        var: Implementation variable (the paper's ``v2``).
         rep_var: Related representative variable (the paper's ``v1``).
-        omega: Partial variable relation, implementation variable →
-            representative variable, restricted to non-fixed variables.
+        omega: Partial variable relation, canonical implementation variable
+            → representative variable, restricted to non-fixed variables.
         new_expr: ``None`` to keep the implementation expression (the paper's
-            ``•``); otherwise the replacement expression over implementation
-            variables.
+            ``•``); otherwise the replacement expression over canonical
+            implementation variables.
         cost: Tree edit distance between old and new expression (0 for keep).
         provenance: Indices of cluster members whose expressions produced
             this candidate (empty for keep candidates).
     """
 
-    loc_id: int
-    var: str
     rep_var: str
     omega: tuple[tuple[str, str], ...]
     new_expr: Expr | None
@@ -113,7 +120,7 @@ class LocalRepairCandidate:
 
 @dataclass(frozen=True)
 class Site:
-    """An implementation location/variable pair to be repaired."""
+    """An implementation location/variable pair to be repaired (real names)."""
 
     loc_id: int
     var: str
@@ -238,8 +245,10 @@ def generate_local_repairs(
             :func:`repro.core.repair.find_best_repair`).
 
     Returns:
-        Each site's candidates, cheapest first: the ordinary sites, then the
-        fixed ones.  The fixed sites are generated first, and as soon as
+        Each site's candidates, cheapest first and in the attempt's
+        canonical names (:func:`canonical_renaming`; the :class:`Site` keys
+        keep the real names): the ordinary sites, then the fixed ones.
+        The fixed sites are generated first, and as soon as
         :func:`fixed_sites_refute` holds for them (a fixed site has no
         candidate, or their cheapest candidates sum to at least
         ``cost_bound``) generation stops: the dict then holds only the fixed
@@ -255,24 +264,22 @@ def generate_local_repairs(
 
         caches = RepairCaches()
     representative = cluster.representative
-    impl_vars = variables_for_matching(implementation)
     rep_vars = variables_for_matching(representative)
 
-    names = _CanonicalNames(impl_vars) if caches.enabled else None
+    forward = canonical_renaming(implementation)
+    canonical_vars = tuple(forward.values())
 
     def for_site(
-        loc_id: int, rep_loc: int, var: str, impl_expr: Expr, targets: Sequence[str]
+        rep_loc: int, var: str, impl_expr: Expr, targets: Sequence[str]
     ) -> list[LocalRepairCandidate]:
         return _site_candidates(
             cluster,
-            loc_id,
             rep_loc,
-            var,
-            impl_expr,
+            forward.get(var, var),
+            intern_expr(impl_expr.rename_vars(forward)),
             targets,
             rep_vars,
-            impl_vars,
-            names,
+            canonical_vars,
             caches=caches,
             cost_bound=cost_bound,
         )
@@ -295,7 +302,7 @@ def generate_local_repairs(
             if impl_expr == Var(var) and rep_expr == Var(var) and not pool:
                 continue
             fixed[Site(loc_id, var, fixed=True)] = _dedupe(
-                for_site(loc_id, rep_loc, var, impl_expr, (var,))
+                for_site(rep_loc, var, impl_expr, (var,))
             )
             if fixed_sites_refute(fixed, cost_bound):
                 _count_candidates(caches, fixed)
@@ -305,10 +312,10 @@ def generate_local_repairs(
     candidates: dict[Site, list[LocalRepairCandidate]] = {}
     for loc_id in implementation.location_ids():
         rep_loc = location_map[loc_id]
-        for var in impl_vars:
+        for var in forward:
             impl_expr = implementation.update_for(loc_id, var)
             candidates[Site(loc_id, var, fixed=False)] = _dedupe(
-                for_site(loc_id, rep_loc, var, impl_expr, rep_vars)
+                for_site(rep_loc, var, impl_expr, rep_vars)
             )
     candidates.update(fixed)
     _count_candidates(caches, candidates)
@@ -354,137 +361,80 @@ def _count_candidates(
         )
 
 
-class _CanonicalNames:
-    """The attempt's matching variables renamed ``#i`` by position.
+def canonical_renaming(implementation: Program) -> dict[str, str]:
+    """The attempt's canonical names: each matching variable renamed ``#i``.
 
-    ``#i`` is the i-th entry of :func:`variables_for_matching`; fixed
-    special variables and names outside that list keep their names.  Source
-    identifiers never start with ``#``, so the renaming is injective.  One
-    instance lives for one :func:`generate_local_repairs` call and renames
-    each distinct canonical replacement expression and relation back once.
+    ``#i`` is the position of the variable in
+    :func:`variables_for_matching`; fixed special variables and names
+    outside that list keep their names.  Source identifiers never start with
+    ``#``, so the renaming is injective.  Candidates, the site memo and the
+    repair ILP all work in these names; the decoder renames the chosen
+    candidates back.
     """
-
-    def __init__(self, impl_vars: Sequence[str]) -> None:
-        self.forward = {var: f"#{index}" for index, var in enumerate(impl_vars)}
-        self.inverse = {name: var for var, name in self.forward.items()}
-        self.variables = tuple(self.forward.values())
-        self._exprs: dict[Expr, Expr] = {}
-        self._omegas: dict[tuple, tuple[tuple[str, str], ...]] = {}
-
-    def restore(
-        self, candidate: LocalRepairCandidate, loc_id: int, var: str
-    ) -> LocalRepairCandidate:
-        """``candidate`` in the attempt's own names, at site ``(loc_id, var)``."""
-        new_expr = candidate.new_expr
-        if new_expr is not None:
-            renamed = self._exprs.get(new_expr)
-            if renamed is None:
-                renamed = intern_expr(new_expr.rename_vars(self.inverse))
-                self._exprs[new_expr] = renamed
-            new_expr = renamed
-        omega = self._omegas.get(candidate.omega)
-        if omega is None:
-            # Re-sorted by real names: _build_ilp adds the relation
-            # implications in omega order.
-            omega = tuple(
-                sorted(
-                    (self.inverse.get(source, source), target)
-                    for source, target in candidate.omega
-                )
-            )
-            self._omegas[candidate.omega] = omega
-        return LocalRepairCandidate(
-            loc_id=loc_id,
-            var=var,
-            rep_var=candidate.rep_var,
-            omega=omega,
-            new_expr=new_expr,
-            cost=candidate.cost,
-            provenance=candidate.provenance,
-        )
+    return {
+        var: f"#{index}"
+        for index, var in enumerate(variables_for_matching(implementation))
+    }
 
 
 def _site_candidates(
     cluster: Cluster,
-    loc_id: int,
     rep_loc: int,
     var: str,
     impl_expr: Expr,
     targets: Sequence[str],
     rep_vars: Sequence[str],
     impl_vars: Sequence[str],
-    names: _CanonicalNames | None,
     *,
     caches: "RepairCaches",
     cost_bound: float | None,
 ) -> list[LocalRepairCandidate]:
     """Candidates for one site against each representative variable in ``targets``.
 
-    With ``names`` (caching enabled) each target's candidates come from the
-    site memo (:meth:`RepairCaches.candidate_site`), computed in canonical
-    names and renamed back; without, they are computed directly in the
-    attempt's names.  Both give the same candidates in the same order:
-    relation enumeration walks ``impl_vars`` and ``rep_vars`` by position,
-    TED compares labels only by equality, and Def. 4.5 screening evaluates
-    the translated expression, which renaming does not change.
+    ``var``, ``impl_expr`` and ``impl_vars`` are in canonical names.  Each
+    target's candidates come from the site memo
+    (:meth:`RepairCaches.candidate_site`, computed directly when caching is
+    disabled).  The candidates are equivariant under the renaming: relation
+    enumeration walks ``impl_vars`` and ``rep_vars`` by position, TED
+    compares labels only by equality, and Def. 4.5 screening evaluates the
+    translated expression, which renaming does not change.
     """
     out: list[LocalRepairCandidate] = []
-    if names is None:
-        for rep_var in targets:
-            out.extend(
-                _candidates_for_target(
-                    cluster,
-                    loc_id,
-                    rep_loc,
-                    var,
-                    impl_expr,
-                    rep_var,
-                    rep_vars,
-                    impl_vars,
-                    caches=caches,
-                    cost_bound=cost_bound,
-                )
-            )
-        return out
-    canonical_var = names.forward.get(var, var)
-    canonical_expr = intern_expr(impl_expr.rename_vars(names.forward))
     for rep_var in targets:
         memoized = caches.candidate_site(
-            (id(cluster), rep_loc, rep_var, canonical_var, canonical_expr, len(impl_vars)),
+            (id(cluster), rep_loc, rep_var, var, impl_expr, len(impl_vars)),
             cluster,
             len(cluster.expressions_for(rep_loc, rep_var)),
             cost_bound,
             partial(
                 _candidates_for_target,
                 cluster,
-                loc_id,
                 rep_loc,
-                canonical_var,
-                canonical_expr,
+                var,
+                impl_expr,
                 rep_var,
                 rep_vars,
-                names.variables,
+                impl_vars,
                 caches=caches,
                 cost_bound=cost_bound,
             ),
         )
-        for candidate in memoized:
-            # A memo entry generated under a wider bound (or none) still
-            # holds replacements this query's bound prunes; keep candidates
-            # (cost 0) always pass, as on the direct path.
-            if (
-                cost_bound is not None
-                and candidate.new_expr is not None
-                and candidate.cost >= cost_bound
-            ):
-                continue
-            out.append(names.restore(candidate, loc_id, var))
+        if cost_bound is None:
+            out.extend(memoized)
+            continue
+        # A memo entry generated under a wider bound (or none) still holds
+        # replacements this query's bound prunes; keep candidates (cost 0)
+        # always pass, as in generation.
+        out.extend(
+            candidate
+            for candidate in memoized
+            if candidate.new_expr is None or candidate.cost < cost_bound
+        )
     return out
 
 
 def _candidates_for_target(
     cluster: Cluster,
-    loc_id: int,
     rep_loc: int,
     var: str,
     impl_expr: Expr,
@@ -495,7 +445,11 @@ def _candidates_for_target(
     caches: "RepairCaches",
     cost_bound: float | None,
 ) -> list[LocalRepairCandidate]:
-    """Candidates for one implementation site against one representative variable."""
+    """Candidates for one implementation site against one representative variable.
+
+    ``var``, ``impl_expr`` and ``impl_vars`` are in the names the candidates
+    come out in (the canonical ones, in :func:`generate_local_repairs`).
+    """
     representative = cluster.representative
     rep_expr = representative.update_for(rep_loc, rep_var)
     pre_states = cluster.reference_pre_states(rep_loc)
@@ -517,8 +471,6 @@ def _candidates_for_target(
         if _matches_reference(translated, rep_expr, pre_states, ref_values):
             out.append(
                 LocalRepairCandidate(
-                    loc_id=loc_id,
-                    var=var,
                     rep_var=rep_var,
                     omega=_omega_items(relation),
                     new_expr=None,
@@ -533,7 +485,7 @@ def _candidates_for_target(
         # expression so that a spurious implementation assignment can be
         # dropped.
         out.extend(
-            _identity_candidates(loc_id, var, rep_var, impl_expr, caches, cost_bound)
+            _identity_candidates(var, rep_var, impl_expr, caches, cost_bound)
         )
     if pool:
         pool_index = cluster.pool_index_for(rep_loc, rep_var)
@@ -543,8 +495,6 @@ def _candidates_for_target(
                     entry.expr,
                     entry_index,
                     entry.member_index,
-                    loc_id,
-                    rep_loc,
                     var,
                     impl_expr,
                     rep_var,
@@ -560,8 +510,6 @@ def _pool_candidates(
     expr: Expr,
     entry_index: PoolEntryIndex,
     member_index: int,
-    loc_id: int,
-    rep_loc: int,
     var: str,
     impl_expr: Expr,
     rep_var: str,
@@ -596,8 +544,6 @@ def _pool_candidates(
             continue
         out.append(
             LocalRepairCandidate(
-                loc_id=loc_id,
-                var=var,
                 rep_var=rep_var,
                 omega=_omega_items(_invert(relation)),
                 new_expr=replacement,
@@ -609,7 +555,6 @@ def _pool_candidates(
 
 
 def _identity_candidates(
-    loc_id: int,
     var: str,
     rep_var: str,
     impl_expr: Expr,
@@ -626,8 +571,6 @@ def _identity_candidates(
         return []
     return [
         LocalRepairCandidate(
-            loc_id=loc_id,
-            var=var,
             rep_var=rep_var,
             omega=((var, rep_var),) if var not in FIXED_VARS else (),
             new_expr=identity,

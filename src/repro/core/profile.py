@@ -6,11 +6,12 @@ and ``ilp`` — across every attempt of a batch run.  The ``exec`` phase
 covers Def. 3.5 trace execution (the compiled fast path of
 :mod:`repro.interpreter`); its companion ``exec_steps`` counter records how
 many location steps those executions took.  The ``ilp`` phase covers repair
-selection solves (:func:`repro.ilp.solve_fast`), with counter-only
-companions ``ilp_solves`` (solves that produced a solution), ``ilp_nodes``
-(branch-and-bound nodes those solves explored — zero for memo hits) and
-``candidates_generated`` (indicator variables handed to the solver).  It is attached to the
-pipeline's :class:`repro.engine.cache.RepairCaches` (``caches.profiler``)
+selection: building the ILP (:func:`repro.core.repair._build_ilp`) and
+solving it (:func:`repro.ilp.solve_fast`), timed as one call per ILP, with
+counter-only companions ``ilp_solves`` (solves that produced a solution),
+``ilp_nodes`` (branch-and-bound nodes those solves explored — zero for memo
+hits) and ``candidates_generated`` (indicator variables handed to the
+solver).  It is attached to the pipeline's :class:`repro.engine.cache.RepairCaches` (``caches.profiler``)
 and threaded from there into the repair core, so instrumentation costs
 nothing when no profiler is attached (the common case): every hook goes
 through :func:`profiled`, which is a no-op for ``profiler=None``.

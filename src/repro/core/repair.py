@@ -12,6 +12,12 @@ same control flow, the algorithm:
 3. decodes the ILP solution into a :class:`Repair`: the list of concrete
    modifications, the repaired program, and provenance information.
 
+The candidates and the ILP are in the attempt's canonical names
+(:func:`repro.core.localrepair.canonical_renaming`: matching variables
+renamed ``#i`` by position), so attempts that differ only in variable names
+build the same ILP.  The decoder reads the solution by position and renames
+back only what the chosen candidates put into the repair.
+
 An independent exhaustive solver over total variable relations
 (:func:`solve_by_enumeration`) is provided for cross-validation of the ILP
 encoding in tests and for the solver ablation benchmark.
@@ -24,12 +30,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..ilp import IlpProblem, InfeasibleError, solve_fast
-from ..model.expr import Expr, Var
+from ..model.expr import Expr, Var, intern_expr
 from ..model.program import Program
 from .clustering import Cluster
 from .localrepair import (
     LocalRepairCandidate,
     Site,
+    canonical_renaming,
     fixed_sites_refute,
     generate_local_repairs,
 )
@@ -168,8 +175,16 @@ def _build_ilp(
     cluster: Cluster,
     candidates: Mapping[Site, Sequence[LocalRepairCandidate]],
 ) -> tuple[IlpProblem, list[tuple[Site, LocalRepairCandidate, str]]]:
+    """The Def. 5.5 ILP over the (canonical) candidates.
+
+    Implementation variables appear under their canonical names
+    (``pair::r::#i``, ``del::#i``); a deletion costs what the real variable
+    at that position assigns.  Site constraints are named by the canonical
+    variable too, so renamed twins build the same problem, in order.
+    """
     representative = cluster.representative
-    impl_vars = variables_for_matching(implementation)
+    canonical = canonical_renaming(implementation)
+    impl_vars = list(canonical.values())
     rep_vars = variables_for_matching(representative)
 
     problem = IlpProblem(minimize=True)
@@ -179,8 +194,8 @@ def _build_ilp(
         problem.add_variable(_add_var(rep_var), objective=_addition_cost(representative, rep_var))
         for impl_var in impl_vars:
             problem.add_variable(_pair_var(rep_var, impl_var))
-    for impl_var in impl_vars:
-        problem.add_variable(_del_var(impl_var), objective=_deletion_cost(implementation, impl_var))
+    for real_var, impl_var in canonical.items():
+        problem.add_variable(_del_var(impl_var), objective=_deletion_cost(implementation, real_var))
 
     # (1) every representative variable is paired with exactly one
     #     implementation variable or freshly added.
@@ -199,6 +214,7 @@ def _build_ilp(
     # (3) exactly one local repair per site (or the variable is deleted).
     counter = 0
     for site, site_candidates in candidates.items():
+        site_var = canonical.get(site.var, site.var)
         names: list[str] = []
         for candidate in site_candidates:
             name = _candidate_var(counter)
@@ -211,7 +227,7 @@ def _build_ilp(
                 problem.add_implication(name, _pair_var(rep_var, impl_var))
         if site.fixed:
             if names:
-                problem.add_exactly_one(names, name=f"site::{site.loc_id}::{site.var}")
+                problem.add_exactly_one(names, name=f"site::{site.loc_id}::{site_var}")
             else:
                 # A fixed site with no candidate at all: unrepairable against
                 # this cluster (e.g. no matching loop condition exists).
@@ -219,8 +235,8 @@ def _build_ilp(
                 # building; only direct callers see this marker.
                 problem.add_constraint([], "==", 1.0, name="infeasible")
         else:
-            group = names + [_del_var(site.var)]
-            problem.add_exactly_one(group, name=f"site::{site.loc_id}::{site.var}")
+            group = names + [_del_var(site_var)]
+            problem.add_exactly_one(group, name=f"site::{site.loc_id}::{site_var}")
 
     return problem, indexed
 
@@ -250,7 +266,7 @@ def _decode_solution(
     objective: float,
 ) -> Repair:
     representative = cluster.representative
-    impl_vars = variables_for_matching(implementation)
+    canonical = canonical_renaming(implementation)
     rep_vars = variables_for_matching(representative)
 
     variable_map: dict[str, str] = {var: var for var in FIXED_VARS}
@@ -258,14 +274,14 @@ def _decode_solution(
     added: dict[str, str] = {}
     taken_names = set(implementation.variables)
 
-    for impl_var in impl_vars:
-        if values.get(_del_var(impl_var), 0):
+    for impl_var, name in canonical.items():
+        if values.get(_del_var(name), 0):
             deleted.append(impl_var)
     for rep_var in rep_vars:
         if values.get(_add_var(rep_var), 0):
             added[rep_var] = _fresh_name(rep_var, taken_names)
-        for impl_var in impl_vars:
-            if values.get(_pair_var(rep_var, impl_var), 0):
+        for impl_var, name in canonical.items():
+            if values.get(_pair_var(rep_var, name), 0):
                 variable_map[impl_var] = rep_var
 
     # Translation of representative variables into (possibly fresh)
@@ -288,12 +304,14 @@ def _decode_solution(
     repaired = implementation.copy()
     inverse_locations = {rep_loc: impl_loc for impl_loc, rep_loc in location_map.items()}
 
-    # Modifications of kept variables.
+    # Modifications of kept variables; only these candidates are renamed
+    # back from the canonical names.
+    real_names = {name: var for var, name in canonical.items()}
     for site, candidate in selected.items():
         if candidate.new_expr is None:
             continue
         old_expr = implementation.update_for(site.loc_id, site.var)
-        new_expr = candidate.new_expr
+        new_expr = intern_expr(candidate.new_expr.rename_vars(real_names))
         if new_expr == old_expr:
             continue
         location = implementation.locations[site.loc_id]
@@ -390,16 +408,20 @@ def solve_by_enumeration(
     """Solve the repair selection by enumerating total variable relations.
 
     Returns an assignment in the same variable naming scheme as the ILP
-    encoding (so it can be decoded identically), or ``None`` when no
-    consistent repair exists.  Exponential in the number of variables; used
-    for cross-checking the ILP on small programs and for the solver ablation.
+    encoding, canonical names included (so it can be decoded identically),
+    or ``None`` when no consistent repair exists.  Exponential in the number
+    of variables; used for cross-checking the ILP on small programs and for
+    the solver ablation.
     """
     representative = cluster.representative
-    impl_vars = variables_for_matching(implementation)
+    canonical = canonical_renaming(implementation)
+    impl_vars = list(canonical.values())
     rep_vars = variables_for_matching(representative)
 
     add_costs = {v: _addition_cost(representative, v) for v in rep_vars}
-    del_costs = {v: _deletion_cost(implementation, v) for v in impl_vars}
+    del_costs = {
+        name: _deletion_cost(implementation, var) for var, name in canonical.items()
+    }
 
     sites = list(candidates)
     best: tuple[float, dict[str, str], dict[Site, LocalRepairCandidate]] | None = None
@@ -409,7 +431,7 @@ def solve_by_enumeration(
     ) -> LocalRepairCandidate | None:
         options = []
         for candidate in candidates[site]:
-            if not site.fixed and mapping.get(site.var) != candidate.rep_var:
+            if not site.fixed and mapping.get(canonical[site.var]) != candidate.rep_var:
                 continue
             consistent = all(
                 mapping.get(impl_var) == rep_var for impl_var, rep_var in candidate.omega
@@ -428,7 +450,7 @@ def solve_by_enumeration(
         cost += sum(del_costs[v] for v, target in mapping.items() if target == "-")
         chosen: dict[Site, LocalRepairCandidate] = {}
         for site in sites:
-            if not site.fixed and mapping.get(site.var) == "-":
+            if not site.fixed and mapping.get(canonical[site.var]) == "-":
                 continue
             candidate = site_choice(mapping, site)
             if candidate is None:
@@ -512,7 +534,11 @@ def repair_against_cluster(
         caches: The :class:`repro.engine.cache.RepairCaches` handle; it
             provides the TED memo table and the profiler to candidate
             generation, and the ILP solve memo
-            (:class:`repro.ilp.SolveCache`) and the profiler to solving.
+            (:class:`repro.ilp.SolveCache`) and the profiler to the ILP
+            build and solve.  Candidates and the ILP are in the attempt's
+            canonical names, so an attempt that differs from an earlier one
+            only in variable names hits the site memo and the solve memo;
+            only the chosen candidates are renamed back, by the decoder.
             Defaults to a fresh instance.
         cost_bound: Branch-and-bound budget, the cost of the best repair
             found so far.  Candidates costing at least this much are pruned
@@ -564,9 +590,9 @@ def repair_against_cluster(
         values, objective = solved
         indexed = _rebuild_index(candidates)
     elif solver == "ilp":
-        problem, indexed = _build_ilp(implementation, cluster, candidates)
         try:
             with profiled(profiler, "ilp"):
+                problem, indexed = _build_ilp(implementation, cluster, candidates)
                 solution = solve_fast(
                     problem,
                     node_limit=ilp_node_limit,

@@ -26,10 +26,11 @@ object bundling four memo tables that remove that redundancy:
 * a **candidate-site memo** — the local repair candidates of one
   (cluster, representative site, attempt site) triple, computed with the
   attempt's variables renamed ``#i`` by position
-  (:func:`repro.core.localrepair.generate_local_repairs`), so attempts that
+  (:func:`repro.core.localrepair.canonical_renaming`), so attempts that
   write the same expression under different names share one candidate
-  generation; see :meth:`RepairCaches.candidate_site` for the staleness
-  and cost-bound rules.
+  generation and its candidate objects; see
+  :meth:`RepairCaches.candidate_site` for the staleness and cost-bound
+  rules.
 
 It additionally owns the three fast-path memos and threads them into the
 layers that use them: a :class:`repro.ted.TedCache` (annotations + edit
@@ -54,8 +55,8 @@ instance safe to share across the worker threads of
 :class:`repro.engine.batch.BatchRepairEngine`.  Constructing the caches with
 ``enabled=False`` turns every lookup into a miss without storing anything,
 which is how the uncached baseline of ``benchmarks/test_batch_throughput.py``
-is measured; candidate generation then bypasses the site memo entirely and
-computes in the attempt's own variable names.
+is measured; candidate generation then computes every site afresh, in the
+same canonical names.
 """
 
 from __future__ import annotations
@@ -561,7 +562,11 @@ class RepairCaches:
         remains is exactly what ``compute`` would return).  Anything else
         recomputes and replaces the entry.  Computation runs outside the
         lock; the table is cleared in bulk at :data:`MAX_CANDIDATE_SITES`.
+        With caching disabled every query computes, and nothing is counted
+        or stored.
         """
+        if not self.enabled:
+            return compute()
         with self._lock:
             entry = self._sites.get(key)
             if (

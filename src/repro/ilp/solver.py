@@ -370,7 +370,9 @@ class _Solver:
             return
         variable = self._select_variable(open_groups)
         if variable < 0:
-            if self.current < self.best_cost and self._complete_is_feasible():
+            # Every row was checked when its last variable was assigned
+            # (empty rows at the root), so a complete assignment is feasible.
+            if self.current < self.best_cost:
                 self.best_cost = self.current
                 self.best_values = list(self.values)
             return
@@ -384,19 +386,3 @@ class _Solver:
             if self._assign(variable, value, queue) and self._propagate(queue):
                 self._search()
             self._undo(*marks)
-
-    def _complete_is_feasible(self) -> bool:
-        """Check the complete assignment against every row's activity.
-
-        The same check as :meth:`IlpProblem.is_feasible` (the spec), on the
-        int-indexed rows and the value array.
-        """
-        values, row_min, row_max = self.values, self.row_min, self.row_max
-        for row, terms in enumerate(self.row_terms):
-            activity = 0.0
-            for var, pos, neg in terms:
-                if values[var]:
-                    activity += pos + neg
-            if activity < row_min[row] or activity > row_max[row]:
-                return False
-        return True

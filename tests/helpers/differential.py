@@ -51,13 +51,14 @@ def candidate_fields(candidates):
 
     Sites in their order, each with its candidates in order and field for
     field; the ILP numbers its variables in this order, so order is part of
-    the contract.
+    the contract.  Candidates carry no site of their own (they are shared
+    by every site with the same canonical form); the site key is compared.
     """
     return [
         (
             site,
             [
-                (c.loc_id, c.var, c.rep_var, c.omega, c.new_expr, c.cost, c.provenance)
+                (c.rep_var, c.omega, c.new_expr, c.cost, c.provenance)
                 for c in site_candidates
             ],
         )

@@ -36,7 +36,6 @@ from repro.ilp import (
     solve,
     solve_fast,
 )
-from repro.ilp.solver import _Solver
 
 SEED = 20180618
 
@@ -384,14 +383,16 @@ def test_empty_choice_group_is_proven_infeasible():
     assert cache.entry_counts() == {"solves": 1}
 
 
-def test_leaf_check_on_int_rows_agrees_with_is_feasible():
-    """The solver's leaf check on its own int-indexed rows accepts exactly
-    the complete assignments :meth:`IlpProblem.is_feasible` (the spec)
-    accepts: on Def. 5.5-shaped and mixed-coefficient problems (repeated
+def test_every_returned_solution_passes_is_feasible():
+    """The solver accepts a leaf without re-checking its rows: each row was
+    checked when its last variable was assigned, and empty rows at the root.
+    Every solution :func:`solve` returns — plain, under a node-limit sweep
+    and warm-started — therefore satisfies :meth:`IlpProblem.is_feasible`
+    (the spec): on Def. 5.5-shaped and mixed-coefficient problems (repeated
     variables within a row included), with and without an empty
     ``sum([]) == 1`` row."""
     rng = random.Random(SEED + 2)
-    verdicts = {True: 0, False: 0}
+    checked = infeasible = 0
     for trial in range(300):
         if trial % 2:
             problem = _random_weighted_problem(rng)
@@ -399,14 +400,22 @@ def test_leaf_check_on_int_rows_agrees_with_is_feasible():
             problem = _random_def55_problem(rng)
         if rng.random() < 0.2:
             problem.add_constraint([], "==", 1.0, name="infeasible")
-        solver = _Solver(problem, node_limit=1)
-        for _ in range(8):
-            assignment = [rng.randint(0, 1) for _ in problem.variables]
-            solver.values = list(assignment)
-            expected = problem.is_feasible(dict(zip(problem.variables, assignment)))
-            assert solver._complete_is_feasible() == expected, (trial, assignment)
-            verdicts[expected] += 1
-    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+        try:
+            full = solve(problem)
+        except InfeasibleError:
+            infeasible += 1
+            continue
+        margin = 1.0 if problem.minimize else -1.0
+        runs = [{}, {"upper_bound": full.objective + margin}]
+        runs += [{"node_limit": limit} for limit in range(1, min(full.nodes_explored, 12) + 1)]
+        for kwargs in runs:
+            try:
+                solution = solve(problem, **kwargs)
+            except InfeasibleError:
+                continue
+            assert problem.is_feasible(solution.values), (trial, kwargs)
+            checked += 1
+    assert checked > 300 and infeasible > 30, (checked, infeasible)
 
 
 # -- the search itself: same nodes, same answers ------------------------------------

@@ -523,9 +523,9 @@ def test_refuted_cluster_generates_only_fixed_sites_and_solves_nothing(
     sites_generated = []
     original_sites = localrepair_module._site_candidates
 
-    def site_spy(cluster, loc_id, rep_loc, var, *args, **kwargs):
+    def site_spy(cluster, rep_loc, var, *args, **kwargs):
         sites_generated.append(var)
-        return original_sites(cluster, loc_id, rep_loc, var, *args, **kwargs)
+        return original_sites(cluster, rep_loc, var, *args, **kwargs)
 
     generated = []
     original_generate = repair_module.generate_local_repairs
@@ -570,14 +570,15 @@ def _uncached(implementation, cluster, cost_bound=None):
 
 def test_site_memo_serves_a_renamed_twin_field_identically(paper_sources, deriv_cluster):
     """The twin renames ``new``/``i`` so that sorting by real names orders
-    the relations differently from the canonical ``#i`` positions: the
-    memo's answer has to be renamed back and re-sorted to match."""
+    the relations differently from the canonical ``#i`` positions: the memo
+    serves the original's canonical candidates unchanged, and the repair
+    decoded from them still matches the uncached one."""
     from repro.engine import RepairCaches
 
     original = parse_python_source(paper_sources["I1"])
     twin = original.rename_variables({"new": "znew", "i": "ai"})
     caches = RepairCaches()
-    _local_repairs(original, deriv_cluster, caches)
+    first = candidate_fields(_local_repairs(original, deriv_cluster, caches))
     misses = caches.stats.site_misses
     assert caches.stats.site_hits == 0 and misses > 0
 
@@ -585,8 +586,10 @@ def test_site_memo_serves_a_renamed_twin_field_identically(paper_sources, deriv_
     assert caches.stats.site_misses == misses
     assert caches.stats.site_hits == misses
     assert served == _uncached(twin, deriv_cluster)
+    assert [site for site, _ in served] != [site for site, _ in first]
+    assert [lists for _, lists in served] == [lists for _, lists in first]
     assert any(
-        len(fields[3]) > 1 for _, site in served for fields in site
+        len(fields[1]) > 1 for _, site in served for fields in site
     ), "the twin must have multi-variable relations"
 
     clusters = [deriv_cluster]
@@ -601,10 +604,10 @@ def test_site_memo_cost_bounds(paper_sources, deriv_cluster):
 
     implementation = parse_python_source(paper_sources["I2"])
     costs = sorted(
-        fields[5]
+        fields[3]
         for _, site in _uncached(implementation, deriv_cluster)
         for fields in site
-        if fields[5] > 0
+        if fields[3] > 0
     )
     bound = float(costs[len(costs) // 2])
 
@@ -618,7 +621,7 @@ def test_site_memo_cost_bounds(paper_sources, deriv_cluster):
         assert caches.ted.dp_runs == dp_runs
         assert caches.stats.site_misses == misses
     # Keep candidates (cost 0) survive even a zero bound, as on the direct path.
-    assert any(fields[4] is None for _, site in served for fields in site)
+    assert any(fields[2] is None for _, site in served for fields in site)
 
     # Bounded first: a wider bound, or none, has to recompute.
     caches = RepairCaches()
