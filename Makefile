@@ -19,13 +19,13 @@ batch-parallel-smoke:
 	$(PYTHON) tools/parallel_smoke.py
 
 # Mirror of the CI perfbench job: the benchmark's self-tests, then one
-# traced fresh-ilp pass; both must exit 0.  Then, on fresh-ilp and on
-# resubmit-stream, two untraced passes under PYTHONHASHSEED=0 and =3 must
-# print the same records digest.
+# traced fresh-ilp pass; both must exit 0.  Then, on fresh-ilp,
+# sharded-batch and resubmit-stream, two untraced passes under
+# PYTHONHASHSEED=0 and =3 must print the same records digest.
 perfbench:
 	$(PYTHON) perfbench/selftest.py
 	$(PYTHON) perfbench/run.py --workload fresh-ilp --seed 1 --seconds 10 --trace 1
-	@for workload in fresh-ilp resubmit-stream; do \
+	@for workload in fresh-ilp sharded-batch resubmit-stream; do \
 	zero=$$(PYTHONHASHSEED=0 $(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 10 --trace 0) && \
 	three=$$(PYTHONHASHSEED=3 $(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 10 --trace 0) && \
 	first=$$(echo "$$zero" | grep -o 'digest=[0-9a-f]*') && \

@@ -47,12 +47,19 @@ if TYPE_CHECKING:  # pragma: no cover - engine imports core; annotation only
     from ..engine.cache import RepairCaches
 
 __all__ = [
+    "ILP_NODE_LIMIT",
     "RepairAction",
     "Repair",
     "repair_against_cluster",
     "find_best_repair",
     "RepairError",
 ]
+
+
+#: Branch-and-bound node budget of each repair ILP solve.  A solve that
+#: reaches it returns its best incumbent (``optimal=False``), which the
+#: solve memo does not store.
+ILP_NODE_LIMIT = 200_000
 
 
 class RepairError(Exception):
@@ -150,22 +157,34 @@ def _del_var(impl_var: str) -> str:
     return f"del::{impl_var}"
 
 
-def _candidate_var(index: int) -> str:
-    return f"lr::{index}"
+#: Candidates of each site paired with their ILP variables, site by site.
+_Numbered = list[tuple[Site, list[tuple[LocalRepairCandidate, str]]]]
 
 
-def _addition_cost(representative: Program, rep_var: str) -> int:
+def _number_candidates(
+    candidates: Mapping[Site, Sequence[LocalRepairCandidate]],
+) -> _Numbered:
+    """Name every candidate's ILP variable ``lr::k``, counting through the
+    sites in dict order.
+
+    The one numbering of the candidates: the ILP, the enumeration solver
+    and the decoder all read it.
+    """
+    numbered: _Numbered = []
+    counter = 0
+    for site, site_candidates in candidates.items():
+        names = [f"lr::{k}" for k in range(counter, counter + len(site_candidates))]
+        numbered.append((site, list(zip(site_candidates, names))))
+        counter += len(site_candidates)
+    return numbered
+
+
+def _assigned_size(program: Program, target: str) -> int:
+    """Total size of the expressions ``program`` assigns to ``target``: the
+    cost of adding (representative) or deleting (implementation) it."""
     total = 0
-    for loc_id, var, expr in representative.iter_updates():
-        if var == rep_var and expr != Var(var):
-            total += expr.size()
-    return total
-
-
-def _deletion_cost(implementation: Program, impl_var: str) -> int:
-    total = 0
-    for loc_id, var, expr in implementation.iter_updates():
-        if var == impl_var and expr != Var(var):
+    for _, var, expr in program.iter_updates():
+        if var == target and expr != Var(var):
             total += expr.size()
     return total
 
@@ -174,13 +193,13 @@ def _build_ilp(
     implementation: Program,
     cluster: Cluster,
     candidates: Mapping[Site, Sequence[LocalRepairCandidate]],
-) -> tuple[IlpProblem, list[tuple[Site, LocalRepairCandidate, str]]]:
+) -> tuple[IlpProblem, _Numbered]:
     """The Def. 5.5 ILP over the (canonical) candidates.
 
     Implementation variables appear under their canonical names
     (``pair::r::#i``, ``del::#i``); a deletion costs what the real variable
-    at that position assigns.  Site constraints are named by the canonical
-    variable too, so renamed twins build the same problem, in order.
+    at that position assigns.  Renamed twins therefore build the same
+    problem, in order, which is what the solve memo keys on.
     """
     representative = cluster.representative
     canonical = canonical_renaming(implementation)
@@ -188,57 +207,52 @@ def _build_ilp(
     rep_vars = variables_for_matching(representative)
 
     problem = IlpProblem(minimize=True)
-    indexed: list[tuple[Site, LocalRepairCandidate, str]] = []
 
     for rep_var in rep_vars:
-        problem.add_variable(_add_var(rep_var), objective=_addition_cost(representative, rep_var))
+        problem.add_variable(_add_var(rep_var), objective=_assigned_size(representative, rep_var))
         for impl_var in impl_vars:
             problem.add_variable(_pair_var(rep_var, impl_var))
     for real_var, impl_var in canonical.items():
-        problem.add_variable(_del_var(impl_var), objective=_deletion_cost(implementation, real_var))
+        problem.add_variable(_del_var(impl_var), objective=_assigned_size(implementation, real_var))
 
     # (1) every representative variable is paired with exactly one
     #     implementation variable or freshly added.
     for rep_var in rep_vars:
         members = [_pair_var(rep_var, impl_var) for impl_var in impl_vars]
         members.append(_add_var(rep_var))
-        problem.add_exactly_one(members, name=f"rep::{rep_var}")
+        problem.add_exactly_one(members)
 
     # (2) every implementation variable is paired with exactly one
     #     representative variable or deleted.
     for impl_var in impl_vars:
         members = [_pair_var(rep_var, impl_var) for rep_var in rep_vars]
         members.append(_del_var(impl_var))
-        problem.add_exactly_one(members, name=f"impl::{impl_var}")
+        problem.add_exactly_one(members)
 
     # (3) exactly one local repair per site (or the variable is deleted).
-    counter = 0
-    for site, site_candidates in candidates.items():
-        site_var = canonical.get(site.var, site.var)
+    numbered = _number_candidates(candidates)
+    for site, site_numbered in numbered:
         names: list[str] = []
-        for candidate in site_candidates:
-            name = _candidate_var(counter)
-            counter += 1
+        for candidate, name in site_numbered:
             problem.add_variable(name, objective=float(candidate.cost))
-            indexed.append((site, candidate, name))
             names.append(name)
             # (4) consistency of the candidate's ω with the pairing.
             for impl_var, rep_var in candidate.omega:
                 problem.add_implication(name, _pair_var(rep_var, impl_var))
         if site.fixed:
             if names:
-                problem.add_exactly_one(names, name=f"site::{site.loc_id}::{site_var}")
+                problem.add_exactly_one(names)
             else:
                 # A fixed site with no candidate at all: unrepairable against
                 # this cluster (e.g. no matching loop condition exists).
                 # repair_against_cluster refutes such a cluster before
                 # building; only direct callers see this marker.
-                problem.add_constraint([], "==", 1.0, name="infeasible")
+                problem.add_constraint([], "==", 1.0)
         else:
-            group = names + [_del_var(site_var)]
-            problem.add_exactly_one(group, name=f"site::{site.loc_id}::{site_var}")
+            names.append(_del_var(canonical.get(site.var, site.var)))
+            problem.add_exactly_one(names)
 
-    return problem, indexed
+    return problem, numbered
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +276,7 @@ def _decode_solution(
     implementation: Program,
     cluster: Cluster,
     location_map: Mapping[int, int],
-    indexed: Sequence[tuple[Site, LocalRepairCandidate, str]],
+    numbered: _Numbered,
     objective: float,
 ) -> Repair:
     representative = cluster.representative
@@ -294,11 +308,12 @@ def _decode_solution(
 
     selected: dict[Site, LocalRepairCandidate] = {}
     provenance: set[int] = set()
-    for site, candidate, name in indexed:
-        if values.get(name, 0):
-            selected[site] = candidate
-            if candidate.new_expr is not None and candidate.cost > 0:
-                provenance |= set(candidate.provenance)
+    for site, site_numbered in numbered:
+        for candidate, name in site_numbered:
+            if values.get(name, 0):
+                selected[site] = candidate
+                if candidate.new_expr is not None and candidate.cost > 0:
+                    provenance |= set(candidate.provenance)
 
     actions: list[RepairAction] = []
     repaired = implementation.copy()
@@ -418,9 +433,9 @@ def solve_by_enumeration(
     impl_vars = list(canonical.values())
     rep_vars = variables_for_matching(representative)
 
-    add_costs = {v: _addition_cost(representative, v) for v in rep_vars}
+    add_costs = {v: _assigned_size(representative, v) for v in rep_vars}
     del_costs = {
-        name: _deletion_cost(implementation, var) for var, name in canonical.items()
+        name: _assigned_size(implementation, var) for var, name in canonical.items()
     }
 
     sites = list(candidates)
@@ -493,12 +508,8 @@ def solve_by_enumeration(
     for rep_var in rep_vars:
         if rep_var not in used_rep:
             values[_add_var(rep_var)] = 1
-    # Re-use the ILP naming for selected candidates by rebuilding the index.
-    index = 0
-    for site, site_candidates in candidates.items():
-        for candidate in site_candidates:
-            name = _candidate_var(index)
-            index += 1
+    for site, site_numbered in _number_candidates(candidates):
+        for candidate, name in site_numbered:
             if chosen.get(site) is candidate:
                 values[name] = 1
     return values, cost
@@ -514,7 +525,6 @@ def repair_against_cluster(
     cluster: Cluster,
     *,
     solver: str = "ilp",
-    ilp_node_limit: int = 200_000,
     location_map: Mapping[int, int] | None = None,
     caches: "RepairCaches | None" = None,
     cost_bound: float | None = None,
@@ -524,9 +534,8 @@ def repair_against_cluster(
     Args:
         implementation: The parsed incorrect attempt.
         cluster: Cluster of correct solutions to draw expressions from.
-        solver: ``"ilp"`` (default) or ``"enumerate"`` (exhaustive
-            cross-check solver).
-        ilp_node_limit: Branch-and-bound node budget for the ILP solver.
+        solver: ``"ilp"`` (default, solved under :data:`ILP_NODE_LIMIT`)
+            or ``"enumerate"`` (exhaustive cross-check solver).
         location_map: Pre-computed structural match (Def. 4.1) between
             ``implementation`` and the cluster representative, e.g. from
             :meth:`repro.engine.cache.RepairCaches.structural_match`.  When
@@ -537,7 +546,8 @@ def repair_against_cluster(
             (:class:`repro.ilp.SolveCache`) and the profiler to the ILP
             build and solve.  Candidates and the ILP are in the attempt's
             canonical names, so an attempt that differs from an earlier one
-            only in variable names hits the site memo and the solve memo;
+            only in variable names hits the site memo, and builds the same
+            ILP in the same order, which the solve memo keys on as built;
             only the chosen candidates are renamed back, by the decoder.
             Defaults to a fresh instance.
         cost_bound: Branch-and-bound budget, the cost of the best repair
@@ -588,14 +598,14 @@ def repair_against_cluster(
         if solved is None:
             return None
         values, objective = solved
-        indexed = _rebuild_index(candidates)
+        numbered = _number_candidates(candidates)
     elif solver == "ilp":
         try:
             with profiled(profiler, "ilp"):
-                problem, indexed = _build_ilp(implementation, cluster, candidates)
+                problem, numbered = _build_ilp(implementation, cluster, candidates)
                 solution = solve_fast(
                     problem,
-                    node_limit=ilp_node_limit,
+                    node_limit=ILP_NODE_LIMIT,
                     cache=caches.solve,
                     upper_bound=cost_bound,
                 )
@@ -613,22 +623,10 @@ def repair_against_cluster(
         raise ValueError(f"unknown solver {solver!r}")
 
     repair = _decode_solution(
-        values, implementation, cluster, location_map, indexed, objective
+        values, implementation, cluster, location_map, numbered, objective
     )
     repair.solve_time = time.perf_counter() - start
     return repair
-
-
-def _rebuild_index(
-    candidates: Mapping[Site, Sequence[LocalRepairCandidate]],
-) -> list[tuple[Site, LocalRepairCandidate, str]]:
-    indexed = []
-    counter = 0
-    for site, site_candidates in candidates.items():
-        for candidate in site_candidates:
-            indexed.append((site, candidate, _candidate_var(counter)))
-            counter += 1
-    return indexed
 
 
 def find_best_repair(

@@ -38,8 +38,8 @@ distances, candidate costing), a
 :class:`repro.interpreter.compile.CompileCache` (compiled expression
 closures, trace execution only — candidate screening evaluates through
 :func:`repro.interpreter.evaluate`) and a
-:class:`repro.ilp.SolveCache` (ILP solutions keyed by canonical problem
-fingerprint, threaded into :func:`repro.core.repair.repair_against_cluster`
+:class:`repro.ilp.SolveCache` (ILP solutions keyed by the problem as
+built, threaded into :func:`repro.core.repair.repair_against_cluster`
 via :func:`repro.ilp.solve_fast`).  All cache-routed executions run under
 the profiler's ``exec`` phase; solves run under ``ilp``.
 
@@ -270,8 +270,8 @@ class RepairCaches:
     #: caches' so uncached baselines recompile per use.
     compiled: CompileCache | None = None
     #: ILP solve memo (optimal solutions and proven-infeasible verdicts per
-    #: canonical problem fingerprint, see :mod:`repro.ilp.fastpath`)
-    #: threaded into the repair selection solve.  Created in
+    #: problem as built, in the attempt's canonical names, see
+    #: :mod:`repro.ilp.fastpath`) threaded into the repair selection solve.  Created in
     #: ``__post_init__``; its ``enabled`` flag follows the caches' so
     #: uncached baselines re-solve every instance.
     solve: SolveCache | None = None

@@ -3,7 +3,6 @@
 from .fastpath import SolveCache, solve_fast
 from .problem import Constraint, IlpProblem, IlpSolution
 from .solver import IlpError, InfeasibleError, solve
-from .structure import problem_fingerprint
 
 __all__ = [
     "Constraint",
@@ -12,7 +11,6 @@ __all__ = [
     "solve",
     "solve_fast",
     "SolveCache",
-    "problem_fingerprint",
     "IlpError",
     "InfeasibleError",
 ]

@@ -5,9 +5,12 @@ Plain :func:`repro.ilp.solver.solve` remains the executable specification;
 It layers two accelerations on top of the spec, each of which is
 objective-identical to it by construction:
 
-1. **Memoization** (:class:`SolveCache`).  Problems are keyed by the
-   canonical fingerprint of :func:`repro.ilp.structure.problem_fingerprint`
-   — identical formulations built in different orders share one entry.
+1. **Memoization** (:class:`SolveCache`).  Problems are keyed as built:
+   ``(minimize, variables, objective items, constraints)``, all in
+   insertion order.  The repair ILP is built in the attempt's canonical
+   names (:mod:`repro.core.repair`), so attempts that differ only in
+   variable names build the same problem in the same order and share one
+   entry; no second normal form is needed.
    Only *unconditional* verdicts are stored: optimal solutions
    (``optimal=True``) and proven infeasibility
    (:class:`~repro.ilp.solver.InfeasibleError` with ``proven=True``).
@@ -22,9 +25,8 @@ objective-identical to it by construction:
    like the documented ``cost_bound`` contract: a repair at least as costly
    as the current best could never be selected anyway.
 
-Counters (hits, misses, branch-and-bound fallbacks, nodes explored) surface
-through ``batch --profile`` and the service stats endpoint, next to the TED
-and compile cache counters.
+Counters (hits, misses, nodes explored) surface through ``batch --profile``
+and the service stats endpoint, next to the TED and compile cache counters.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import threading
 
 from .problem import IlpProblem, IlpSolution
 from .solver import InfeasibleError, solve
-from .structure import problem_fingerprint
 
 __all__ = ["SolveCache", "solve_fast"]
 
@@ -56,10 +57,9 @@ class SolveCache:
 
     Counters (monotonic):
 
-    * ``hits`` / ``misses`` — fingerprint lookups answered / not answered
-      from the table;
-    * ``bnb_fallbacks`` — solves that did run branch-and-bound;
-    * ``nodes_explored`` — total branch-and-bound nodes across fallbacks
+    * ``hits`` / ``misses`` — lookups answered / not answered from the
+      table (every miss runs branch-and-bound);
+    * ``nodes_explored`` — total branch-and-bound nodes across misses
       (cache hits contribute zero).
 
     The table is size-bounded: at ``max_entries`` it simply stops storing
@@ -74,23 +74,39 @@ class SolveCache:
         self._table: dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
-        self.bnb_fallbacks = 0
         self.nodes_explored = 0
 
     # -- lookup/store ----------------------------------------------------------
 
     def key_for(self, problem: IlpProblem) -> tuple | None:
-        """Fingerprint ``problem``, or ``None`` when caching is disabled."""
-        return problem_fingerprint(problem) if self.enabled else None
+        """``problem`` as built, or ``None`` when caching is disabled.
+
+        The key is order-sensitive: two problems share an entry only when
+        they declare the same variables, objective terms and constraints
+        in the same order, which is exactly when they are the same
+        problem as built.
+        """
+        if not self.enabled:
+            return None
+        # Constraints enter as plain tuples: once examined, the garbage
+        # collector stops tracking tuples of strings and floats, so stored
+        # keys do not lengthen full collections as ``Constraint`` objects do.
+        return (
+            problem.minimize,
+            tuple(problem.variables),
+            tuple(problem.objective.items()),
+            tuple((c.coeffs, c.sense, c.rhs) for c in problem.constraints),
+        )
 
     def lookup(self, key: tuple | None) -> object:
         """Return the stored verdict for ``key`` or the miss sentinel."""
         with self._lock:
-            if key is not None and key in self._table:
+            entry = _MISS if key is None else self._table.get(key, _MISS)
+            if entry is _MISS:
+                self.misses += 1
+            else:
                 self.hits += 1
-                return self._table[key]
-            self.misses += 1
-            return _MISS
+            return entry
 
     def store(self, key: tuple | None, entry: object) -> None:
         if key is None:
@@ -99,10 +115,9 @@ class SolveCache:
             if len(self._table) < self.max_entries or key in self._table:
                 self._table[key] = entry
 
-    def record(self, *, fallbacks: int = 0, nodes: int = 0) -> None:
-        """Bump solve counters (called by :func:`solve_fast`)."""
+    def record(self, nodes: int) -> None:
+        """Count branch-and-bound nodes (called by :func:`solve_fast`)."""
         with self._lock:
-            self.bnb_fallbacks += fallbacks
             self.nodes_explored += nodes
 
     # -- maintenance -----------------------------------------------------------
@@ -113,7 +128,6 @@ class SolveCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "bnb_fallbacks": self.bnb_fallbacks,
                 "nodes_explored": self.nodes_explored,
             }
 
@@ -133,7 +147,7 @@ def _beats_bound(problem: IlpProblem, objective: float, bound: float) -> bool:
 
 def _copy(solution: IlpSolution, nodes_explored: int) -> IlpSolution:
     # Hand out a private values dict so neither the cache entry nor other
-    # consumers of the same fingerprint can be mutated through a result.
+    # consumers of the same problem can be mutated through a result.
     return IlpSolution(
         values=dict(solution.values),
         objective=solution.objective,
@@ -153,7 +167,7 @@ def solve_fast(
 
     Objective-identical to :func:`repro.ilp.solver.solve` in every case
     (``tests/test_ilp_fastpath.py`` asserts it property-style), with two
-    shortcuts: a memo lookup by canonical fingerprint and incumbent
+    shortcuts: a memo lookup by the problem as built and incumbent
     warm-starting of branch-and-bound.
 
     Args:
@@ -191,20 +205,18 @@ def solve_fast(
                 return None
             return _copy(entry, nodes_explored=0)
 
-    if cache is not None:
-        cache.record(fallbacks=1)
     try:
         solution = solve(problem, node_limit=node_limit, upper_bound=upper_bound)
     except InfeasibleError as error:
         if cache is not None:
-            cache.record(nodes=error.nodes_explored)
+            cache.record(error.nodes_explored)
             if error.proven:
                 cache.store(key, _INFEASIBLE)
         if not error.proven and upper_bound is not None:
             return None
         raise
     if cache is not None:
-        cache.record(nodes=solution.nodes_explored)
+        cache.record(solution.nodes_explored)
         if solution.optimal:
             # An optimal solution is the global optimum even when found
             # under an upper bound: warm-start pruning only ever discards

@@ -22,7 +22,6 @@ class Constraint:
     coeffs: tuple[tuple[str, float], ...]
     sense: str  # "==", ">=" or "<="
     rhs: float
-    name: str = ""
 
 
 @dataclass
@@ -68,7 +67,6 @@ class IlpProblem:
         coeffs: Mapping[str, float] | Iterable[tuple[str, float]],
         sense: str,
         rhs: float,
-        name: str = "",
     ) -> Constraint:
         """Add ``sum(coeff * var) sense rhs``; unknown variables are declared."""
         if sense not in ("==", ">=", "<="):
@@ -82,19 +80,17 @@ class IlpProblem:
         for var, _ in items:
             if var not in index:
                 self.add_variable(var)
-        constraint = Constraint(items, sense, float(rhs), name)
+        constraint = Constraint(items, sense, float(rhs))
         self.constraints.append(constraint)
         return constraint
 
-    def add_exactly_one(self, variables: Iterable[str], name: str = "") -> Constraint:
+    def add_exactly_one(self, variables: Iterable[str]) -> Constraint:
         """Convenience for the ubiquitous ``sum(vars) == 1`` constraints."""
-        return self.add_constraint([(v, 1.0) for v in variables], "==", 1.0, name)
+        return self.add_constraint([(v, 1.0) for v in variables], "==", 1.0)
 
-    def add_implication(self, antecedent: str, consequent: str, name: str = "") -> Constraint:
+    def add_implication(self, antecedent: str, consequent: str) -> Constraint:
         """Add ``antecedent -> consequent`` as ``-antecedent + consequent >= 0``."""
-        return self.add_constraint(
-            [(antecedent, -1.0), (consequent, 1.0)], ">=", 0.0, name
-        )
+        return self.add_constraint([(antecedent, -1.0), (consequent, 1.0)], ">=", 0.0)
 
     # -- introspection ----------------------------------------------------------
 
