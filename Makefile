@@ -21,7 +21,9 @@ batch-parallel-smoke:
 # Mirror of the CI perfbench job: the benchmark's self-tests, then one
 # traced fresh-ilp pass; both must exit 0.  Then, on fresh-ilp,
 # sharded-batch and resubmit-stream, two untraced passes under
-# PYTHONHASHSEED=0 and =3 must print the same records digest.
+# PYTHONHASHSEED=0 and =3 must print the same records digest, and
+# `cluster build` for the three Python MOOC problems must write
+# byte-identical stores under PYTHONHASHSEED 0, 1 and 3.
 perfbench:
 	$(PYTHON) perfbench/selftest.py
 	$(PYTHON) perfbench/run.py --workload fresh-ilp --seed 1 --seconds 10 --trace 1
@@ -34,6 +36,18 @@ perfbench:
 	test -n "$$first" && test "$$first" = "$$second" || \
 	{ echo "$$workload records digest depends on PYTHONHASHSEED"; exit 1; }; \
 	done
+	@tmp=$$(mktemp -d) && for problem in derivatives oddTuples polynomials; do \
+	for hashseed in 0 1 3; do \
+	PYTHONHASHSEED=$$hashseed $(PYTHON) -m repro.cli cluster build --problem $$problem \
+	--correct 30 --seed 7 --output $$tmp/$$problem-$$hashseed/clusters.json >/dev/null || exit 1; \
+	done; \
+	for hashseed in 1 3; do \
+	diff -r $$tmp/$$problem-0 $$tmp/$$problem-$$hashseed >/dev/null || \
+	{ echo "$$problem store bytes depend on PYTHONHASHSEED ($$hashseed)"; exit 1; }; \
+	done; \
+	echo "$$problem store bytes identical under PYTHONHASHSEED 0, 1 and 3"; \
+	done; \
+	rm -rf $$tmp
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples tools

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..ilp import IlpProblem, InfeasibleError, solve_fast
+from ..ilp import ILP_NODE_LIMIT, IlpProblem, InfeasibleError, solve_fast
 from ..model.expr import Expr, Var, intern_expr
 from ..model.program import Program
 from .clustering import Cluster
@@ -54,12 +54,6 @@ __all__ = [
     "find_best_repair",
     "RepairError",
 ]
-
-
-#: Branch-and-bound node budget of each repair ILP solve.  A solve that
-#: reaches it returns its best incumbent (``optimal=False``), which the
-#: solve memo does not store.
-ILP_NODE_LIMIT = 200_000
 
 
 class RepairError(Exception):

@@ -490,8 +490,8 @@ class _Translator:
         if statement.orelse:
             self._translate_loopfree_block(statement.orelse, else_builder)
 
-        assigned = set(then_builder.updates) | set(else_builder.updates)
-        for var in assigned:
+        # Sorted: set order would make the stores depend on string hashing.
+        for var in sorted(set(then_builder.updates) | set(else_builder.updates)):
             then_value = then_builder.current(var)
             else_value = else_builder.current(var)
             if then_value == else_value:

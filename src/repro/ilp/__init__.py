@@ -1,11 +1,10 @@
 """0-1 integer linear programming substrate."""
 
 from .fastpath import SolveCache, solve_fast
-from .problem import Constraint, IlpProblem, IlpSolution
+from .problem import ILP_NODE_LIMIT, IlpProblem, IlpSolution
 from .solver import IlpError, InfeasibleError, solve
 
 __all__ = [
-    "Constraint",
     "IlpProblem",
     "IlpSolution",
     "solve",
@@ -13,4 +12,5 @@ __all__ = [
     "SolveCache",
     "IlpError",
     "InfeasibleError",
+    "ILP_NODE_LIMIT",
 ]

@@ -6,8 +6,9 @@ It layers two accelerations on top of the spec, each of which is
 objective-identical to it by construction:
 
 1. **Memoization** (:class:`SolveCache`).  Problems are keyed as built:
-   ``(minimize, variables, objective items, constraints)``, all in
-   insertion order.  The repair ILP is built in the attempt's canonical
+   direction, variables, costs, rows and choice groups as
+   :class:`~repro.ilp.problem.IlpProblem` stores them, all in declaration
+   order.  The repair ILP is built in the attempt's canonical
    names (:mod:`repro.core.repair`), so attempts that differ only in
    variable names build the same problem in the same order and share one
    entry; no second normal form is needed.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import threading
 
-from .problem import IlpProblem, IlpSolution
+from .problem import ILP_NODE_LIMIT, IlpProblem, IlpSolution
 from .solver import InfeasibleError, solve
 
 __all__ = ["SolveCache", "solve_fast"]
@@ -81,21 +82,23 @@ class SolveCache:
     def key_for(self, problem: IlpProblem) -> tuple | None:
         """``problem`` as built, or ``None`` when caching is disabled.
 
-        The key is order-sensitive: two problems share an entry only when
-        they declare the same variables, objective terms and constraints
-        in the same order, which is exactly when they are the same
-        problem as built.
+        The key is the problem's stored form: direction, variable names,
+        costs, rows (terms and ranges) and choice groups, all in
+        declaration order.  The groups enter because merging a repeated
+        variable can give two differently written rows the same terms
+        while only one of them is an "exactly one" group the search
+        branches on.
         """
         if not self.enabled:
             return None
-        # Constraints enter as plain tuples: once examined, the garbage
-        # collector stops tracking tuples of strings and floats, so stored
-        # keys do not lengthen full collections as ``Constraint`` objects do.
         return (
             problem.minimize,
             tuple(problem.variables),
-            tuple(problem.objective.items()),
-            tuple((c.coeffs, c.sense, c.rhs) for c in problem.constraints),
+            tuple(problem.cost),
+            tuple(problem.row_terms),
+            tuple(problem.row_min),
+            tuple(problem.row_max),
+            tuple(problem.groups),
         )
 
     def lookup(self, key: tuple | None) -> object:
@@ -159,7 +162,7 @@ def _copy(solution: IlpSolution, nodes_explored: int) -> IlpSolution:
 def solve_fast(
     problem: IlpProblem,
     *,
-    node_limit: int = 200_000,
+    node_limit: int = ILP_NODE_LIMIT,
     cache: SolveCache | None = None,
     upper_bound: float | None = None,
 ) -> IlpSolution | None:

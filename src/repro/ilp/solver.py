@@ -40,12 +40,9 @@ incumbent found so far is returned with ``optimal=False``.
 
 from __future__ import annotations
 
-from .problem import IlpProblem, IlpSolution
+from .problem import ILP_NODE_LIMIT, IlpProblem, IlpSolution
 
 __all__ = ["solve", "IlpError", "InfeasibleError"]
-
-#: Feasibility tolerance on row activities.
-_EPS = 1e-9
 
 
 class IlpError(Exception):
@@ -82,7 +79,7 @@ class InfeasibleError(IlpError):
 def solve(
     problem: IlpProblem,
     *,
-    node_limit: int = 200_000,
+    node_limit: int = ILP_NODE_LIMIT,
     upper_bound: float | None = None,
 ) -> IlpSolution:
     """Solve a 0-1 ILP; raises :class:`InfeasibleError` if no solution exists.
@@ -118,58 +115,18 @@ class _Solver:
         self.problem = problem
         self.node_limit = node_limit
         self.variables = problem.variables
-        index = problem.index
-        # Objective in the normalized (minimisation) space.
-        self.cost = [problem.objective.get(var, 0.0) for var in self.variables]
-        if not problem.minimize:
-            self.cost = [-coeff for coeff in self.cost]
-
-        # Rows: each variable's coefficients as (pos, neg), the sums of its
-        # positive and negative occurrences, so a variable repeated in a row
-        # moves the row's bounds exactly as its occurrences would (a row
-        # without repeats needs no merging).  A row is consistent while
-        # lower <= row_max and upper >= row_min.
-        self.row_terms: list[list[tuple[int, float, float]]] = []
-        self.row_min: list[float] = []
-        self.row_max: list[float] = []
-        self.row_widest: list[float] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.var_rows: list[list[tuple[int, float, float]]] = [[] for _ in self.variables]
-        # "Exactly one" choice groups, as member index lists (a repeated
-        # member stays repeated, as in the constraint).
-        self.groups: list[list[int]] = []
-        var_rows, inf = self.var_rows, float("inf")
-        for row, constraint in enumerate(problem.constraints):
-            coeffs = constraint.coeffs
-            terms = [
-                (index[var], coeff, 0.0) if coeff >= 0 else (index[var], 0.0, coeff)
-                for var, coeff in coeffs
-            ]
-            if len({term[0] for term in terms}) < len(terms):
-                merged: dict[int, tuple[float, float]] = {}
-                for var, pos, neg in terms:
-                    old_pos, old_neg = merged.get(var, (0.0, 0.0))
-                    merged[var] = (old_pos + pos, old_neg + neg)
-                terms = [(var, pos, neg) for var, (pos, neg) in merged.items()]
-            self.row_terms.append(terms)
-            low = high = widest = 0.0
-            for var, pos, neg in terms:
-                var_rows[var].append((row, pos, neg))
-                low += neg
-                high += pos
-                if pos > widest:
-                    widest = pos
-                if -neg > widest:
-                    widest = -neg
-            self.lower.append(low)
-            self.upper.append(high)
-            self.row_widest.append(widest)
-            rhs, sense = constraint.rhs, constraint.sense
-            self.row_min.append(rhs - _EPS if sense != "<=" else -inf)
-            self.row_max.append(rhs + _EPS if sense != ">=" else inf)
-            if sense == "==" and rhs == 1.0 and all(coeff == 1.0 for _, coeff in coeffs):
-                self.groups.append([index[var] for var, _ in coeffs])
+        # The problem's rows (see IlpProblem), read as stored; only the
+        # activity bounds change during the search, so only they are
+        # copied.  A row is consistent while lower <= row_max and
+        # upper >= row_min.  Costs are normalized to minimisation.
+        self.cost = problem.cost if problem.minimize else [-coeff for coeff in problem.cost]
+        self.row_terms = problem.row_terms
+        self.row_min, self.row_max = problem.row_min, problem.row_max
+        self.row_widest = problem.row_widest
+        self.var_rows = problem.var_rows
+        self.groups = problem.groups
+        self.lower = list(problem.lower)
+        self.upper = list(problem.upper)
         # Variables whose (normalized) cost is negative: every one still
         # unassigned may yet lower the objective, so the lower bound must
         # charge them.  Repair instances have non-negative costs only, but

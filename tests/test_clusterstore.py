@@ -4,7 +4,10 @@ clustering, serialization round-trips and the persistence CLI."""
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +166,30 @@ def test_store_is_byte_stable(deriv_setup, tmp_path):
     assert [p.name for p in first_segments] == [p.name for p in second_segments]
     for one, other in zip(first_segments, second_segments):
         assert one.read_bytes() == other.read_bytes()
+
+
+def test_store_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """``cluster build`` writes the same header and segment bytes under any
+    per-process hash salt.  Translating a loop-free ``if`` once merged the
+    branches' updates in set order, which made one derivatives segment
+    differ between ``PYTHONHASHSEED=0`` and ``=1``."""
+    trees = []
+    for hash_seed in ("0", "1", "3"):
+        out = tmp_path / f"hashseed-{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cluster", "build",
+             "--problem", "derivatives", "--correct", "30", "--seed", "7",
+             "--output", str(out / "clusters.json")],
+            capture_output=True,
+            check=True,
+            env=env,
+        )
+        files = sorted(path for path in out.rglob("*") if path.is_file())
+        assert len(files) > 1  # the header and its segments
+        trees.append({path.relative_to(out): path.read_bytes() for path in files})
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_load_rejects_bumped_format_version(deriv_setup, tmp_path):

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from helpers.ilp import RecordedProblem, satisfies
 
 from repro.graphs import hopcroft_karp, maximum_matching_size, perfect_matching
 from repro.ilp import IlpProblem, InfeasibleError, solve
@@ -68,16 +71,50 @@ def test_hopcroft_karp_matches_networkx(n_left, n_right, data):
 
 
 def test_problem_construction_and_feasibility_check():
-    problem = IlpProblem()
+    problem = RecordedProblem()
     problem.add_variable("x", objective=2.0)
     problem.add_variable("y", objective=1.0)
     problem.add_exactly_one(["x", "y"])
     problem.add_implication("x", "y")
-    assert problem.is_feasible({"x": 0, "y": 1})
-    assert not problem.is_feasible({"x": 1, "y": 0})
+    assert satisfies(problem, {"x": 0, "y": 1})
+    assert not satisfies(problem, {"x": 1, "y": 0})
     assert problem.objective_value({"x": 0, "y": 1}) == 1.0
+    assert problem.cost == [2.0, 1.0]
+    assert problem.groups == [(0, 1)]
     with pytest.raises(ValueError):
         problem.add_constraint({"x": 1.0}, "!!", 1.0)
+
+
+def test_constraints_are_stored_as_solver_rows():
+    """Each constraint becomes its row as it is added: ``(var, pos, neg)``
+    terms (a repeated variable merged), activity bounds, widest
+    coefficient, the range the sense allows, and each variable's rows."""
+    problem = IlpProblem()
+    problem.add_variable("x", objective=2.0)
+    problem.add_exactly_one(["x", "y"])
+    problem.add_constraint({"y": 2.0, "z": -3.0, "x": 1.0}, "<=", 1.0)
+    problem.add_constraint([("x", 1.0), ("y", -1.0), ("x", 2.0)], ">=", 0.0)
+    problem.add_constraint([("y", 1.0), ("y", 1.0)], "==", 1.0)
+    assert problem.variables == ["x", "y", "z"]
+    assert problem.cost == [2.0, 0.0, 0.0]
+    assert problem.row_terms == [
+        ((0, 1.0, 0.0), (1, 1.0, 0.0)),
+        ((1, 2.0, 0.0), (2, 0.0, -3.0), (0, 1.0, 0.0)),
+        ((0, 3.0, 0.0), (1, 0.0, -1.0)),
+        ((1, 2.0, 0.0),),
+    ]
+    assert problem.lower == [0.0, -3.0, -1.0, 0.0]
+    assert problem.upper == [2.0, 3.0, 3.0, 2.0]
+    assert problem.row_widest == [1.0, 3.0, 3.0, 2.0]
+    assert problem.row_min == pytest.approx([1.0, -math.inf, 0.0, 1.0], abs=1e-6)
+    assert problem.row_max == pytest.approx([1.0, 1.0, math.inf, 1.0], abs=1e-6)
+    assert problem.var_rows == [
+        [(0, 1.0, 0.0), (1, 1.0, 0.0), (2, 3.0, 0.0)],
+        [(0, 1.0, 0.0), (1, 2.0, 0.0), (2, 0.0, -1.0), (3, 2.0, 0.0)],
+        [(1, 0.0, -3.0)],
+    ]
+    # Groups are read from the terms as given: the repeated member stays.
+    assert problem.groups == [(0, 1), (1, 1)]
 
 
 # -- ILP solving ----------------------------------------------------------------------
@@ -155,7 +192,7 @@ def test_solver_matches_brute_force(data):
     n_vars = data.draw(st.integers(2, 6), label="n_vars")
     variables = [f"v{i}" for i in range(n_vars)]
     minimize = data.draw(st.booleans(), label="minimize")
-    problem = IlpProblem(minimize=minimize)
+    problem = RecordedProblem(minimize=minimize)
     for var in variables:
         problem.add_variable(var, objective=float(data.draw(st.integers(-3, 6), label=var)))
     n_constraints = data.draw(st.integers(1, 4), label="n_constraints")
@@ -187,7 +224,7 @@ def test_solver_matches_brute_force(data):
     best = None
     for bits in itertools.product((0, 1), repeat=n_vars):
         assignment = dict(zip(variables, bits))
-        if problem.is_feasible(assignment):
+        if satisfies(problem, assignment):
             cost = problem.objective_value(assignment)
             if best is None or better(cost, best):
                 best = cost
@@ -206,5 +243,5 @@ def test_solver_matches_brute_force(data):
     else:
         solution = solve(problem, **kwargs)
         assert solution.optimal
-        assert problem.is_feasible(solution.values)
+        assert satisfies(problem, solution.values)
         assert abs(solution.objective - best) < 1e-9

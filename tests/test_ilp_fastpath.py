@@ -21,6 +21,7 @@ from helpers.differential import (
     assert_outcomes_field_identical,
     assert_repairs_field_identical,
 )
+from helpers.ilp import RecordedProblem, satisfies
 
 from repro.core.clustering import cluster_programs
 from repro.core.pipeline import Clara
@@ -42,10 +43,10 @@ SEED = 20180618
 # -- random problem generators (Def. 5.5 shaped) --------------------------------------
 
 
-def _random_def55_problem(rng: random.Random) -> IlpProblem:
+def _random_def55_problem(rng: random.Random) -> RecordedProblem:
     """Choice groups + implications + arbitrary-sense rows, arbitrary costs."""
     n = rng.randint(2, 7)
-    problem = IlpProblem(minimize=rng.random() < 0.8)
+    problem = RecordedProblem(minimize=rng.random() < 0.8)
     variables = [f"v{i}" for i in range(n)]
     for var in variables:
         problem.add_variable(var, objective=float(rng.randint(-4, 6)))
@@ -63,10 +64,10 @@ def _random_def55_problem(rng: random.Random) -> IlpProblem:
     return problem
 
 
-def _random_weighted_problem(rng: random.Random) -> IlpProblem:
+def _random_weighted_problem(rng: random.Random) -> RecordedProblem:
     """Rows with mixed-sign, non-unit coefficients and repeated variables."""
     n = rng.randint(3, 8)
-    problem = IlpProblem(minimize=rng.random() < 0.7)
+    problem = RecordedProblem(minimize=rng.random() < 0.7)
     variables = [f"w{i}" for i in range(n)]
     for var in variables:
         problem.add_variable(var, objective=float(rng.randint(-3, 6)))
@@ -83,14 +84,14 @@ def _random_weighted_problem(rng: random.Random) -> IlpProblem:
     return problem
 
 
-def _random_assignment_problem(rng: random.Random) -> IlpProblem:
+def _random_assignment_problem(rng: random.Random) -> RecordedProblem:
     """Row/column exactly-one groups: a min-cost assignment by construction.
 
     Rows and columns may differ in size and slack variables appear only
     sometimes, so a fraction of the generated problems is (provenly)
     infeasible — no perfect matching pads the smaller side."""
     rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-    problem = IlpProblem()
+    problem = RecordedProblem()
     for i in range(rows):
         for j in range(cols):
             problem.add_variable(f"x{i}{j}", objective=float(rng.randint(-3, 9)))
@@ -113,11 +114,11 @@ def _random_assignment_problem(rng: random.Random) -> IlpProblem:
     return problem
 
 
-def _brute_force(problem: IlpProblem) -> float | None:
+def _brute_force(problem: RecordedProblem) -> float | None:
     best = None
     for bits in itertools.product((0, 1), repeat=len(problem.variables)):
         values = dict(zip(problem.variables, bits))
-        if problem.is_feasible(values):
+        if satisfies(problem, values):
             objective = problem.objective_value(values)
             if best is None or (
                 objective < best if problem.minimize else objective > best
@@ -200,12 +201,12 @@ def test_memoized_assignment_problem_solutions_are_feasible():
             solution = solve_fast(problem, cache=cache)
         except InfeasibleError:
             continue
-        assert problem.is_feasible(solution.values), trial
+        assert satisfies(problem, solution.values), trial
         assert solution.optimal, trial
         assert abs(problem.objective_value(solution.values) - solution.objective) < 1e-9
         memoized = solve_fast(problem, cache=cache)
         assert cache.hits == 1, trial
-        assert problem.is_feasible(memoized.values), trial
+        assert satisfies(problem, memoized.values), trial
         assert memoized.values == solution.values, trial
         assert memoized.optimal and memoized.nodes_explored == 0, trial
         returned += 1
@@ -215,17 +216,17 @@ def test_memoized_assignment_problem_solutions_are_feasible():
 # -- the memo key: the problem as built -----------------------------------------------
 
 
-def _shuffled(problem: IlpProblem, rng: random.Random) -> IlpProblem:
+def _shuffled(problem: RecordedProblem, rng: random.Random) -> RecordedProblem:
     """The same problem with variables, constraints and terms reordered."""
-    shuffled = IlpProblem(minimize=problem.minimize)
+    shuffled = RecordedProblem(minimize=problem.minimize)
     for var in sorted(problem.variables, key=lambda v: rng.random()):
-        shuffled.add_variable(var, objective=problem.objective.get(var, 0.0))
-    constraints = list(problem.constraints)
-    rng.shuffle(constraints)
-    for constraint in constraints:
-        coeffs = list(constraint.coeffs)
+        shuffled.add_variable(var, objective=problem.cost[problem.index[var]])
+    records = list(problem.records)
+    rng.shuffle(records)
+    for coeffs, sense, rhs in records:
+        coeffs = list(coeffs)
         rng.shuffle(coeffs)
-        shuffled.add_constraint(coeffs, constraint.sense, constraint.rhs)
+        shuffled.add_constraint(coeffs, sense, rhs)
     return shuffled
 
 
@@ -244,18 +245,26 @@ def test_memo_solves_a_shuffled_problem_to_the_same_objective():
 
 
 def _choice_problem(
-    *, cost_b: float = 2.0, sense: str = "==", rhs: float = 1.0, minimize: bool = True
+    *,
+    cost_b: float = 2.0,
+    coeffs: tuple = (("a", 1.0), ("b", 1.0)),
+    sense: str = "==",
+    rhs: float = 1.0,
+    minimize: bool = True,
 ) -> IlpProblem:
     problem = IlpProblem(minimize=minimize)
     problem.add_variable("a", objective=1.0)
     problem.add_variable("b", objective=cost_b)
-    problem.add_constraint([("a", 1.0), ("b", 1.0)], sense, rhs)
+    problem.add_constraint(coeffs, sense, rhs)
     return problem
 
 
 def test_memo_never_shares_an_entry_between_different_problems():
     """Problems that differ only in one objective coefficient, one
-    right-hand side, one sense or the optimisation direction each miss."""
+    right-hand side, one sense or the optimisation direction each miss.
+    So do ``a + a + b == 1`` and ``2a + b == 1``: merging the repeated
+    ``a`` gives both the same row, but only the first is an "exactly one"
+    group, which the search branches on."""
     cache = SolveCache()
     variants = [
         _choice_problem(),
@@ -263,9 +272,13 @@ def test_memo_never_shares_an_entry_between_different_problems():
         _choice_problem(rhs=2.0),
         _choice_problem(sense="<="),
         _choice_problem(minimize=False),
+        _choice_problem(coeffs=[("a", 1), ("a", 1), ("b", 1)]),
+        _choice_problem(coeffs=[("a", 2), ("b", 1)]),
     ]
+    assert variants[-2].row_terms == variants[-1].row_terms
+    assert variants[-2].groups != variants[-1].groups
     objectives = [_objective_or_none(problem, cache=cache) for problem in variants]
-    assert objectives == [1.0, 1.0, 3.0, 0.0, 2.0]
+    assert objectives == [1.0, 1.0, 3.0, 0.0, 2.0, 2.0, 2.0]
     assert cache.hits == 0 and cache.misses == len(variants)
     assert cache.entry_counts() == {"solves": len(variants)}
     # The same problem built again is the same key.
@@ -276,9 +289,9 @@ def test_memo_never_shares_an_entry_between_different_problems():
 # -- node limits (boundary regression) and what may be cached -------------------------
 
 
-def _hard_feasible_problem() -> IlpProblem:
+def _hard_feasible_problem() -> RecordedProblem:
     """Small but branchy: overlapping groups, implications, a packing row."""
-    problem = IlpProblem()
+    problem = RecordedProblem()
     costs = {"a": 3.0, "b": 2.0, "c": 5.0, "d": 1.0, "e": 4.0, "f": 2.0}
     for var, cost in costs.items():
         problem.add_variable(var, objective=cost)
@@ -309,7 +322,7 @@ def test_node_limit_boundary_always_returns_incumbent_or_unproven():
             continue
         if first_return is None:
             first_return = limit
-        assert problem.is_feasible(solution.values)
+        assert satisfies(problem, solution.values)
         if limit <= full_nodes:
             assert not solution.optimal  # hit limit -> incumbent, optimal=False
             assert solution.nodes_explored == limit
@@ -398,10 +411,11 @@ def test_every_returned_solution_passes_is_feasible():
     """The solver accepts a leaf without re-checking its rows: each row was
     checked when its last variable was assigned, and empty rows at the root.
     Every solution :func:`solve` returns — plain, under a node-limit sweep
-    and warm-started — therefore satisfies :meth:`IlpProblem.is_feasible`
-    (the spec): on Def. 5.5-shaped and mixed-coefficient problems (repeated
-    variables within a row included), with and without an empty
-    ``sum([]) == 1`` row."""
+    and warm-started — therefore satisfies the constraints as given (the
+    generators' records, read by :func:`helpers.ilp.satisfies`, not the
+    rows the solver reads): on Def. 5.5-shaped and mixed-coefficient
+    problems (repeated variables within a row included), with and without
+    an empty ``sum([]) == 1`` row."""
     rng = random.Random(SEED + 2)
     checked = infeasible = 0
     for trial in range(300):
@@ -424,7 +438,7 @@ def test_every_returned_solution_passes_is_feasible():
                 solution = solve(problem, **kwargs)
             except InfeasibleError:
                 continue
-            assert problem.is_feasible(solution.values), (trial, kwargs)
+            assert satisfies(problem, solution.values), (trial, kwargs)
             checked += 1
     assert checked > 300 and infeasible > 30, (checked, infeasible)
 
