@@ -56,8 +56,9 @@ def _objective_and_nodes(solve_once):
 def _collect_problem_stream():
     """The (attempt, cluster) ILPs of a duplicated-attempt derivatives run.
 
-    Returns a list of per-attempt lists of problems, clusters visited in
-    :func:`find_best_repair`'s deterministic order.
+    Returns a list of per-attempt lists of problems, clusters in the
+    canonical (-size, cluster_id) order :func:`find_best_repair` ranks
+    them by.
     """
     problem = get_problem("derivatives")
     corpus = generate_corpus(problem, 14, 8, seed=2018)
@@ -114,7 +115,7 @@ def test_solver_fastpath(benchmark, results_dir, local_results_dir):
     )
 
     # Warm-started pass: thread the per-attempt best objective into each
-    # later cluster's solve, exactly as find_best_repair's cost_bound does.
+    # later cluster's solve, as a cost-bounded search in canonical order would.
     # The per-attempt winner must match the baseline winner.
     warm_nodes = 0
     index = 0

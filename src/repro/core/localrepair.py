@@ -47,8 +47,9 @@ The fast path (docs/ARCHITECTURE.md, "Repair fast path"):
   back here: the repair ILP is built on the canonical names, and only the
   chosen candidates are renamed back when the solution is decoded
   (:mod:`repro.core.repair`);
-* the fixed-variable sites are generated first, and a cluster they alone
-  refute (:func:`fixed_sites_refute`) gets no ordinary site generated.
+* the fixed-variable sites are generated first (:func:`generate_fixed_sites`),
+  and a cluster their cost floor refutes (:func:`fixed_site_floor`) gets no
+  ordinary site generated.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..interpreter.evaluator import evaluate
 from ..interpreter.values import values_equal
@@ -75,7 +76,8 @@ __all__ = [
     "canonical_renaming",
     "expressions_match",
     "enumerate_partial_relations",
-    "fixed_sites_refute",
+    "fixed_site_floor",
+    "generate_fixed_sites",
     "generate_local_repairs",
     "Site",
 ]
@@ -239,8 +241,8 @@ def generate_local_repairs(
             TED memo costs the replacement candidates and whose profiler
             (if any) times the ``ted`` phase and counts candidates.
             Defaults to a fresh instance.
-        cost_bound: Branch-and-bound budget — the cost of the best repair
-            already found.  Candidates whose cost reaches it are dropped;
+        cost_bound: Branch-and-bound budget — only repairs cheaper than it
+            matter to the caller.  Candidates whose cost reaches it are dropped;
             repairs cheaper than the bound are unaffected (see
             :func:`repro.core.repair.find_best_repair`).
 
@@ -248,24 +250,130 @@ def generate_local_repairs(
         Each site's candidates, cheapest first and in the attempt's
         canonical names (:func:`canonical_renaming`; the :class:`Site` keys
         keep the real names): the ordinary sites, then the fixed ones.
-        The fixed sites are generated first, and as soon as
-        :func:`fixed_sites_refute` holds for them (a fixed site has no
-        candidate, or their cheapest candidates sum to at least
-        ``cost_bound``) generation stops: the dict then holds only the fixed
-        sites generated so far, in order, and no ordinary site.  No repair
-        against the cluster is cheaper than the bound in that case, and
+        The fixed sites are generated first (:func:`generate_fixed_sites`),
+        and when :func:`fixed_site_floor` refutes them under ``cost_bound``
+        (a fixed site has no candidate, or their cheapest candidates sum to
+        at least ``cost_bound``) the dict holds only the fixed sites
+        generated so far, in order, and no ordinary site.  No repair against
+        the cluster is cheaper than the bound in that case, and
         :func:`repro.core.repair.repair_against_cluster` returns ``None``
         for it without building an ILP.
     """
-    if caches is None:
-        # Imported lazily: the engine package imports core modules at
-        # module level, so the core must not import it back eagerly.
-        from ..engine.cache import RepairCaches
+    caches = _default_caches(caches)
+    fixed = generate_fixed_sites(
+        implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
+    )
+    if fixed_site_floor(fixed, cost_bound) is None:
+        _count_candidates(caches, fixed)
+        return fixed
 
-        caches = RepairCaches()
+    # Ordinary (non-fixed) variables: every location × variable site.
+    rep_vars = variables_for_matching(cluster.representative)
+    impl_vars = variables_for_matching(implementation)
+    for_site = _site_generator(implementation, cluster, caches, cost_bound)
+    candidates: dict[Site, list[LocalRepairCandidate]] = {}
+    for loc_id in implementation.location_ids():
+        rep_loc = location_map[loc_id]
+        for var in impl_vars:
+            impl_expr = implementation.update_for(loc_id, var)
+            candidates[Site(loc_id, var, fixed=False)] = _dedupe(
+                for_site(rep_loc, var, impl_expr, rep_vars)
+            )
+    candidates.update(fixed)
+    _count_candidates(caches, candidates)
+    return candidates
+
+
+def generate_fixed_sites(
+    implementation: Program,
+    cluster: Cluster,
+    location_map: Mapping[int, int],
+    *,
+    caches: "RepairCaches | None" = None,
+    cost_bound: float | None = None,
+) -> dict[Site, list[LocalRepairCandidate]]:
+    """The candidates of the fixed special variables' sites (``$cond``,
+    ``$ret``, ``$out``, ...), cheapest first, location by location.
+
+    They are related identically, but their expressions still have to match
+    and may need repair (e.g. a wrong loop condition or a wrong return
+    expression).  Each fixed site must take one of its candidates, so they
+    alone bound every repair against the cluster from below
+    (:func:`fixed_site_floor`).  Generation stops at the first site after
+    which the floor refutes ``cost_bound``; the last site in the dict is then
+    the refuting one.  :func:`generate_local_repairs` starts with these
+    sites, and :func:`repro.core.repair.find_best_repair` generates them
+    without a bound for every cluster to order its search.  Candidates are
+    not counted here: only the ones handed to an ILP are.
+    """
+    caches = _default_caches(caches)
     representative = cluster.representative
-    rep_vars = variables_for_matching(representative)
+    for_site = _site_generator(implementation, cluster, caches, cost_bound)
+    fixed: dict[Site, list[LocalRepairCandidate]] = {}
+    fixed_vars = sorted(
+        (set(implementation.variables) | set(representative.variables)) & FIXED_VARS
+    )
+    for loc_id in implementation.location_ids():
+        rep_loc = location_map[loc_id]
+        for var in fixed_vars:
+            impl_expr = implementation.update_for(loc_id, var)
+            rep_expr = representative.update_for(rep_loc, var)
+            pool = cluster.expressions_for(rep_loc, var)
+            if impl_expr == Var(var) and rep_expr == Var(var) and not pool:
+                continue
+            fixed[Site(loc_id, var, fixed=True)] = _dedupe(
+                for_site(rep_loc, var, impl_expr, (var,))
+            )
+            if fixed_site_floor(fixed, cost_bound) is None:
+                return fixed
+    return fixed
 
+
+def fixed_site_floor(
+    candidates: Mapping[Site, Sequence[LocalRepairCandidate]],
+    cost_bound: float | None = None,
+) -> int | None:
+    """The sum of each fixed site's cheapest candidate, or ``None`` when the
+    fixed sites alone rule out a repair cheaper than ``cost_bound``.
+
+    ``None`` when a fixed site has no candidate, or when the sum reaches
+    ``cost_bound``.  A fixed site's ILP group is "exactly one of its
+    candidates", with no deletion option, and every cost in the ILP is a
+    non-negative integer, so no repair against the cluster costs less than
+    the floor (docs/ARCHITECTURE.md, "Cost-bounded cluster search").
+    Ordinary sites in ``candidates`` are ignored.
+    """
+    floor = 0
+    for site, site_candidates in candidates.items():
+        if not site.fixed:
+            continue
+        if not site_candidates:
+            return None
+        floor += min(candidate.cost for candidate in site_candidates)
+        if cost_bound is not None and floor >= cost_bound:
+            return None
+    return floor
+
+
+def _default_caches(caches: "RepairCaches | None") -> "RepairCaches":
+    if caches is not None:
+        return caches
+    # Imported lazily: the engine package imports core modules at module
+    # level, so the core must not import it back eagerly.
+    from ..engine.cache import RepairCaches
+
+    return RepairCaches()
+
+
+def _site_generator(
+    implementation: Program,
+    cluster: Cluster,
+    caches: "RepairCaches",
+    cost_bound: float | None,
+) -> Callable[[int, str, Expr, Sequence[str]], list[LocalRepairCandidate]]:
+    """``for_site(rep_loc, var, impl_expr, targets)``: one site's candidates,
+    with the site's variable and expression taken into canonical names."""
+    rep_vars = variables_for_matching(cluster.representative)
     forward = canonical_renaming(implementation)
     canonical_vars = tuple(forward.values())
 
@@ -284,67 +392,7 @@ def generate_local_repairs(
             cost_bound=cost_bound,
         )
 
-    # Fixed special variables ($cond, $ret, $out, ...) first: they are
-    # related identically, but their expressions still have to match and
-    # may need repair (e.g. a wrong loop condition or a wrong return
-    # expression).  Each fixed site must take one of its candidates, so
-    # they alone can refute the cluster before any ordinary site is built.
-    fixed: dict[Site, list[LocalRepairCandidate]] = {}
-    fixed_vars = sorted(
-        (set(implementation.variables) | set(representative.variables)) & FIXED_VARS
-    )
-    for loc_id in implementation.location_ids():
-        rep_loc = location_map[loc_id]
-        for var in fixed_vars:
-            impl_expr = implementation.update_for(loc_id, var)
-            rep_expr = representative.update_for(rep_loc, var)
-            pool = cluster.expressions_for(rep_loc, var)
-            if impl_expr == Var(var) and rep_expr == Var(var) and not pool:
-                continue
-            fixed[Site(loc_id, var, fixed=True)] = _dedupe(
-                for_site(rep_loc, var, impl_expr, (var,))
-            )
-            if fixed_sites_refute(fixed, cost_bound):
-                _count_candidates(caches, fixed)
-                return fixed
-
-    # Ordinary (non-fixed) variables: every location × variable site.
-    candidates: dict[Site, list[LocalRepairCandidate]] = {}
-    for loc_id in implementation.location_ids():
-        rep_loc = location_map[loc_id]
-        for var in forward:
-            impl_expr = implementation.update_for(loc_id, var)
-            candidates[Site(loc_id, var, fixed=False)] = _dedupe(
-                for_site(rep_loc, var, impl_expr, rep_vars)
-            )
-    candidates.update(fixed)
-    _count_candidates(caches, candidates)
-    return candidates
-
-
-def fixed_sites_refute(
-    candidates: Mapping[Site, Sequence[LocalRepairCandidate]],
-    cost_bound: float | None,
-) -> bool:
-    """Whether the fixed sites alone rule out a repair cheaper than ``cost_bound``.
-
-    True when a fixed site has no candidate, or when the cheapest
-    candidates of the fixed sites already sum to at least ``cost_bound``.
-    A fixed site's ILP group is "exactly one of its candidates", with no
-    deletion option, and every cost in the ILP is non-negative and
-    additive, so either way no repair against the cluster costs less than
-    the bound (docs/ARCHITECTURE.md, "Cost-bounded cluster search").
-    """
-    floor = 0
-    for site, site_candidates in candidates.items():
-        if not site.fixed:
-            continue
-        if not site_candidates:
-            return True
-        floor += min(candidate.cost for candidate in site_candidates)
-        if cost_bound is not None and floor >= cost_bound:
-            return True
-    return False
+    return for_site
 
 
 def _count_candidates(

@@ -37,7 +37,8 @@ from .localrepair import (
     LocalRepairCandidate,
     Site,
     canonical_renaming,
-    fixed_sites_refute,
+    fixed_site_floor,
+    generate_fixed_sites,
     generate_local_repairs,
 )
 from .matching import FIXED_VARS, structural_match, variables_for_matching
@@ -544,21 +545,24 @@ def repair_against_cluster(
             ILP in the same order, which the solve memo keys on as built;
             only the chosen candidates are renamed back, by the decoder.
             Defaults to a fresh instance.
-        cost_bound: Branch-and-bound budget, the cost of the best repair
-            found so far.  Candidates costing at least this much are pruned
-            during generation, and the bound warm-starts the ILP solve as
-            its initial incumbent (:func:`repro.ilp.solve_fast`); any
+        cost_bound: Branch-and-bound budget: only repairs cheaper than it
+            matter (:func:`find_best_repair` passes the incumbent's cost, or
+            one more where a tie would win).  Candidates costing at least
+            this much are pruned during generation, and the bound
+            warm-starts the ILP solve as its initial incumbent
+            (:func:`repro.ilp.solve_fast`); any
             repair *cheaper* than the bound is returned exactly as on the
             unpruned path, while a cluster whose cheapest repair reaches
             the bound may return a different same-or-costlier repair or
-            ``None`` — callers comparing with a strict ``<``
-            (:func:`find_best_repair`) are unaffected.  When the fixed
+            ``None`` — callers that only accept repairs cheaper than the
+            bound (:func:`find_best_repair`) are unaffected.  When the fixed
             sites alone refute the cluster
-            (:func:`repro.core.localrepair.fixed_sites_refute`: a fixed site
-            without candidates, or fixed-site minimum costs summing to at
-            least the bound), :func:`generate_local_repairs` returns only
-            those fixed sites and ``None`` is returned here without building
-            or solving an ILP — the same ``None`` the solve would give.
+            (:func:`repro.core.localrepair.fixed_site_floor` is ``None``: a
+            fixed site without candidates, or fixed-site minimum costs
+            summing to at least the bound), :func:`generate_local_repairs`
+            returns only those fixed sites and ``None`` is returned here
+            without building or solving an ILP — the same ``None`` the
+            solve would give.
 
     Returns:
         The cheapest consistent repair, or ``None`` when the control flow
@@ -581,7 +585,7 @@ def repair_against_cluster(
         candidates = generate_local_repairs(
             implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
         )
-    if fixed_sites_refute(candidates, cost_bound):
+    if fixed_site_floor(candidates, cost_bound) is None:
         # The fixed sites alone prove that nothing beats the bound (or that
         # no repair exists); the dict holds only them, so nothing is solved.
         return None
@@ -634,43 +638,62 @@ def find_best_repair(
 ) -> Repair | None:
     """Run the repair algorithm against every cluster and keep the cheapest.
 
-    Clusters are visited in decreasing size order (bigger clusters contain
-    more expression variety and usually produce the smallest repairs first,
-    improving both the effect of the timeout and the branch-and-bound
-    pruning below), with ties broken by ascending ``cluster_id`` so the
-    visit order — and therefore which clusters fit inside a timeout budget —
-    is deterministic.
+    The result is the cheapest repair, ties going to the cluster ranked first
+    in *canonical order*: decreasing size, then ascending ``cluster_id``.  It
+    does not depend on the order of ``clusters``.
 
-    With ``cost_bound`` (the default), the best cost found so far is
-    threaded into each subsequent cluster's candidate generation as a
-    branch-and-bound budget: candidates that cannot possibly beat it are
-    dropped, and their tree-edit-distance DPs skipped, without ever changing
-    the returned repair.  The argument: candidate costs are non-negative
-    and additive, so any repair using a candidate of cost ≥ bound itself
-    costs ≥ bound; since the selection below is *strict* (``<``), such a
-    repair could never replace ``best`` — pruning it (or, transitively,
-    returning ``None`` for a cluster whose repairs all reach the bound) is
-    unobservable.  The same bound warm-starts each cluster's ILP solve as
-    the branch-and-bound's initial incumbent (see
-    :func:`repro.ilp.solve_fast`), pruning solver branches that cannot
-    produce a winning repair; a warm-started solve that does beat the bound
-    finds exactly the solution the cold solve would have (see
-    :func:`repro.ilp.solver.solve`).  ``cost_bound=False`` keeps the
-    exhaustive path alive for cross-checks and measurement
-    (``benchmarks/test_repair_throughput.py`` asserts field-identical
-    outcomes).
+    The search is best-first, in two steps.
+
+    1. *Pre-pass.*  In canonical order, each cluster is structurally matched
+       (memoized on ``caches``) and its fixed sites are generated without a
+       bound (:func:`repro.core.localrepair.generate_fixed_sites`, timed as
+       ``candidate_gen``).  Their floor, the sum of each fixed site's
+       cheapest candidate (:func:`repro.core.localrepair.fixed_site_floor`),
+       bounds every repair against the cluster from below.  A cluster that
+       does not match, or has a fixed site without a candidate, is dropped.
+    2. *Search.*  The rest are repaired in ``(floor, canonical rank)`` order.
+
+    With ``cost_bound`` (the default), the incumbent — cost ``c`` from the
+    cluster of canonical rank ``r*`` — bounds the rest of the search.  The
+    search stops at the first cluster whose floor exceeds ``c``: every later
+    floor is at least as high.  A cluster ranked before ``r*`` must still
+    win a tie at ``c``, so it is repaired under the bound ``c + 1``; one
+    ranked after ``r*`` must be strictly cheaper and gets the bound ``c``;
+    a cluster whose floor already reaches its bound is skipped.  Every cost
+    is an integer (tree edit distances and expression sizes), so "at most
+    ``c``" is exactly "below ``c + 1``", and the one strict bound of
+    :func:`repair_against_cluster` serves both cases.  That function
+    returns any repair cheaper than its bound exactly as without one, and
+    candidates, TED DPs and solver branches that cannot beat the bound are
+    pruned (see there).  Any repair that comes back therefore replaces the
+    incumbent, and the result is the lexicographic minimum of ``(cost,
+    canonical rank)`` — the first strictly cheapest repair in canonical
+    order.  ``cost_bound=False`` runs the same loop with no bound and no
+    stop, keeping the same minimum; it stays as the exhaustive path for
+    cross-checks and measurement (``benchmarks/test_repair_throughput.py``
+    asserts field-identical outcomes).
+
+    The argument assumes each solve finds its optimum.  A solve cut at
+    :data:`ILP_NODE_LIMIT` returns its best repair so far, and then neither
+    this order nor canonical order is guaranteed to return the optimum;
+    the bounds of earlier clusters already change what a cut solve
+    returns, in any order.
 
     Args:
         implementation: The parsed incorrect attempt.
         clusters: Candidate clusters of correct solutions.
         solver: Repair-selection solver, ``"ilp"`` or ``"enumerate"``.
-        timeout: Wall-clock budget in seconds; cluster iteration stops once
-            it is exceeded.
+        timeout: Wall-clock budget in seconds, checked before each cluster
+            of the pre-pass and of the search; both stop once it is
+            exceeded.  The clusters that fit are therefore those taken in
+            floor order from the ones the pre-pass reached in canonical
+            order.
         caches: The :class:`repro.engine.cache.RepairCaches` handle shared
             by every cluster's repair; its structural-match memo means each
             (attempt, cluster) pair is matched exactly once across the
-            pipeline's gate check and the search.  Defaults to a fresh
-            instance.
+            pipeline's gate check and the search, and its site memo serves
+            the fixed sites the pre-pass generated to the search.  Defaults
+            to a fresh instance.
         cost_bound: Enable best-cost-so-far pruning (see above).
 
     Returns:
@@ -680,19 +703,39 @@ def find_best_repair(
         from ..engine.cache import RepairCaches
 
         caches = RepairCaches()
-    ordered = sorted(clusters, key=lambda c: (-c.size, c.cluster_id))
-    best: Repair | None = None
     start = time.perf_counter()
-    for cluster in ordered:
-        if timeout is not None and time.perf_counter() - start > timeout:
-            break
-        bound = best.cost if (cost_bound and best is not None) else None
-        if bound is not None and bound <= 0:
-            # Nothing can strictly beat a zero-cost repair.
+
+    def expired() -> bool:
+        return timeout is not None and time.perf_counter() - start > timeout
+
+    ranked: list[tuple[int, int, Cluster, Mapping[int, int]]] = []
+    canonical = sorted(clusters, key=lambda c: (-c.size, c.cluster_id))
+    for rank, cluster in enumerate(canonical):
+        if expired():
             break
         location_map = caches.structural_match(implementation, cluster.representative)
         if location_map is None:
             continue
+        with profiled(caches.profiler, "candidate_gen"):
+            floor = fixed_site_floor(
+                generate_fixed_sites(implementation, cluster, location_map, caches=caches)
+            )
+        if floor is not None:
+            ranked.append((floor, rank, cluster, location_map))
+    ranked.sort(key=lambda entry: entry[:2])
+
+    best: Repair | None = None
+    best_rank = 0
+    for floor, rank, cluster, location_map in ranked:
+        if expired():
+            break
+        bound = None
+        if cost_bound and best is not None:
+            if floor > best.cost:
+                break
+            bound = best.cost + 1 if rank < best_rank else best.cost
+            if floor >= bound:
+                continue
         repair = repair_against_cluster(
             implementation,
             cluster,
@@ -701,8 +744,6 @@ def find_best_repair(
             caches=caches,
             cost_bound=bound,
         )
-        if repair is None:
-            continue
-        if best is None or repair.cost < best.cost:
-            best = repair
+        if repair is not None and (best is None or (repair.cost, rank) < (best.cost, best_rank)):
+            best, best_rank = repair, rank
     return best

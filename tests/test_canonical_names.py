@@ -10,7 +10,9 @@ Pinned here on the baseline derivatives corpus
   other's solution;
 * a twin's repair is field-identical with the caches on and off, and no
   canonical name leaks into a repair;
-* the records of the corpus hash to :data:`RECORDS_DIGEST`.
+* the records of the corpus hash to :data:`RECORDS_DIGEST`, and those of
+  the same-sized oddTuples and polynomials corpora, where the repair ILP is
+  largest, to :data:`ILP_HEAVY_RECORDS_DIGESTS`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ from repro.frontend import parse_python_source
 #: ``Repair.comparable_fields()``, feedback text, detail), computed before
 #: the search moved to canonical names; renaming must not change a record.
 RECORDS_DIGEST = "c465ee0ba1134e3f62eedbc4d31eff146f1f7beb2125f4ead425b122c22652ac"
+
+#: The same digest for ``generate_corpus(P, 30, 20, seed=7)`` of the
+#: problems whose repair ILPs are largest, computed while the cluster search
+#: still visited clusters in (-size, cluster_id) order; the visit order must
+#: not change a record.
+ILP_HEAVY_RECORDS_DIGESTS = {
+    "oddTuples": "acffc47596ffd493bdd8221d3cf9ce8bb62fb27c24c3b920d5813587d2725627",
+    "polynomials": "3e90683b16e11d493c018c4200849357c3be57c01943dfb7198ee8fe2eaae9d9",
+}
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +144,18 @@ def _canonical(value):
     return repr(value)
 
 
-def test_corpus_records_are_pinned(corpus):
+def _records_digest(corpus) -> str:
     clara = Clara(corpus.problem.cases)
     clara.add_correct_sources(corpus.correct_sources)
     rows = [outcome_fields(clara.repair_source(source)) for source in corpus.incorrect_sources]
-    digest = hashlib.sha256(_canonical(rows).encode()).hexdigest()
-    assert digest == RECORDS_DIGEST
+    return hashlib.sha256(_canonical(rows).encode()).hexdigest()
+
+
+def test_corpus_records_are_pinned(corpus):
+    assert _records_digest(corpus) == RECORDS_DIGEST
+
+
+@pytest.mark.parametrize("problem", sorted(ILP_HEAVY_RECORDS_DIGESTS))
+def test_ilp_heavy_corpus_records_are_pinned(problem):
+    corpus = generate_corpus(get_problem(problem), 30, 20, seed=7)
+    assert _records_digest(corpus) == ILP_HEAVY_RECORDS_DIGESTS[problem]

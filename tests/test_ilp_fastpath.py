@@ -393,7 +393,7 @@ def test_unproven_infeasibility_is_not_cached():
 def test_empty_choice_group_is_proven_infeasible():
     # ``sum([]) == 1`` is the marker _build_ilp emits for a fixed site with
     # no candidate.  Repair refutes such a cluster before building an ILP
-    # (fixed_sites_refute), so only direct _build_ilp callers solve it; root
+    # (fixed_site_floor), so only direct _build_ilp callers solve it; root
     # propagation refutes it before any node is explored.
     problem = IlpProblem()
     problem.add_variable("x", objective=1.0)

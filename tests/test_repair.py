@@ -15,6 +15,8 @@ from repro.core.inputs import is_correct
 from repro.core.localrepair import (
     enumerate_partial_relations,
     expressions_match,
+    fixed_site_floor,
+    generate_fixed_sites,
     generate_local_repairs,
 )
 from repro.core.matching import structural_match
@@ -204,10 +206,11 @@ def test_find_best_repair_prefers_cheapest_cluster(paper_sources, deriv_cases):
 def test_find_best_repair_visits_clusters_in_deterministic_order(
     paper_sources, deriv_cases
 ):
-    """Under a timeout the search must try bigger clusters first and break
-    size ties by ascending cluster_id, independent of the order the cluster
-    list happens to arrive in.  The visit order is read off the structural
-    matches the search asks its caches for."""
+    """The pre-pass takes the clusters in canonical order, bigger clusters
+    first with size ties broken by ascending cluster_id, independent of the
+    order the cluster list happens to arrive in; a timeout therefore cuts
+    it there.  The order is read off the structural matches the search
+    asks its caches for."""
     from repro.engine import RepairCaches
 
     programs = [
@@ -548,6 +551,195 @@ def test_refuted_cluster_generates_only_fixed_sites_and_solves_nothing(
     fixed_sites = [site for site in unbounded if site.fixed]
     assert list(candidates) == fixed_sites[: len(refuting)]
     assert [site.var for site in candidates] == refuting
+
+
+# -- best-first cluster search ---------------------------------------------------------
+
+_TIE_PROGRAM = """
+def f(n):
+    s = {init}
+    i = 0
+    while i < n:
+        s = s + i
+        i = i + 1
+    return {ret}
+"""
+
+
+def _tie_clusters(cluster_ids):
+    """Two programs, each as clusters of different sizes.  Against
+    ``s = 1 … return s`` a "B" cluster (``s = 1 … return s - 1``) costs 2,
+    all of it on the return (fixed-site floor 2), and an "A" cluster
+    (``s = 0 - 1 … return s``) costs 2 on the ordinary ``s = …`` site
+    (floor 0): every cluster ties, and the floor order puts the "A"
+    clusters first, whatever their rank."""
+    from repro.core.inputs import InputCase
+
+    cases = [InputCase(args=(k,)) for k in (0, 1, 3, 5)]
+    shapes = [("1", "s - 1", 3), ("0 - 1", "s", 1), ("1", "s - 1", 1), ("0 - 1", "s", 2)]
+    clusters = []
+    for (init, ret, size), cluster_id in zip(shapes, cluster_ids):
+        source = _TIE_PROGRAM.format(init=init, ret=ret)
+        (cluster,) = cluster_programs(
+            [parse_python_source(source) for _ in range(size)], cases
+        ).clusters
+        cluster.cluster_id = cluster_id
+        clusters.append(cluster)
+    return clusters
+
+
+#: (init, ret) of the attempts searched against :func:`_tie_clusters`.
+_TIE_ATTEMPTS = [
+    ("1", "s"),  # every cluster costs 2
+    ("0 - 1", "s - 1"),  # every cluster costs 2, floors swapped
+    ("0", "s"),  # "A" clusters cost 2, "B" clusters 3
+    ("1", "s - 1"),  # a "B" cluster's own program: cost 0
+]
+
+
+def _floor(implementation, cluster):
+    location_map = structural_match(implementation, cluster.representative)
+    return fixed_site_floor(generate_fixed_sites(implementation, cluster, location_map))
+
+
+def test_best_first_search_breaks_ties_like_canonical_order():
+    """Planted equal-cost ties between clusters of different sizes, ids and
+    fixed-site floors, in seeded random input orders: the bounded search
+    returns, field for field, the unbounded search's repair, and that is
+    the repair of the tied cluster ranked first in canonical order
+    (decreasing size, then ascending id), each cluster repaired alone.
+    Some ties are first found by a later-ranked cluster with a lower floor,
+    so an earlier-ranked cluster must still be able to match its cost."""
+    import random
+
+    from repro.engine import RepairCaches
+
+    rng = random.Random(24)
+    found_later_first = 0
+    for _ in range(6):
+        clusters = _tie_clusters(rng.sample(range(10), 4))
+        rng.shuffle(clusters)
+        for init, ret in _TIE_ATTEMPTS:
+            implementation = parse_python_source(_TIE_PROGRAM.format(init=init, ret=ret))
+            alone = []
+            for cluster in clusters:
+                repair = repair_against_cluster(implementation, cluster)
+                floor = _floor(implementation, cluster)
+                alone.append((repair.cost, -cluster.size, cluster.cluster_id, floor, repair))
+            expected = min(alone, key=lambda entry: entry[:3])
+            tied_floors = [entry[3] for entry in alone if entry[0] == expected[0]]
+            found_later_first += min(tied_floors) < expected[3]
+
+            bounded = find_best_repair(implementation, clusters, caches=RepairCaches())
+            unbounded = find_best_repair(
+                implementation, clusters, caches=RepairCaches(enabled=False), cost_bound=False
+            )
+            assert repair_fields(bounded) == repair_fields(unbounded)
+            assert repair_fields(bounded) == repair_fields(expected[4])
+    assert found_later_first > 0
+
+
+def _spy_on_searched_clusters(monkeypatch):
+    import repro.core.repair as repair_module
+
+    searched = []
+    original = repair_module.repair_against_cluster
+
+    def spy(implementation, cluster, **kwargs):
+        searched.append(cluster.cluster_id)
+        return original(implementation, cluster, **kwargs)
+
+    monkeypatch.setattr(repair_module, "repair_against_cluster", spy)
+    return searched
+
+
+def test_best_first_search_visits_clusters_in_floor_order(monkeypatch):
+    """On the derivatives corpus, every matched cluster with candidates on
+    all its fixed sites is repaired in ``(floor, canonical rank)`` order
+    without a bound; with one, the search repairs a subsequence of that
+    order that includes the winner."""
+    from repro.datasets import generate_corpus, get_problem
+    from repro.engine import RepairCaches
+    from repro.frontend.errors import UnsupportedFeatureError
+
+    corpus = generate_corpus(get_problem("derivatives"), 30, 20, seed=7)
+    clusters = cluster_programs(
+        [parse_python_source(s) for s in corpus.correct_sources], corpus.problem.cases
+    ).clusters
+    canonical = sorted(clusters, key=lambda c: (-c.size, c.cluster_id))
+    attempts = []
+    for source in corpus.incorrect_sources:
+        try:
+            attempts.append(parse_python_source(source))
+        except UnsupportedFeatureError:
+            continue
+    searched = _spy_on_searched_clusters(monkeypatch)
+    reordered = 0
+    for implementation in attempts:
+        floors = []
+        for rank, cluster in enumerate(canonical):
+            if structural_match(implementation, cluster.representative) is not None:
+                floor = _floor(implementation, cluster)
+                if floor is not None:
+                    floors.append((floor, rank, cluster.cluster_id))
+        order = [cluster_id for _, _, cluster_id in sorted(floors)]
+        reordered += order != [cluster_id for _, _, cluster_id in floors]
+
+        searched.clear()
+        unbounded = find_best_repair(
+            implementation, clusters, caches=RepairCaches(), cost_bound=False
+        )
+        assert searched == order
+        searched.clear()
+        bounded = find_best_repair(implementation, clusters, caches=RepairCaches())
+        assert searched == [cluster_id for cluster_id in order if cluster_id in searched]
+        assert repair_fields(bounded) == repair_fields(unbounded)
+        if bounded is not None:
+            assert bounded.cluster_id in searched
+    assert reordered > 0, "floor order must differ from canonical order somewhere"
+
+
+@pytest.mark.parametrize(
+    "timeout, prepassed, searched, winner",
+    [
+        # The budget ends in the pre-pass: nothing is searched.
+        (1.5, 2, [], None),
+        # It ends after the first cluster in floor order, "A" cluster 3.
+        (4.5, 4, [3], 3),
+        # "A" cluster 1, ranked after it, cannot beat it, and the canonical
+        # winner, "B" cluster 0, does not fit in the budget.
+        (5.5, 4, [3, 1], 3),
+        # With time for all, "B" cluster 0 takes the tie and "B" cluster 2,
+        # whose floor reaches the bound, is skipped.
+        (99.0, 4, [3, 1, 0], 0),
+    ],
+)
+def test_timeout_takes_clusters_in_floor_order(monkeypatch, timeout, prepassed, searched, winner):
+    """A clock that steps one second per cluster of work (a fixed-site
+    pre-pass or a repair): the budget is checked before every cluster of
+    both steps, and what fits is taken in floor order."""
+    import types
+
+    import repro.core.repair as repair_module
+
+    clusters = _tie_clusters([0, 1, 2, 3])
+    implementation = parse_python_source(_TIE_PROGRAM.format(init="1", ret="s"))
+    searched_ids = _spy_on_searched_clusters(monkeypatch)
+    generated = []
+    original_fixed = repair_module.generate_fixed_sites
+
+    def fixed_spy(*args, **kwargs):
+        generated.append(args[1].cluster_id)
+        return original_fixed(*args, **kwargs)
+
+    monkeypatch.setattr(repair_module, "generate_fixed_sites", fixed_spy)
+    clock = types.SimpleNamespace(perf_counter=lambda: float(len(generated) + len(searched_ids)))
+    monkeypatch.setattr(repair_module, "time", clock)
+
+    best = find_best_repair(implementation, clusters, timeout=timeout)
+    assert generated == [0, 3, 1, 2][:prepassed]  # canonical order
+    assert searched_ids == searched
+    assert (best.cluster_id if best is not None else None) == winner
 
 
 # -- the candidate-site memo -----------------------------------------------------------
