@@ -8,7 +8,8 @@ same control flow, the algorithm:
 2. encodes the search for a *consistent* subset of minimum total cost as a
    0-1 ILP -- one indicator per candidate, one per variable pair, plus
    addition/deletion indicators implementing the extension of §5 ("Adding and
-   Deleting Variables");
+   Deleting Variables"); consistency is one row per variable pair,
+   ``sum(lr_i) - n * pair <= 0`` over the ``n`` candidates whose ω needs it;
 3. decodes the ILP solution into a :class:`Repair`: the list of concrete
    modifications, the repaired program, and provenance information.
 
@@ -226,14 +227,19 @@ def _build_ilp(
 
     # (3) exactly one local repair per site (or the variable is deleted).
     numbered = _number_candidates(candidates)
+    # The candidates needing each ω item (impl_var, rep_var), by first use.
+    needs: dict[tuple[str, str], list[tuple[str, float]]] = {}
     for site, site_numbered in numbered:
         names: list[str] = []
         for candidate, name in site_numbered:
             problem.add_variable(name, objective=float(candidate.cost))
             names.append(name)
-            # (4) consistency of the candidate's ω with the pairing.
-            for impl_var, rep_var in candidate.omega:
-                problem.add_implication(name, _pair_var(rep_var, impl_var))
+            for item in candidate.omega:
+                users = needs.get(item)
+                if users is None:
+                    users = needs[item] = []
+                    problem.add_variable(_pair_var(item[1], item[0]))
+                users.append((name, 1.0))
         if site.fixed:
             if names:
                 problem.add_exactly_one(names)
@@ -246,6 +252,14 @@ def _build_ilp(
         else:
             names.append(_del_var(canonical.get(site.var, site.var)))
             problem.add_exactly_one(names)
+
+    # (4) consistency of every candidate's ω with the pairing: one row per
+    #     pair, sum(lr_i) - n * pair <= 0 over the n candidates needing it.
+    #     Under bound propagation it forces what the n implications
+    #     lr_i -> pair would, so the search is the same.
+    for (impl_var, rep_var), users in needs.items():
+        users.append((_pair_var(rep_var, impl_var), -float(len(users))))
+        problem.add_constraint(users, "<=", 0.0)
 
     return problem, numbered
 

@@ -2,9 +2,11 @@
 
 The repair encoding (paper Def. 5.5) produces problems with a very regular
 structure: "exactly one" choice groups (one per representative variable, one
-per implementation variable, one per location/variable pair) plus implication
-constraints tying selected local repairs to the chosen variable relation, with
-non-negative objective coefficients only on the local-repair variables.
+per implementation variable, one per location/variable pair) plus one
+consistency row per variable pair, ``sum(lr_i) - n * pair <= 0``, tying the
+selected local repairs to the chosen variable relation, with non-negative
+objective coefficients only on the local-repair, addition and deletion
+variables.
 
 The solver below is a generic depth-first 0-1 branch-and-bound with:
 

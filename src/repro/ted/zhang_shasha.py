@@ -11,8 +11,14 @@ implementation of the classic O(n² · min(depth, leaves)²) dynamic program:
    the root);
 4. fill the forest-distance tables for every pair of keyroots.
 
-Unit insert/delete/relabel costs are used, matching the paper's "how many AST
-nodes changed" reading of repair size.
+Every insert, delete and relabel costs one, matching the paper's "how many
+AST nodes changed" reading of repair size; the kernel has no cost
+parameters.  Unit costs also make the distance symmetric.  The DP is one
+flat function (:func:`_annotated_distance`): the keyroot-pair loop is
+inlined, forest rows live in locals, a relabel costs
+``label_a != label_b`` and minima are taken with ``<`` comparisons — the
+DP runs once per new expression pair of the repair search, so its constant
+factor shows end to end.
 
 The repair fast path layers three optimizations on top of the DP, all
 provably result-preserving:
@@ -251,7 +257,7 @@ class TedCache:
                 return bound
         with self._lock:
             self.dp_runs += 1
-        result = _annotated_distance(ann_a, ann_b, 1, 1, 1)
+        result = _annotated_distance(ann_a, ann_b)
         if self.enabled:
             if len(self._distances) >= self.max_entries:
                 self._distances.clear()
@@ -289,93 +295,70 @@ class TedCache:
 _DEFAULT_CACHE = TedCache()
 
 
-def tree_edit_distance(
-    tree1: TreeNode,
-    tree2: TreeNode,
-    *,
-    insert_cost: int = 1,
-    delete_cost: int = 1,
-    relabel_cost: int = 1,
-) -> int:
-    """Return the edit distance between two ordered labelled trees."""
-    return _annotated_distance(
-        AnnotatedTree.from_tree(tree1),
-        AnnotatedTree.from_tree(tree2),
-        insert_cost,
-        delete_cost,
-        relabel_cost,
-    )
+def tree_edit_distance(tree1: TreeNode, tree2: TreeNode) -> int:
+    """Return the unit-cost edit distance between two ordered labelled trees."""
+    return _annotated_distance(AnnotatedTree.from_tree(tree1), AnnotatedTree.from_tree(tree2))
 
 
-def _annotated_distance(
-    a: AnnotatedTree,
-    b: AnnotatedTree,
-    insert_cost: int,
-    delete_cost: int,
-    relabel_cost: int,
-) -> int:
-    size_a, size_b = len(a), len(b)
-    distance = [[0] * size_b for _ in range(size_a)]
+def _annotated_distance(a: AnnotatedTree, b: AnnotatedTree) -> int:
+    """The unit-cost Zhang–Shasha DP over two annotated trees.
 
-    def update_cost(i: int, j: int) -> int:
-        return 0 if a.labels[i] == b.labels[j] else relabel_cost
-
-    for keyroot_a in a.keyroots:
-        for keyroot_b in b.keyroots:
-            _forest_distance(
-                a,
-                b,
-                keyroot_a,
-                keyroot_b,
-                distance,
-                insert_cost,
-                delete_cost,
-                update_cost,
-            )
-    return distance[size_a - 1][size_b - 1]
-
-
-def _forest_distance(
-    a: AnnotatedTree,
-    b: AnnotatedTree,
-    keyroot_a: int,
-    keyroot_b: int,
-    distance: list[list[int]],
-    insert_cost: int,
-    delete_cost: int,
-    update_cost,
-) -> None:
-    la, lb = a.lmld, b.lmld
-    off_a = la[keyroot_a]
-    off_b = lb[keyroot_b]
-    rows = keyroot_a - off_a + 2
-    cols = keyroot_b - off_b + 2
-    forest = [[0] * cols for _ in range(rows)]
-
-    for i in range(1, rows):
-        forest[i][0] = forest[i - 1][0] + delete_cost
-    for j in range(1, cols):
-        forest[0][j] = forest[0][j - 1] + insert_cost
-
-    for i in range(1, rows):
-        for j in range(1, cols):
-            node_a = off_a + i - 1
-            node_b = off_b + j - 1
-            if la[node_a] == off_a and lb[node_b] == off_b:
-                forest[i][j] = min(
-                    forest[i - 1][j] + delete_cost,
-                    forest[i][j - 1] + insert_cost,
-                    forest[i - 1][j - 1] + update_cost(node_a, node_b),
-                )
-                distance[node_a][node_b] = forest[i][j]
-            else:
-                left_a = la[node_a] - off_a
-                left_b = lb[node_b] - off_b
-                forest[i][j] = min(
-                    forest[i - 1][j] + delete_cost,
-                    forest[i][j - 1] + insert_cost,
-                    forest[left_a][left_b] + distance[node_a][node_b],
-                )
+    For every keyroot pair it fills the forest-distance table of the
+    forests ending in the two keyroots, row by row.  A cell whose nodes
+    both start at their forest's first node compares two whole subtrees;
+    its value is their tree distance, kept in ``distance`` for later
+    keyroot pairs.  Every other cell reads the last two subtrees' distance
+    from ``distance`` and adds the forest distance left of them.
+    """
+    labels_a, labels_b = a.labels, b.labels
+    lmld_a, lmld_b = a.lmld, b.lmld
+    distance = [[0] * len(labels_b) for _ in labels_a]
+    # Per keyroot of ``b``: its forest's first node, its labels, and each
+    # node's leftmost leaf relative to the first node.
+    forests_b = [
+        (
+            lmld_b[kb],
+            labels_b[lmld_b[kb] : kb + 1],
+            [left - lmld_b[kb] for left in lmld_b[lmld_b[kb] : kb + 1]],
+        )
+        for kb in b.keyroots
+    ]
+    for ka in a.keyroots:
+        off_a = lmld_a[ka]
+        for off_b, forest_labels, forest_lefts in forests_b:
+            prev = list(range(len(forest_labels) + 1))
+            forest = [prev]
+            for i in range(1, ka - off_a + 2):
+                node_a = off_a + i - 1
+                label = labels_a[node_a]
+                tree_a = lmld_a[node_a] == off_a
+                left_row = forest[lmld_a[node_a] - off_a]
+                dist_row = distance[node_a]
+                row = [i]
+                left = i
+                node_b = off_b
+                for j, label_b in enumerate(forest_labels, 1):
+                    # Delete node_a or insert node_b ...
+                    up = prev[j]
+                    best = (up if up < left else left) + 1
+                    left_b = forest_lefts[j - 1]
+                    if tree_a and left_b == 0:
+                        # ... or match the two subtrees' roots.
+                        cost = prev[j - 1] + (label != label_b)
+                        if cost < best:
+                            best = cost
+                        dist_row[node_b] = best
+                    else:
+                        # ... or match the two last subtrees whole.
+                        cost = left_row[left_b] + dist_row[node_b]
+                        if cost < best:
+                            best = cost
+                    row.append(best)
+                    left = best
+                    node_b += 1
+                forest.append(row)
+                prev = row
+    return distance[-1][-1]
 
 
 def expr_edit_distance(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from helpers.ted import reference_distance
 from hypothesis import given, strategies as st
 
 from repro.model.expr import Const, Op, Var
@@ -84,6 +85,11 @@ def _tree_strategy():
 
 
 @given(_tree_strategy(), _tree_strategy())
+def test_distance_matches_forest_recurrence(t1, t2):
+    assert tree_edit_distance(t1, t2) == reference_distance(t1, t2)
+
+
+@given(_tree_strategy(), _tree_strategy())
 def test_distance_symmetric_with_unit_costs(t1, t2):
     assert tree_edit_distance(t1, t2) == tree_edit_distance(t2, t1)
 
@@ -116,13 +122,13 @@ def _random_expr(rng, depth: int = 3):
 
 
 def _fresh_distance(expr1, expr2) -> int:
-    """The from-scratch Zhang–Shasha DP, bypassing every cache."""
-    return tree_edit_distance(expr_to_tree(expr1), expr_to_tree(expr2))
+    """The textbook forest recurrence, sharing no code with the DP."""
+    return reference_distance(expr_to_tree(expr1), expr_to_tree(expr2))
 
 
 def test_memoized_distance_equals_fresh_dp_on_random_corpus():
     """Property (seeded, deterministic): the memoized/pruned fast path agrees
-    with the from-scratch DP on every random expression pair."""
+    with the forest recurrence on every random expression pair."""
     rng = random.Random(20180618)
     cache = TedCache()
     pairs = [(_random_expr(rng), _random_expr(rng)) for _ in range(120)]
