@@ -1,10 +1,13 @@
-"""The repair ILP with one implication row per (candidate, ω pair).
+"""Oracles for the Def. 5.5 repair selection.
 
-:func:`repro.core.repair._build_ilp` states ω consistency as one row per
-variable pair, ``sum(lr_i) - n * pair <= 0``.  This is the textbook
-encoding it replaced, ``lr -> pair`` for every candidate ``lr`` and every
-``(impl, rep)`` in its ω, kept only as an oracle: both encodings must
-drive the solver through the same search.
+* :func:`build_ilp_with_implications`: the repair ILP with one implication
+  row per (candidate, ω pair).  :func:`repro.core.repair._build_ilp` states
+  ω consistency as one row per variable pair, ``sum(lr_i) - n * pair <= 0``.
+  This is the textbook encoding it replaced, ``lr -> pair`` for every
+  candidate ``lr`` and every ``(impl, rep)`` in its ω: both encodings must
+  drive the solver through the same search.
+* :func:`solve_by_enumeration`: the optimum cost of the selection, found
+  without an ILP by enumerating total variable relations.
 """
 
 from __future__ import annotations
@@ -61,3 +64,66 @@ def build_ilp_with_implications(implementation, cluster, candidates) -> IlpProbl
             names.append(_del_var(canonical.get(site.var, site.var)))
             problem.add_exactly_one(names)
     return problem
+
+
+def solve_by_enumeration(implementation, cluster, candidates) -> float | None:
+    """The cheapest consistent repair's cost over ``candidates``, or ``None``.
+
+    Enumerates every total relation of the canonical implementation
+    variables to the representative's (each paired with an unused
+    representative variable, or deleted).  Under one relation each live
+    site takes its cheapest candidate whose ω agrees with it; an ordinary
+    site of a deleted variable costs nothing, and every unpaired
+    representative variable costs its addition.  Exponential in the number
+    of variables; the Baseline corpora have at most 6 on either side.
+    """
+    representative = cluster.representative
+    canonical = canonical_renaming(implementation)
+    impl_vars = list(canonical.values())
+    rep_vars = variables_for_matching(representative)
+    add_costs = {v: _assigned_size(representative, v) for v in rep_vars}
+    del_costs = {name: _assigned_size(implementation, var) for var, name in canonical.items()}
+    best: float | None = None
+
+    def site_cost(mapping, site, site_candidates):
+        costs = [
+            candidate.cost
+            for candidate in site_candidates
+            if (site.fixed or mapping[canonical[site.var]] == candidate.rep_var)
+            and all(mapping.get(impl) == rep for impl, rep in candidate.omega)
+        ]
+        return min(costs) if costs else None
+
+    def evaluate(mapping):
+        nonlocal best
+        used = set(mapping.values())
+        cost = 0.0
+        cost += sum(add_costs[v] for v in rep_vars if v not in used)
+        cost += sum(del_costs[v] for v, target in mapping.items() if target is None)
+        for site, site_candidates in candidates.items():
+            if best is not None and cost >= best:
+                return
+            if not site.fixed and mapping[canonical[site.var]] is None:
+                continue
+            cheapest = site_cost(mapping, site, site_candidates)
+            if cheapest is None:
+                return
+            cost += cheapest
+        if best is None or cost < best:
+            best = cost
+
+    def assign(index, mapping, used):
+        if index == len(impl_vars):
+            evaluate(mapping)
+            return
+        var = impl_vars[index]
+        for rep_var in rep_vars:
+            if rep_var not in used:
+                mapping[var] = rep_var
+                assign(index + 1, mapping, used | {rep_var})
+        mapping[var] = None
+        assign(index + 1, mapping, used)
+        del mapping[var]
+
+    assign(0, {}, frozenset())
+    return best

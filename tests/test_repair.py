@@ -246,13 +246,74 @@ def test_find_best_repair_visits_clusters_in_deterministic_order(
         assert visited == [2, 0, 1]  # size first, then lowest cluster_id
 
 
-def test_enumeration_solver_agrees_with_ilp(paper_sources, deriv_cases, deriv_cluster):
-    for name in ("I1", "I2"):
-        implementation = parse_python_source(paper_sources[name])
-        ilp = repair_against_cluster(implementation, deriv_cluster, solver="ilp")
-        enum = repair_against_cluster(implementation, deriv_cluster, solver="enumerate")
-        assert ilp is not None and enum is not None
-        assert abs(ilp.cost - enum.cost) < 1e-9
+#: The Baseline corpora, ``generate_corpus(P, 30, 20, seed=7)``.
+_BASELINE_PROBLEMS = (
+    "derivatives",
+    "oddTuples",
+    "polynomials",
+    "special_number",
+    "reverse_difference",
+)
+
+
+def _searched_pairs(problem_name):
+    """``(attempt, cluster, location_map)`` of every cluster the corpus's
+    repairs search, in search order."""
+    import repro.core.repair as repair_module
+    from repro.core.pipeline import Clara
+    from repro.datasets import generate_corpus, get_problem
+
+    problem = get_problem(problem_name)
+    corpus = generate_corpus(problem, 30, 20, seed=7)
+    original = repair_module.repair_against_cluster
+    pairs = []
+
+    def spy(implementation, cluster, **kwargs):
+        pairs.append((implementation, cluster, kwargs["location_map"]))
+        return original(implementation, cluster, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repair_module, "repair_against_cluster", spy)
+        clara = Clara(problem.cases, language=problem.language, entry=problem.entry)
+        clara.add_correct_sources(corpus.correct_sources)
+        for source in corpus.incorrect_sources:
+            clara.repair_source(source)
+    return pairs
+
+
+def test_enumeration_solver_agrees_with_ilp():
+    """On every (attempt, cluster) pair the Baseline corpora search, the
+    ILP's optimum over the unbounded candidates is the cost the exhaustive
+    oracle finds over the same candidates, ``None`` for ``None``."""
+    from helpers.repair_ilp import solve_by_enumeration
+
+    from repro.core.repair import _build_ilp
+    from repro.engine import RepairCaches
+    from repro.ilp import InfeasibleError, solve
+
+    compared = infeasible = 0
+    for problem_name in _BASELINE_PROBLEMS:
+        pairs = _searched_pairs(problem_name)
+        assert len(pairs) >= 10, problem_name
+        caches = RepairCaches()
+        for implementation, cluster, location_map in pairs:
+            candidates = generate_local_repairs(
+                implementation, cluster, location_map, caches=caches
+            )
+            problem, _ = _build_ilp(implementation, cluster, candidates)
+            try:
+                solution = solve(problem)
+            except InfeasibleError:
+                optimum = None
+                infeasible += 1
+            else:
+                assert solution.optimal
+                optimum = solution.objective
+            assert solve_by_enumeration(implementation, cluster, candidates) == optimum, (
+                problem_name
+            )
+            compared += 1
+    assert compared >= 150 and infeasible > 0
 
 
 def test_unknown_solver_rejected(paper_sources, deriv_cluster):
@@ -411,13 +472,16 @@ def _reference_repair(implementation, cluster, location_map, unbounded, bound):
     )
 
 
-def test_fixed_site_refutation_is_exact_on_the_derivatives_corpus(monkeypatch):
+def test_fixed_site_refutation_is_exact_on_the_derivatives_corpus():
     """For every (attempt, cluster) pair and every bound (none, each repair
     cost seen, and one above the pair's own cost), the repair equals the ILP
-    over the full candidate lists.  Refuted clusters (no ordinary site generated) occur for both
-    reasons: a fixed site left without candidates, and fixed-site minimum
-    costs summing to the bound."""
-    import repro.core.repair as repair_module
+    over the full candidate lists.  Whenever the pre-pass of
+    :func:`find_best_repair` would skip the pair (its unbounded fixed-site
+    floor is ``None`` or reaches the bound), that repair is ``None``: the
+    rule skips only clusters the ILP refutes too.  No fixed site of this
+    corpus is without candidates, so every skip here is a floor reaching
+    the bound; :func:`test_skipped_cluster_is_refuted_by_the_ilp` plants
+    the other reason."""
     from repro.datasets import generate_corpus, get_problem
     from repro.engine import RepairCaches
 
@@ -441,18 +505,11 @@ def test_fixed_site_refutation_is_exact_on_the_derivatives_corpus(monkeypatch):
     costs = sorted({repair.cost for repair in cheapest if repair is not None})
     assert pairs and costs
 
-    generated = []
-    original = repair_module.generate_local_repairs
-
-    def spy(*args, **kwargs):
-        generated.append(original(*args, **kwargs))
-        return generated[-1]
-
-    monkeypatch.setattr(repair_module, "generate_local_repairs", spy)
     caches = RepairCaches()
-    refuted = {"empty": 0, "sum": 0}
+    skipped = 0
     for (implementation, cluster, location_map, unbounded), own in zip(pairs, cheapest):
-        # Just above the pair's own cost, the rule must not refute.
+        floor = fixed_site_floor(unbounded)
+        # Just above the pair's own cost, the rule must not skip.
         tight = [own.cost + 1] if own is not None else []
         for bound in [None, *costs, *tight]:
             repair = repair_against_cluster(
@@ -466,13 +523,10 @@ def test_fixed_site_refutation_is_exact_on_the_derivatives_corpus(monkeypatch):
                 implementation, cluster, location_map, unbounded, bound
             )
             assert repair_fields(repair) == repair_fields(reference), (bound, cluster.cluster_id)
-            candidates = generated[-1]
-            if all(site.fixed for site in candidates):
-                # Generation stops at the fixed site that refutes.
-                assert repair is None
-                refuting = candidates[list(candidates)[-1]]
-                refuted["sum" if refuting else "empty"] += 1
-    assert refuted["empty"] > 0 and refuted["sum"] > 0, refuted
+            if floor is None or (bound is not None and floor >= bound):
+                assert repair is None, (bound, floor, cluster.cluster_id)
+                skipped += 1
+    assert skipped > 0
 
 
 _LOOP_CORRECT = """
@@ -497,60 +551,54 @@ def f(n):
     return s + 1
 """
 
+# One variable where the loop condition ``i < n`` needs two: no pool
+# expression translates, so the condition has no candidate at all.
+_COUNTDOWN_ATTEMPT = """
+def f(n):
+    while n > 0:
+        n = n - 1
+    return n
+"""
+
 
 @pytest.mark.parametrize(
-    "bound, refuting",
+    "attempt, bound, empty_sites",
     [
-        (1.0, ["$cond"]),  # the loop condition has no candidate under 1
-        (2.0, ["$cond", "$ret"]),  # the return has none under 2
-        (3.0, ["$cond", "$ret"]),  # both have one, but 1 + 2 reaches 3
+        (_LOOP_ATTEMPT, 1.0, ["$cond", "$ret"]),  # floor 3; nothing under 1
+        (_LOOP_ATTEMPT, 2.0, ["$ret"]),  # the return has nothing under 2
+        (_LOOP_ATTEMPT, 3.0, []),  # both have one, but 1 + 2 reaches 3
+        (_COUNTDOWN_ATTEMPT, None, ["$cond"]),  # floor None
     ],
+    ids=["cond-under-1", "ret-under-2", "floor-reaches-3", "cond-has-none"],
 )
-def test_refuted_cluster_generates_only_fixed_sites_and_solves_nothing(
-    monkeypatch, bound, refuting
-):
-    import repro.core.localrepair as localrepair_module
-    import repro.core.repair as repair_module
+def test_skipped_cluster_is_refuted_by_the_ilp(attempt, bound, empty_sites):
+    """Where the pre-pass would skip a cluster (its fixed-site floor is
+    ``None`` or reaches the bound), a direct bounded call still gets
+    ``None``, the same as the ILP over the full candidate lists: a fixed
+    site left without candidates is the ILP's infeasible marker row, and
+    otherwise the bound warm-starts the solve and nothing beats it."""
     from repro.core.inputs import InputCase
 
     cases = [InputCase(args=(k,), expected_return=sum(range(k))) for k in (0, 1, 3, 5)]
     cluster = cluster_programs([parse_python_source(_LOOP_CORRECT)], cases).clusters[0]
-    implementation = parse_python_source(_LOOP_ATTEMPT)
-    unbounded = generate_local_repairs(
-        implementation,
-        cluster,
-        structural_match(implementation, cluster.representative),
-    )
-    assert repair_against_cluster(implementation, cluster, cost_bound=4.0).cost == 3.0
+    implementation = parse_python_source(attempt)
+    location_map = structural_match(implementation, cluster.representative)
+    unbounded = generate_local_repairs(implementation, cluster, location_map)
+    floor = fixed_site_floor(unbounded)
+    assert floor is None or floor >= bound
+    pruned = [
+        site.var
+        for site, candidates in unbounded.items()
+        if site.fixed
+        and not [c for c in candidates if bound is None or c.new_expr is None or c.cost < bound]
+    ]
+    assert pruned == empty_sites
 
-    sites_generated = []
-    original_sites = localrepair_module._site_candidates
-
-    def site_spy(cluster, rep_loc, var, *args, **kwargs):
-        sites_generated.append(var)
-        return original_sites(cluster, rep_loc, var, *args, **kwargs)
-
-    generated = []
-    original_generate = repair_module.generate_local_repairs
-
-    def generate_spy(*args, **kwargs):
-        generated.append(original_generate(*args, **kwargs))
-        return generated[-1]
-
-    def no_ilp(*args, **kwargs):
-        raise AssertionError("a refuted cluster must not build or solve an ILP")
-
-    monkeypatch.setattr(localrepair_module, "_site_candidates", site_spy)
-    monkeypatch.setattr(repair_module, "generate_local_repairs", generate_spy)
-    monkeypatch.setattr(repair_module, "_build_ilp", no_ilp)
-    monkeypatch.setattr(repair_module, "solve_fast", no_ilp)
-
-    assert repair_against_cluster(implementation, cluster, cost_bound=bound) is None
-    assert sites_generated == refuting
-    (candidates,) = generated
-    fixed_sites = [site for site in unbounded if site.fixed]
-    assert list(candidates) == fixed_sites[: len(refuting)]
-    assert [site.var for site in candidates] == refuting
+    if floor is not None:  # the floor is tight: one more and it repairs
+        assert repair_against_cluster(implementation, cluster, cost_bound=floor + 1).cost == floor
+    repair = repair_against_cluster(implementation, cluster, cost_bound=bound)
+    assert repair is None
+    assert _reference_repair(implementation, cluster, location_map, unbounded, bound) is None
 
 
 # -- best-first cluster search ---------------------------------------------------------
