@@ -20,6 +20,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# The test helpers (``helpers.repair_ilp``'s enumeration oracle), also when
+# the benchmarks run without the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro.evalharness import run_experiment, run_user_study  # noqa: E402
 

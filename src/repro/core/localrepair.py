@@ -47,9 +47,10 @@ The fast path (docs/ARCHITECTURE.md, "Repair fast path"):
   back here: the repair ILP is built on the canonical names, and only the
   chosen candidates are renamed back when the solution is decoded
   (:mod:`repro.core.repair`);
-* the fixed-variable sites are generated first (:func:`generate_fixed_sites`),
-  and a cluster their cost floor refutes (:func:`fixed_site_floor`) gets no
-  ordinary site generated.
+* the fixed-variable sites are generated first (:func:`generate_fixed_sites`);
+  their cost floor (:func:`fixed_site_floor`) is what
+  :func:`repro.core.repair.find_best_repair` orders and refutes clusters by,
+  before it asks for any ordinary site.
 """
 
 from __future__ import annotations
@@ -249,23 +250,16 @@ def generate_local_repairs(
     Returns:
         Each site's candidates, cheapest first and in the attempt's
         canonical names (:func:`canonical_renaming`; the :class:`Site` keys
-        keep the real names): the ordinary sites, then the fixed ones.
-        The fixed sites are generated first (:func:`generate_fixed_sites`),
-        and when :func:`fixed_site_floor` refutes them under ``cost_bound``
-        (a fixed site has no candidate, or their cheapest candidates sum to
-        at least ``cost_bound``) the dict holds only the fixed sites
-        generated so far, in order, and no ordinary site.  No repair against
-        the cluster is cheaper than the bound in that case, and
-        :func:`repro.core.repair.repair_against_cluster` returns ``None``
-        for it without building an ILP.
+        keep the real names): the ordinary sites, then the fixed ones
+        (:func:`generate_fixed_sites`, generated first).  Every site is
+        generated, also when the fixed sites alone rule out a repair cheaper
+        than ``cost_bound``; :func:`repro.core.repair.find_best_repair`
+        skips such a cluster before asking for its candidates.
     """
     caches = _default_caches(caches)
     fixed = generate_fixed_sites(
         implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
     )
-    if fixed_site_floor(fixed, cost_bound) is None:
-        _count_candidates(caches, fixed)
-        return fixed
 
     # Ordinary (non-fixed) variables: every location × variable site.
     rep_vars = variables_for_matching(cluster.representative)
@@ -299,12 +293,10 @@ def generate_fixed_sites(
     and may need repair (e.g. a wrong loop condition or a wrong return
     expression).  Each fixed site must take one of its candidates, so they
     alone bound every repair against the cluster from below
-    (:func:`fixed_site_floor`).  Generation stops at the first site after
-    which the floor refutes ``cost_bound``; the last site in the dict is then
-    the refuting one.  :func:`generate_local_repairs` starts with these
-    sites, and :func:`repro.core.repair.find_best_repair` generates them
-    without a bound for every cluster to order its search.  Candidates are
-    not counted here: only the ones handed to an ILP are.
+    (:func:`fixed_site_floor`).  :func:`generate_local_repairs` starts with
+    these sites, and :func:`repro.core.repair.find_best_repair` generates
+    them without a bound for every cluster to order its search.  Candidates
+    are not counted here: only the ones handed to an ILP are.
     """
     caches = _default_caches(caches)
     representative = cluster.representative
@@ -324,24 +316,20 @@ def generate_fixed_sites(
             fixed[Site(loc_id, var, fixed=True)] = _dedupe(
                 for_site(rep_loc, var, impl_expr, (var,))
             )
-            if fixed_site_floor(fixed, cost_bound) is None:
-                return fixed
     return fixed
 
 
 def fixed_site_floor(
     candidates: Mapping[Site, Sequence[LocalRepairCandidate]],
-    cost_bound: float | None = None,
 ) -> int | None:
-    """The sum of each fixed site's cheapest candidate, or ``None`` when the
-    fixed sites alone rule out a repair cheaper than ``cost_bound``.
+    """The sum of each fixed site's cheapest candidate, or ``None`` when a
+    fixed site has no candidate.
 
-    ``None`` when a fixed site has no candidate, or when the sum reaches
-    ``cost_bound``.  A fixed site's ILP group is "exactly one of its
-    candidates", with no deletion option, and every cost in the ILP is a
-    non-negative integer, so no repair against the cluster costs less than
-    the floor (docs/ARCHITECTURE.md, "Cost-bounded cluster search").
-    Ordinary sites in ``candidates`` are ignored.
+    A fixed site's ILP group is "exactly one of its candidates", with no
+    deletion option, and every cost in the ILP is a non-negative integer,
+    so no repair against the cluster costs less than the floor, and none
+    exists when it is ``None`` (docs/ARCHITECTURE.md, "Fixed-site
+    refutation").  Ordinary sites in ``candidates`` are ignored.
     """
     floor = 0
     for site, site_candidates in candidates.items():
@@ -350,8 +338,6 @@ def fixed_site_floor(
         if not site_candidates:
             return None
         floor += min(candidate.cost for candidate in site_candidates)
-        if cost_bound is not None and floor >= cost_bound:
-            return None
     return floor
 
 

@@ -96,8 +96,6 @@ class Clara:
         cases: Test inputs with expected behaviour defining correctness.
         language: Source language of the attempts ("python" or "c").
         entry: Entry function name (``None`` = first function / ``main``).
-        solver: Repair-selection solver, ``"ilp"`` (default) or
-            ``"enumerate"``.
         timeout: Wall-clock budget per repaired attempt, in seconds; a batch
             engine may override it per attempt.
         use_cluster_expressions: When ``False``, the repair algorithm only
@@ -112,11 +110,11 @@ class Clara:
             match.  Clustering never ranks.  The exact matcher still
             decides, so outcomes are field-identical with the prefilter on
             or off (``tests/test_retrieval_differential.py``); only the
-            match counters change.  ``False`` (the ``--no-prefilter`` escape
-            hatch) restores the unranked scans.
-        retrieval_top_k: Size of the nearest-first head the structural
-            gate probes before falling back to the remaining candidates in
-            original order (counted under ``retrieval.fallbacks``).
+            match counters change.  The gate probes the
+            :data:`~repro.retrieval.DEFAULT_TOP_K` nearest first, then the
+            remaining candidates in original order (counted under
+            ``retrieval.fallbacks``).  ``False`` (the ``--no-prefilter``
+            escape hatch) restores the unranked scans.
         caches: Shared memoization of traces, matches and repairs
             (:class:`repro.engine.cache.RepairCaches`).  Defaults to a fresh
             enabled instance; pass ``RepairCaches(enabled=False)`` to measure
@@ -134,12 +132,10 @@ class Clara:
     cases: Sequence[InputCase]
     language: str = "python"
     entry: str | None = None
-    solver: str = "ilp"
     timeout: float | None = None
     use_cluster_expressions: bool = True
     generic_threshold: float = GENERIC_FEEDBACK_THRESHOLD
     retrieval_prefilter: bool = True
-    retrieval_top_k: int = DEFAULT_TOP_K
     clusters: list[Cluster] = field(default_factory=list)
     clustering_failures: list[tuple[int, str]] = field(default_factory=list)
     caches: "RepairCaches | None" = None
@@ -422,7 +418,7 @@ class Clara:
                 skipped=skeleton_skipped + (len(gate_order) - attempted),
                 # The match sat beyond the top-k head: the exact-fallback
                 # tail caught it, exactly as the soundness argument requires.
-                fallbacks=1 if matched and attempted > self.retrieval_top_k else 0,
+                fallbacks=1 if matched and attempted > DEFAULT_TOP_K else 0,
             )
         if not matched:
             return RepairOutcome(
@@ -433,7 +429,6 @@ class Clara:
         context_key = (
             self._memo_token,
             self._cluster_version,
-            self.solver,
             timeout,
             self.generic_threshold,
             # Line numbers and location names flow into feedback text but are
@@ -529,7 +524,7 @@ class Clara:
             feature_vector(program),
             survivors,
             vector_of,
-            top_k=self.retrieval_top_k,
+            top_k=DEFAULT_TOP_K,
         )
         return gate_order, survivors, True, skipped
 
@@ -544,7 +539,6 @@ class Clara:
         repair = find_best_repair(
             program,
             clusters,
-            solver=self.solver,
             timeout=timeout,
             caches=self.caches,
         )

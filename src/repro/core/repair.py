@@ -18,10 +18,6 @@ The candidates and the ILP are in the attempt's canonical names
 renamed ``#i`` by position), so attempts that differ only in variable names
 build the same ILP.  The decoder reads the solution by position and renames
 back only what the chosen candidates put into the repair.
-
-An independent exhaustive solver over total variable relations
-(:func:`solve_by_enumeration`) is provided for cross-validation of the ILP
-encoding in tests and for the solver ablation benchmark.
 """
 
 from __future__ import annotations
@@ -95,7 +91,6 @@ class Repair:
     deleted_vars: list[str] = field(default_factory=list)
     repaired_program: Program | None = None
     provenance_members: frozenset[int] = frozenset()
-    solve_time: float = 0.0
     original_ast_size: int = 0
 
     @property
@@ -114,12 +109,11 @@ class Repair:
         return self.cost / self.original_ast_size
 
     def comparable_fields(self) -> dict:
-        """Every observable field except wall-clock ``solve_time``.
+        """Every observable field, the repaired program as its structure key.
 
         Used to assert that two search configurations (e.g. the
         cost-bounded fast path vs the exhaustive path) produced *the same
-        repair*, field for field; the repaired program is represented by
-        its structure key.
+        repair*, field for field.
         """
         return {
             "cluster_id": self.cluster_id,
@@ -163,8 +157,8 @@ def _number_candidates(
     """Name every candidate's ILP variable ``lr::k``, counting through the
     sites in dict order.
 
-    The one numbering of the candidates: the ILP, the enumeration solver
-    and the decoder all read it.
+    The one numbering of the candidates: the ILP and the decoder both read
+    it.
     """
     numbered: _Numbered = []
     counter = 0
@@ -244,10 +238,10 @@ def _build_ilp(
             if names:
                 problem.add_exactly_one(names)
             else:
-                # A fixed site with no candidate at all: unrepairable against
-                # this cluster (e.g. no matching loop condition exists).
-                # repair_against_cluster refutes such a cluster before
-                # building; only direct callers see this marker.
+                # A fixed site with no candidate (none at all, or none under
+                # the bound): no repair against this cluster, which the solve
+                # proves at the root.  find_best_repair's pre-pass skips such
+                # clusters; direct callers get None from this row.
                 problem.add_constraint([], "==", 1.0)
         else:
             names.append(_del_var(canonical.get(site.var, site.var)))
@@ -420,111 +414,6 @@ def _decode_solution(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration solver (cross-check / ablation)
-# ---------------------------------------------------------------------------
-
-
-def solve_by_enumeration(
-    implementation: Program,
-    cluster: Cluster,
-    candidates: Mapping[Site, Sequence[LocalRepairCandidate]],
-) -> tuple[dict[str, int], float] | None:
-    """Solve the repair selection by enumerating total variable relations.
-
-    Returns an assignment in the same variable naming scheme as the ILP
-    encoding, canonical names included (so it can be decoded identically),
-    or ``None`` when no consistent repair exists.  Exponential in the number
-    of variables; used for cross-checking the ILP on small programs and for
-    the solver ablation.
-    """
-    representative = cluster.representative
-    canonical = canonical_renaming(implementation)
-    impl_vars = list(canonical.values())
-    rep_vars = variables_for_matching(representative)
-
-    add_costs = {v: _assigned_size(representative, v) for v in rep_vars}
-    del_costs = {
-        name: _assigned_size(implementation, var) for var, name in canonical.items()
-    }
-
-    sites = list(candidates)
-    best: tuple[float, dict[str, str], dict[Site, LocalRepairCandidate]] | None = None
-
-    def site_choice(
-        mapping: dict[str, str], site: Site
-    ) -> LocalRepairCandidate | None:
-        options = []
-        for candidate in candidates[site]:
-            if not site.fixed and mapping.get(canonical[site.var]) != candidate.rep_var:
-                continue
-            consistent = all(
-                mapping.get(impl_var) == rep_var for impl_var, rep_var in candidate.omega
-            )
-            if consistent:
-                options.append(candidate)
-        if not options:
-            return None
-        return min(options, key=lambda c: c.cost)
-
-    def evaluate_mapping(mapping: dict[str, str]) -> None:
-        nonlocal best
-        used_rep = set(mapping.values())
-        cost = 0.0
-        cost += sum(add_costs[v] for v in rep_vars if v not in used_rep)
-        cost += sum(del_costs[v] for v, target in mapping.items() if target == "-")
-        chosen: dict[Site, LocalRepairCandidate] = {}
-        for site in sites:
-            if not site.fixed and mapping.get(canonical[site.var]) == "-":
-                continue
-            candidate = site_choice(mapping, site)
-            if candidate is None:
-                return
-            cost += candidate.cost
-            chosen[site] = candidate
-            if best is not None and cost >= best[0]:
-                return
-        if best is None or cost < best[0]:
-            best = (cost, dict(mapping), chosen)
-
-    def assign(index: int, mapping: dict[str, str], used: set[str]) -> None:
-        if index == len(impl_vars):
-            evaluate_mapping(mapping)
-            return
-        var = impl_vars[index]
-        for rep_var in rep_vars:
-            if rep_var in used:
-                continue
-            mapping[var] = rep_var
-            used.add(rep_var)
-            assign(index + 1, mapping, used)
-            used.remove(rep_var)
-        mapping[var] = "-"
-        assign(index + 1, mapping, used)
-        del mapping[var]
-
-    assign(0, {}, set())
-    if best is None:
-        return None
-
-    cost, mapping, chosen = best
-    values: dict[str, int] = {}
-    for impl_var, rep_var in mapping.items():
-        if rep_var == "-":
-            values[_del_var(impl_var)] = 1
-        else:
-            values[_pair_var(rep_var, impl_var)] = 1
-    used_rep = {v for v in mapping.values() if v != "-"}
-    for rep_var in rep_vars:
-        if rep_var not in used_rep:
-            values[_add_var(rep_var)] = 1
-    for site, site_numbered in _number_candidates(candidates):
-        for candidate, name in site_numbered:
-            if chosen.get(site) is candidate:
-                values[name] = 1
-    return values, cost
-
-
-# ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
 
@@ -533,18 +422,18 @@ def repair_against_cluster(
     implementation: Program,
     cluster: Cluster,
     *,
-    solver: str = "ilp",
     location_map: Mapping[int, int] | None = None,
     caches: "RepairCaches | None" = None,
     cost_bound: float | None = None,
 ) -> Repair | None:
     """Repair an implementation against one cluster (Fig. 5).
 
+    The Def. 5.5 ILP over the cluster's candidates is solved under
+    :data:`ILP_NODE_LIMIT`.
+
     Args:
         implementation: The parsed incorrect attempt.
         cluster: Cluster of correct solutions to draw expressions from.
-        solver: ``"ilp"`` (default, solved under :data:`ILP_NODE_LIMIT`)
-            or ``"enumerate"`` (exhaustive cross-check solver).
         location_map: Pre-computed structural match (Def. 4.1) between
             ``implementation`` and the cluster representative, e.g. from
             :meth:`repro.engine.cache.RepairCaches.structural_match`.  When
@@ -569,20 +458,18 @@ def repair_against_cluster(
             unpruned path, while a cluster whose cheapest repair reaches
             the bound may return a different same-or-costlier repair or
             ``None`` — callers that only accept repairs cheaper than the
-            bound (:func:`find_best_repair`) are unaffected.  When the fixed
-            sites alone refute the cluster
-            (:func:`repro.core.localrepair.fixed_site_floor` is ``None``: a
-            fixed site without candidates, or fixed-site minimum costs
-            summing to at least the bound), :func:`generate_local_repairs`
-            returns only those fixed sites and ``None`` is returned here
-            without building or solving an ILP — the same ``None`` the
-            solve would give.
+            bound (:func:`find_best_repair`) are unaffected.  A cluster
+            whose fixed sites alone refute the bound is not skipped here:
+            a fixed site left without candidates makes the ILP infeasible,
+            and fixed-site minimum costs summing to at least the bound
+            leave the warm-started solve nothing to return, so ``None``
+            comes back either way.  :func:`find_best_repair` skips such a
+            cluster before calling this.
 
     Returns:
         The cheapest consistent repair, or ``None`` when the control flow
         does not match or no consistent repair exists.
     """
-    start = time.perf_counter()
     if caches is None:
         # Imported lazily: the engine package imports core modules at
         # module level, so the core must not import it back eagerly.
@@ -599,53 +486,33 @@ def repair_against_cluster(
         candidates = generate_local_repairs(
             implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
         )
-    if fixed_site_floor(candidates, cost_bound) is None:
-        # The fixed sites alone prove that nothing beats the bound (or that
-        # no repair exists); the dict holds only them, so nothing is solved.
-        return None
-
-    if solver == "enumerate":
+    try:
         with profiled(profiler, "ilp"):
-            solved = solve_by_enumeration(implementation, cluster, candidates)
-        if solved is None:
-            return None
-        values, objective = solved
-        numbered = _number_candidates(candidates)
-    elif solver == "ilp":
-        try:
-            with profiled(profiler, "ilp"):
-                problem, numbered = _build_ilp(implementation, cluster, candidates)
-                solution = solve_fast(
-                    problem,
-                    node_limit=ILP_NODE_LIMIT,
-                    cache=caches.solve,
-                    upper_bound=cost_bound,
-                )
-        except InfeasibleError:
-            return None
-        if solution is None:
-            # Nothing beats the caller's bound: under the cost_bound
-            # contract this cluster contributes no candidate repair.
-            return None
-        if profiler is not None:
-            profiler.count("ilp_solves")
-            profiler.count("ilp_nodes", solution.nodes_explored)
-        values, objective = solution.values, solution.objective
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-
-    repair = _decode_solution(
-        values, implementation, cluster, location_map, numbered, objective
+            problem, numbered = _build_ilp(implementation, cluster, candidates)
+            solution = solve_fast(
+                problem,
+                node_limit=ILP_NODE_LIMIT,
+                cache=caches.solve,
+                upper_bound=cost_bound,
+            )
+    except InfeasibleError:
+        return None
+    if solution is None:
+        # Nothing beats the caller's bound: under the cost_bound contract
+        # this cluster contributes no candidate repair.
+        return None
+    if profiler is not None:
+        profiler.count("ilp_solves")
+        profiler.count("ilp_nodes", solution.nodes_explored)
+    return _decode_solution(
+        solution.values, implementation, cluster, location_map, numbered, solution.objective
     )
-    repair.solve_time = time.perf_counter() - start
-    return repair
 
 
 def find_best_repair(
     implementation: Program,
     clusters: Sequence[Cluster],
     *,
-    solver: str = "ilp",
     timeout: float | None = None,
     caches: "RepairCaches | None" = None,
     cost_bound: bool = True,
@@ -666,6 +533,11 @@ def find_best_repair(
        bounds every repair against the cluster from below.  A cluster that
        does not match, or has a fixed site without a candidate, is dropped.
     2. *Search.*  The rest are repaired in ``(floor, canonical rank)`` order.
+
+    This is the one place a cluster is refuted by its fixed-site floor:
+    candidate generation and :func:`repair_against_cluster` generate and
+    solve whatever they are given (docs/ARCHITECTURE.md, "Fixed-site
+    refutation").
 
     With ``cost_bound`` (the default), the incumbent — cost ``c`` from the
     cluster of canonical rank ``r*`` — bounds the rest of the search.  The
@@ -696,7 +568,6 @@ def find_best_repair(
     Args:
         implementation: The parsed incorrect attempt.
         clusters: Candidate clusters of correct solutions.
-        solver: Repair-selection solver, ``"ilp"`` or ``"enumerate"``.
         timeout: Wall-clock budget in seconds, checked before each cluster
             of the pre-pass and of the search; both stop once it is
             exceeded.  The clusters that fit are therefore those taken in
@@ -753,7 +624,6 @@ def find_best_repair(
         repair = repair_against_cluster(
             implementation,
             cluster,
-            solver=solver,
             location_map=location_map,
             caches=caches,
             cost_bound=bound,

@@ -263,20 +263,11 @@ class BatchRepairEngine:
         configuration (language check, prefilter settings, attached
         profiler) — it is *not* attached to the store, and ``workers`` is
         ignored (each worker process is single-threaded).  The store must name a registered problem,
-        as the workers rebuild their pipelines from the dataset registry,
-        and ``clara.retrieval_top_k`` must be the default (``ValueError``
-        otherwise, like a language mismatch), as the workers run that.
+        as the workers rebuild their pipelines from the dataset registry.
         """
         if processes > 1:
-            from ..retrieval.index import DEFAULT_TOP_K
             from .parallel import ProcessBatchEngine
 
-            if clara.retrieval_top_k != DEFAULT_TOP_K:
-                raise ValueError(
-                    f"process workers run the default retrieval_top_k "
-                    f"({DEFAULT_TOP_K}); the pipeline is configured for "
-                    f"{clara.retrieval_top_k}"
-                )
             return ProcessBatchEngine(
                 clusters_path,
                 processes=processes,

@@ -474,7 +474,7 @@ class RepairCaches:
             context_key: Everything besides the program's structure that
                 determines the result.  The owning pipeline passes its
                 identity token (one cache may serve several pipelines), its
-                clustering version, solver name, budget, feedback threshold
+                clustering version, budget, feedback threshold
                 and the attempt's source-position signature (line numbers
                 feed into feedback, but are deliberately absent from
                 ``structure_key``).

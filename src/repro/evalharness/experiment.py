@@ -135,7 +135,6 @@ def run_problem(
     n_incorrect: int | None = None,
     seed: int = 0,
     run_autograder: bool = False,
-    solver: str = "ilp",
     use_cluster_expressions: bool = True,
     timeout: float | None = 60.0,
     generic_threshold: float = GENERIC_FEEDBACK_THRESHOLD,
@@ -157,7 +156,6 @@ def run_problem(
         cases=problem.cases,
         language=problem.language,
         entry=problem.entry,
-        solver=solver,
         timeout=timeout,
         use_cluster_expressions=use_cluster_expressions,
         generic_threshold=generic_threshold,
@@ -228,7 +226,6 @@ def run_experiment(
     n_incorrect: int | None = None,
     seed: int = 0,
     run_autograder: bool = False,
-    solver: str = "ilp",
     use_cluster_expressions: bool = True,
 ) -> list[ProblemResult]:
     """Run :func:`run_problem` over a list of problems."""
@@ -239,7 +236,6 @@ def run_experiment(
             n_incorrect=n_incorrect,
             seed=seed,
             run_autograder=run_autograder,
-            solver=solver,
             use_cluster_expressions=use_cluster_expressions,
         )
         for problem in problems

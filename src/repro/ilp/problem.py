@@ -138,10 +138,6 @@ class IlpProblem:
         """Convenience for the ubiquitous ``sum(vars) == 1`` constraints."""
         self.add_constraint([(v, 1.0) for v in variables], "==", 1.0)
 
-    def add_implication(self, antecedent: str, consequent: str) -> None:
-        """Add ``antecedent -> consequent`` as ``-antecedent + consequent >= 0``."""
-        self.add_constraint([(antecedent, -1.0), (consequent, 1.0)], ">=", 0.0)
-
     # -- introspection ----------------------------------------------------------
 
     def objective_value(self, values: Mapping[str, int]) -> float:

@@ -8,6 +8,9 @@
   drive the solver through the same search.
 * :func:`solve_by_enumeration`: the optimum cost of the selection, found
   without an ILP by enumerating total variable relations.
+
+:func:`add_implication` states ``a -> b`` as an ILP row, for these and the
+solver tests.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ from repro.core.repair import (
     _pair_var,
 )
 from repro.ilp import IlpProblem
+
+
+def add_implication(problem: IlpProblem, antecedent: str, consequent: str) -> None:
+    """Add ``antecedent -> consequent`` as ``-antecedent + consequent >= 0``."""
+    problem.add_constraint([(antecedent, -1.0), (consequent, 1.0)], ">=", 0.0)
 
 
 def build_ilp_with_implications(implementation, cluster, candidates) -> IlpProblem:
@@ -54,7 +62,7 @@ def build_ilp_with_implications(implementation, cluster, candidates) -> IlpProbl
             problem.add_variable(name, objective=float(candidate.cost))
             names.append(name)
             for impl_var, rep_var in candidate.omega:
-                problem.add_implication(name, _pair_var(rep_var, impl_var))
+                add_implication(problem, name, _pair_var(rep_var, impl_var))
         if site.fixed:
             if names:
                 problem.add_exactly_one(names)

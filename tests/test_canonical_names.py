@@ -41,9 +41,8 @@ RECORDS_DIGEST = "c465ee0ba1134e3f62eedbc4d31eff146f1f7beb2125f4ead425b122c22652
 #: The same digest for ``generate_corpus(P, 30, 20, seed=7)`` of the
 #: problems whose repair ILPs are largest, computed while the cluster search
 #: still visited clusters in (-size, cluster_id) order; the visit order must
-#: not change a record.  The two C problems were pinned later, while the
-#: repair core still had an enumeration solver and refuted clusters during
-#: candidate generation; neither may change a C record.
+#: not change a record.  The two C problems were pinned later; they are the
+#: only pins whose repairs come from the C front end.
 ILP_HEAVY_RECORDS_DIGESTS = {
     "oddTuples": "acffc47596ffd493bdd8221d3cf9ce8bb62fb27c24c3b920d5813587d2725627",
     "polynomials": "3e90683b16e11d493c018c4200849357c3be57c01943dfb7198ee8fe2eaae9d9",

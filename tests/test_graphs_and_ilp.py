@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers.ilp import RecordedProblem, satisfies
+from helpers.repair_ilp import add_implication
 
 from repro.graphs import hopcroft_karp, maximum_matching_size, perfect_matching
 from repro.ilp import IlpProblem, InfeasibleError, solve
@@ -75,7 +76,7 @@ def test_problem_construction_and_feasibility_check():
     problem.add_variable("x", objective=2.0)
     problem.add_variable("y", objective=1.0)
     problem.add_exactly_one(["x", "y"])
-    problem.add_implication("x", "y")
+    add_implication(problem, "x", "y")
     assert satisfies(problem, {"x": 0, "y": 1})
     assert not satisfies(problem, {"x": 1, "y": 0})
     assert problem.objective_value({"x": 0, "y": 1}) == 1.0
@@ -157,7 +158,7 @@ def test_solve_respects_implications():
     problem.add_variable("pair", objective=0.0)
     problem.add_exactly_one(["cheap", "expensive"])
     # choosing "cheap" forces "pair", but "pair" conflicts with another choice
-    problem.add_implication("cheap", "pair")
+    add_implication(problem, "cheap", "pair")
     problem.add_constraint({"pair": 1.0}, "<=", 0.0)
     solution = solve(problem)
     assert solution.values["expensive"] == 1

@@ -22,6 +22,7 @@ from helpers.differential import (
     assert_repairs_field_identical,
 )
 from helpers.ilp import RecordedProblem, satisfies
+from helpers.repair_ilp import add_implication
 
 from repro.core.clustering import cluster_programs
 from repro.core.pipeline import Clara
@@ -54,7 +55,7 @@ def _random_def55_problem(rng: random.Random) -> RecordedProblem:
         problem.add_exactly_one(rng.sample(variables, rng.randint(1, n)))
     for _ in range(rng.randint(0, 2)):
         antecedent, consequent = rng.sample(variables, 2)
-        problem.add_implication(antecedent, consequent)
+        add_implication(problem, antecedent, consequent)
     for _ in range(rng.randint(0, 2)):
         subset = rng.sample(variables, rng.randint(1, n))
         sense = rng.choice(["==", ">=", "<="])
@@ -298,7 +299,7 @@ def _hard_feasible_problem() -> RecordedProblem:
     problem.add_exactly_one(["a", "b", "c"])
     problem.add_exactly_one(["c", "d", "e"])
     problem.add_exactly_one(["e", "f", "a"])
-    problem.add_implication("d", "f")
+    add_implication(problem, "d", "f")
     problem.add_constraint({"b": 1.0, "d": 1.0, "f": 1.0}, "<=", 2.0)
     return problem
 
@@ -392,8 +393,8 @@ def test_unproven_infeasibility_is_not_cached():
 
 def test_empty_choice_group_is_proven_infeasible():
     # ``sum([]) == 1`` is the marker _build_ilp emits for a fixed site with
-    # no candidate.  Repair refutes such a cluster before building an ILP
-    # (fixed_site_floor), so only direct _build_ilp callers solve it; root
+    # no candidate.  find_best_repair skips such a cluster on its fixed-site
+    # floor, so only direct repair_against_cluster callers solve it; root
     # propagation refutes it before any node is explored.
     problem = IlpProblem()
     problem.add_variable("x", objective=1.0)

@@ -260,18 +260,6 @@ def test_process_engine_rejects_language_mismatch(store):
         ProcessBatchEngine(path, processes=2, language="c")
 
 
-def test_process_engine_rejects_non_default_top_k(store):
-    problem, path, _attempts = store
-    clara = Clara(
-        cases=problem.cases,
-        language=problem.language,
-        entry=problem.entry,
-        retrieval_top_k=1,
-    )
-    with pytest.raises(ValueError, match="retrieval_top_k"):
-        BatchRepairEngine.from_store(path, clara, processes=2)
-
-
 def test_process_engine_rejects_bad_process_count(store):
     _problem, path, _attempts = store
     with pytest.raises(ValueError, match="processes must be >= 1"):

@@ -132,7 +132,7 @@ def test_pipeline_field_identical_prefilter_on_vs_off(
 # -- adversarial: the top-k cut must never decide -------------------------------------
 
 
-def test_adversarial_ranking_recovered_by_exact_fallback(tmp_path):
+def test_adversarial_ranking_recovered_by_exact_fallback(tmp_path, monkeypatch):
     """A store whose persisted vectors rank the true cluster *last* (and a
     header with no skeleton digests, so nothing is pre-cut): with
     ``top_k=1`` the cut's head holds only wrong-shape clusters, and the
@@ -168,7 +168,8 @@ def test_adversarial_ranking_recovered_by_exact_fallback(tmp_path):
                 vectors[cluster_id] = list(query_vector)
     path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
 
-    adversarial_clara = _clara(spec, retrieval_top_k=1)
+    monkeypatch.setattr("repro.core.pipeline.DEFAULT_TOP_K", 1)
+    adversarial_clara = _clara(spec)
     adversarial_clara.attach_lazy_clusters(open_lazy(path, cases=spec.cases))
     adversarial = adversarial_clara.repair_source(TWO_LOOP_BROKEN)
 
