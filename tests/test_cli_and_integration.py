@@ -304,3 +304,67 @@ def test_cli_batch_report_utf8_round_trips_non_ascii_sources(tmp_path):
     record = json.loads(lines[0])
     assert record["attempt_id"] == "élève-1"
     assert record["status"] in ("repaired", "already-correct")
+
+
+#: Statuses decided by the cluster search; every other status is settled
+#: before it (parse, correctness check, structural gate).
+_SEARCH_STATUSES = ("repaired", "no-repair")
+
+
+@pytest.mark.parametrize("mode", ["correct", "clusters", "processes-2"])
+def test_cli_batch_budget_zero_times_out_every_searched_attempt(tmp_path, capsys, mode):
+    """``batch --budget 0`` reaches the search of every attempt: each attempt
+    that is repaired or refuted without a budget comes back ``timeout``.  In
+    process, the attempts settled before the search keep their status; the
+    worker processes may also time those out, as their request deadline
+    bounds the whole request."""
+    import json
+
+    from repro.datasets import generate_corpus, get_problem
+
+    corpus = generate_corpus(get_problem("derivatives"), 4, 8, seed=5)
+    sources = list(corpus.incorrect_sources) + [
+        corpus.correct_sources[0],
+        "def computeDeriv(poly:\n    return\n",
+    ]
+    attempts = tmp_path / "attempts.jsonl"
+    attempts.write_text(
+        "".join(
+            json.dumps({"id": f"a{index}", "source": source}) + "\n"
+            for index, source in enumerate(sources)
+        )
+    )
+    store = tmp_path / "clusters.json"
+    args = ["--correct", "10"]
+    if mode != "correct":
+        assert main(
+            ["cluster", "build", "--problem", "derivatives", "--correct", "10",
+             "--output", str(store)]
+        ) == 0
+        args = ["--clusters", str(store)]
+    if mode == "processes-2":
+        args += ["--processes", "2"]
+
+    def statuses(*budget):
+        report = tmp_path / "report.jsonl"
+        code = main(
+            ["batch", "--problem", "derivatives", "--attempts", str(attempts),
+             "--workers", "1", "--output", str(report), *args, *budget]
+        )
+        assert code == 0
+        lines = report.read_text().splitlines()[:-1]  # the summary trailer
+        return [json.loads(line)["status"] for line in lines]
+
+    unbudgeted = statuses()
+    budgeted = statuses("--budget", "0")
+    capsys.readouterr()
+    assert len(budgeted) == len(sources)
+    searched = [status in _SEARCH_STATUSES for status in unbudgeted]
+    assert sum(searched) >= 5 and not all(searched)
+    for before, after, reaches in zip(unbudgeted, budgeted, searched):
+        if reaches:
+            assert after == "timeout"
+        elif mode == "processes-2":
+            assert after in (before, "timeout")
+        else:
+            assert after == before

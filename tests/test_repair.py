@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from helpers.differential import assert_repairs_field_identical, candidate_fields, repair_fields
+from helpers.search import repair_each_cluster_alone
 
 from repro.core.clustering import cluster_programs
 from repro.core.inputs import is_correct
@@ -279,6 +280,42 @@ def _searched_pairs(problem_name):
         for source in corpus.incorrect_sources:
             clara.repair_source(source)
     return pairs
+
+
+@pytest.mark.parametrize("problem_name", _BASELINE_PROBLEMS)
+def test_search_equals_each_cluster_alone_on_the_baseline_corpora(problem_name):
+    """On every attempt of a Baseline corpus that parses, the best-first
+    search returns, field for field, the repair of every matched cluster
+    repaired alone and unbounded (minimum by cost, then canonical rank),
+    with the caches on and off."""
+    from repro.core.pipeline import Clara
+    from repro.datasets import generate_corpus, get_problem
+    from repro.engine import RepairCaches
+    from repro.frontend import FrontendError
+
+    problem = get_problem(problem_name)
+    corpus = generate_corpus(problem, 30, 20, seed=7)
+    clara = Clara(problem.cases, language=problem.language, entry=problem.entry)
+    clara.add_correct_sources(corpus.correct_sources)
+    attempts = []
+    for source in corpus.incorrect_sources:
+        try:
+            attempts.append(clara.parse(source))
+        except FrontendError:
+            continue
+    assert len(attempts) >= 15
+    for enabled in (True, False):
+        search_caches = RepairCaches(enabled=enabled)
+        reference_caches = RepairCaches(enabled=enabled)
+        repaired = 0
+        for implementation in attempts:
+            best = find_best_repair(implementation, clara.clusters, caches=search_caches)
+            expected = repair_each_cluster_alone(
+                implementation, clara.clusters, caches=reference_caches
+            )
+            assert repair_fields(best) == repair_fields(expected)
+            repaired += best is not None
+        assert repaired >= len(attempts) // 2
 
 
 def test_enumeration_solver_agrees_with_ilp():
@@ -662,21 +699,23 @@ def test_best_first_search_breaks_ties_like_canonical_order():
         rng.shuffle(clusters)
         for init, ret in _TIE_ATTEMPTS:
             implementation = parse_python_source(_TIE_PROGRAM.format(init=init, ret=ret))
-            alone = []
-            for cluster in clusters:
-                repair = repair_against_cluster(implementation, cluster)
-                floor = _floor(implementation, cluster)
-                alone.append((repair.cost, -cluster.size, cluster.cluster_id, floor, repair))
-            expected = min(alone, key=lambda entry: entry[:3])
-            tied_floors = [entry[3] for entry in alone if entry[0] == expected[0]]
-            found_later_first += min(tied_floors) < expected[3]
+            expected = repair_each_cluster_alone(implementation, clusters)
+            floors = {
+                cluster.cluster_id: _floor(implementation, cluster) for cluster in clusters
+            }
+            tied_floors = [
+                floors[cluster.cluster_id]
+                for cluster in clusters
+                if repair_against_cluster(implementation, cluster).cost == expected.cost
+            ]
+            found_later_first += min(tied_floors) < floors[expected.cluster_id]
 
             bounded = find_best_repair(implementation, clusters, caches=RepairCaches())
             unbounded = find_best_repair(
                 implementation, clusters, caches=RepairCaches(enabled=False), cost_bound=False
             )
             assert repair_fields(bounded) == repair_fields(unbounded)
-            assert repair_fields(bounded) == repair_fields(expected[4])
+            assert repair_fields(bounded) == repair_fields(expected)
     assert found_later_first > 0
 
 

@@ -289,6 +289,19 @@ def test_add_problem_rejects_a_duplicate_problem_name(store_path):
     service.close()
 
 
+def test_add_problem_rejects_a_store_saved_without_a_problem_name(
+    tmp_path, spec, corpus
+):
+    clara = Clara(cases=spec.cases, language=spec.language, entry=spec.entry)
+    clara.add_correct_sources(corpus.correct_sources)
+    nameless = clara.save_clusters(tmp_path / "nameless.json")
+    service = RepairService(workers=1)
+    with pytest.raises(ValueError, match="no problem name"):
+        service.add_problem(nameless)
+    assert service.problems() == []
+    service.close()
+
+
 # -- server lifecycle -----------------------------------------------------------------
 
 
