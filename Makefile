@@ -56,6 +56,9 @@ lint:
 	else \
 		echo "ruff not installed; bytecode compile check only (CI runs ruff)"; \
 	fi
+	@for example in examples/*.py; do \
+		echo "running $$example"; $(PYTHON) $$example >/dev/null || exit 1; \
+	done
 
 clean:
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +

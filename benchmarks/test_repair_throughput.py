@@ -3,11 +3,12 @@
 Repairs an incorrect corpus against its clusters twice over the *same*
 cluster objects:
 
-* the **baseline**: caching disabled and no cost bound — every candidate
-  pays a full Zhang–Shasha DP, the pre-fast-path behaviour;
-* the **fast path**: expression interning + memoized TED (annotations and
-  pair distances) + indexed pools + best-cost-so-far branch-and-bound
-  (``find_best_repair(..., cost_bound=True)``).
+* the **baseline**: every matched cluster repaired alone, caching
+  disabled and no cost bound (``tests/helpers/search.py``) — every
+  candidate pays a full Zhang–Shasha DP, the pre-fast-path behaviour;
+* the **fast path**: :func:`repro.core.repair.find_best_repair` with
+  expression interning + memoized TED (annotations and pair distances) +
+  indexed pools + the best-first, best-cost-so-far branch-and-bound.
 
 Repair outcomes must be field-identical between the two (the pruning
 argument of :func:`repro.core.repair.find_best_repair` says they provably
@@ -21,6 +22,8 @@ for the seeded corpus and machine-independent — written to
 from __future__ import annotations
 
 import json
+
+from helpers.search import repair_each_cluster_alone
 
 from repro.core.clustering import cluster_programs
 from repro.core.repair import find_best_repair
@@ -47,15 +50,11 @@ def test_repair_throughput(benchmark, results_dir):
 
     baseline = RepairCaches(enabled=False)
     baseline_repairs = [
-        find_best_repair(program, clusters, caches=baseline, cost_bound=False)
-        for program in attempts
+        repair_each_cluster_alone(program, clusters, caches=baseline) for program in attempts
     ]
 
     fast = RepairCaches()
-    fast_repairs = [
-        find_best_repair(program, clusters, caches=fast, cost_bound=True)
-        for program in attempts
-    ]
+    fast_repairs = [find_best_repair(program, clusters, caches=fast) for program in attempts]
 
     # The fast path must not change a single field of a single repair.
     assert [_repair_fields(r) for r in fast_repairs] == [
@@ -91,6 +90,4 @@ def test_repair_throughput(benchmark, results_dir):
 
     # Steady-state benchmarked unit: one attempt against all clusters with a
     # warm TED memo (the cost a long-lived grading engine actually pays).
-    benchmark(
-        find_best_repair, attempts[0], clusters, caches=fast, cost_bound=True
-    )
+    benchmark(find_best_repair, attempts[0], clusters, caches=fast)

@@ -11,7 +11,7 @@ students resubmit — and solves the stream three ways:
 * the **fast path**: :func:`repro.ilp.solve_fast` with a shared
   :class:`repro.ilp.SolveCache` — memoisation of each problem as built;
 * the **warm-started path**: per attempt, the best objective over earlier
-  clusters bounds each later solve (the ``cost_bound`` threading of
+  clusters bounds each later solve (the ``upper_bound`` threading of
   :func:`repro.core.repair.find_best_repair`), pruning branches that
   cannot win.
 

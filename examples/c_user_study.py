@@ -68,14 +68,13 @@ def main() -> None:
     clara = Clara(
         cases=problem.cases,
         language="c",
-        timeout=60.0,
         generic_threshold=100.0,
     )
     clara.add_correct_sources(corpus.correct_sources)
     print(f"{clara.cluster_count} clusters built from {len(corpus.correct)} correct solutions\n")
 
     for round_number, source in enumerate((ATTEMPT_1, ATTEMPT_2, ATTEMPT_3), start=1):
-        outcome = clara.repair_source(source)
+        outcome = clara.repair_source(source, budget=60.0)
         print(f"--- submission {round_number}: {outcome.status} ({outcome.elapsed:.2f}s)")
         if outcome.feedback is not None:
             print(outcome.feedback.text())

@@ -336,7 +336,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 args.clusters,
                 clara,
                 workers=args.workers,
-                budget=args.budget,
                 processes=args.processes,
             )
         except (ClusterStoreError, ValueError) as exc:
@@ -348,8 +347,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     else:
         corpus = generate_corpus(spec, args.correct, 0, seed=args.seed)
         clara.add_correct_sources(corpus.correct_sources)
-        engine = BatchRepairEngine(clara, workers=args.workers, budget=args.budget)
-    report = engine.run(attempts)
+        engine = BatchRepairEngine(clara, workers=args.workers)
+    report = engine.run(attempts, budget=args.budget)
     if args.output:
         report.write_jsonl(args.output)
     else:

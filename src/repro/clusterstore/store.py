@@ -66,7 +66,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..core.clustering import Cluster, new_cluster, place_program
 from ..core.inputs import InputCase, trace_passes_case
@@ -83,9 +83,6 @@ from .segments import (
     skeleton_digest,
 )
 from .serialize import SerializationError, decode_cluster, encode_cluster
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.cache import RepairCaches
 
 __all__ = [
     "FORMAT_VERSION",
@@ -361,16 +358,15 @@ def save_clusters(
     language: str = "python",
     entry: str | None = None,
     problem: str | None = None,
-    revision: int = 0,
 ) -> Path:
-    """Serialize ``clusters`` (built against ``cases``) to a v3 store.
+    """Serialize ``clusters`` (built against ``cases``) to a fresh v3 store.
 
     Writes the header at ``path`` and the segment files under
     ``<path>.segments/``.  Byte stability: every file is written with
     sorted keys and a trailing newline, so identical clusterings produce
-    byte-identical stores — header and segments alike.  ``revision`` is
-    the store's content revision (see the module docstring); a fresh build
-    writes 0, and :meth:`ClusterStore.save` passes the bumped counter.
+    byte-identical stores — header and segments alike.  A fresh build is
+    revision 0 (see the module docstring); :meth:`ClusterStore.save`
+    writes the bumped counter.
     Thread safety: one writer at a time; each file lands via an atomic
     replace so concurrent readers never see a torn write.
     """
@@ -381,7 +377,7 @@ def save_clusters(
         language=language,
         entry=entry,
         problem=problem,
-        revision=revision,
+        revision=0,
     )
 
 
@@ -477,34 +473,18 @@ def read_store_header(path: str | Path) -> StoreHeader:
     )
 
 
-def _check_signature(
-    path: Path,
-    signature: str,
-    cases: Sequence[InputCase] | None,
-    check_cases: bool,
-) -> None:
-    if check_cases and cases is not None and signature != case_signature(cases):
-        raise ClusterStoreError(
-            f"cluster store {path} was built against a different test-case set; "
-            f"clusters are only valid for the inputs they were clustered on — "
-            f"rebuild the store for these cases (or pass check_cases=False to "
-            f"inspect it anyway)"
-        )
-
-
 def open_lazy(
     path: str | Path,
     *,
     cases: Sequence[InputCase] | None = None,
-    check_cases: bool = True,
 ) -> LazyStoredClustering:
     """Open a v3 store **header-only**; clusters page in on first lookup.
 
     The one way a store is read: repair (``Clara.attach_lazy_clusters``),
     incremental updates (:meth:`ClusterStore.open_indexed`) and export all
     start here.  Reads exactly one file — the header — and validates its
-    format version, its aggregate counts against the segment index, and (by
-    default) the case signature.  The returned view's lookups load only the
+    format version, its aggregate counts against the segment index, and
+    (when ``cases`` are given) the case signature.  The returned view's lookups load only the
     segments whose index entry could satisfy them; a segment rewritten on
     disk after this open is detected by the index's byte-length check and
     reported as a deterministic error rather than served.  Thread safety:
@@ -512,12 +492,11 @@ def open_lazy(
 
     Args:
         path: Store header written by :func:`save_clusters`.
-        cases: When given (and ``check_cases`` is true), the store's case
-            signature must match — repairing against a clustering built for
-            different inputs silently changes what "equivalent" means, so a
-            mismatch is an error, not a warning.
-        check_cases: Set to ``False`` to skip the signature check (e.g. the
-            read-only ``cluster export`` command).
+        cases: When given, the store's case signature must match —
+            repairing against a clustering built for different inputs
+            silently changes what "equivalent" means, so a mismatch is an
+            error, not a warning.  Omit them to read a store without that
+            check (the read-only ``cluster export`` command).
 
     Raises:
         ClusterStoreError: Unreadable file, wrong format name, wrong format
@@ -538,7 +517,12 @@ def open_lazy(
                 f"cluster store {path} is malformed: header declares {declared} "
                 f"{label} but the segment index holds {indexed}"
             )
-    _check_signature(path, header.case_signature, cases, check_cases)
+    if cases is not None and header.case_signature != case_signature(cases):
+        raise ClusterStoreError(
+            f"cluster store {path} was built against a different test-case set; "
+            f"clusters are only valid for the inputs they were clustered on — "
+            f"rebuild the store for these cases"
+        )
     pager = SegmentPager(path, header.segments, error=ClusterStoreError)
     return LazyStoredClustering(header, pager)
 
@@ -590,7 +574,7 @@ def export_clusters(store_path: str | Path, output_path: str | Path) -> Path:
     Raises:
         ClusterStoreError: The store is unreadable, stale or malformed.
     """
-    stored = open_lazy(store_path, check_cases=False)
+    stored = open_lazy(store_path)
     text = encode_v2_document(
         stored.all_clusters(),
         signature=stored.case_signature,
@@ -721,30 +705,22 @@ class ClusterStore:
             seeds the handle.
         cases: The test-case set the clustering is relative to (Def. 4.4);
             must match the store's ``case_signature``.
-        caches: The :class:`repro.engine.cache.RepairCaches` through which
-            executions and fingerprints are routed.  Defaults to a fresh
-            instance.
+
+    Executions and fingerprints are routed through the handle's own
+    :class:`repro.engine.cache.RepairCaches`.
     """
 
-    def __init__(
-        self,
-        source: LazyStoredClustering,
-        cases: Sequence[InputCase],
-        *,
-        caches: "RepairCaches | None" = None,
-    ) -> None:
+    def __init__(self, source: LazyStoredClustering, cases: Sequence[InputCase]) -> None:
         self.path = source.header.path
         self.cases = cases
         self.language = source.language
         self.entry = source.entry
         self.problem = source.problem
-        if caches is None:
-            # Imported lazily: the engine package imports this module at
-            # module level, so it must not import the engine back eagerly.
-            from ..engine.cache import RepairCaches
+        # Imported lazily: the engine package imports this module at module
+        # level, so it must not import the engine back eagerly.
+        from ..engine.cache import RepairCaches
 
-            caches = RepairCaches()
-        self.caches = caches
+        self.caches = RepairCaches()
         self._revision = source.revision
         self._signature = source.case_signature
         self._pager = source.pager
@@ -759,14 +735,7 @@ class ClusterStore:
         self._pager.on_load = self._on_page_in
 
     @classmethod
-    def open_indexed(
-        cls,
-        path: str | Path,
-        cases: Sequence[InputCase],
-        *,
-        caches: "RepairCaches | None" = None,
-        check_cases: bool = True,
-    ) -> "ClusterStore":
+    def open_indexed(cls, path: str | Path, cases: Sequence[InputCase]) -> "ClusterStore":
         """Open ``path`` **header-only**; segments page in as adds need them.
 
         Nothing beyond the header is read until :meth:`add_correct_source`
@@ -777,9 +746,7 @@ class ClusterStore:
         Raises:
             ClusterStoreError: see :func:`open_lazy`.
         """
-        return cls(
-            open_lazy(path, cases=cases, check_cases=check_cases), cases, caches=caches
-        )
+        return cls(open_lazy(path, cases=cases), cases)
 
     def _on_page_in(self, clusters: list[Cluster]) -> None:
         """Pager hook: make freshly paged clusters repair-ready."""

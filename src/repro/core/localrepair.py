@@ -31,7 +31,7 @@ The fast path (docs/ARCHITECTURE.md, "Repair fast path"):
   pool expression;
 * edit distances run through the :class:`repro.ted.TedCache` of the
   :class:`repro.engine.cache.RepairCaches` handle (annotation + distance
-  memo), with an optional branch-and-bound ``cost_bound``: a
+  memo), with an optional branch-and-bound ``upper_bound``: a
   candidate whose cost reaches the bound cannot be part of a repair
   cheaper than the best already found (costs are non-negative and
   additive), so it is dropped — and the TED DP itself is skipped whenever
@@ -227,7 +227,7 @@ def generate_local_repairs(
     location_map: Mapping[int, int],
     *,
     caches: "RepairCaches | None" = None,
-    cost_bound: float | None = None,
+    upper_bound: float | None = None,
 ) -> dict[Site, list[LocalRepairCandidate]]:
     """Generate the candidate sets ``LR(ℓ, v)`` (Fig. 5, lines 4-14).
 
@@ -242,7 +242,7 @@ def generate_local_repairs(
             TED memo costs the replacement candidates and whose profiler
             (if any) times the ``ted`` phase and counts candidates.
             Defaults to a fresh instance.
-        cost_bound: Branch-and-bound budget — only repairs cheaper than it
+        upper_bound: Branch-and-bound budget — only repairs cheaper than it
             matter to the caller.  Candidates whose cost reaches it are dropped;
             repairs cheaper than the bound are unaffected (see
             :func:`repro.core.repair.find_best_repair`).
@@ -253,18 +253,18 @@ def generate_local_repairs(
         keep the real names): the ordinary sites, then the fixed ones
         (:func:`generate_fixed_sites`, generated first).  Every site is
         generated, also when the fixed sites alone rule out a repair cheaper
-        than ``cost_bound``; :func:`repro.core.repair.find_best_repair`
+        than ``upper_bound``; :func:`repro.core.repair.find_best_repair`
         skips such a cluster before asking for its candidates.
     """
     caches = _default_caches(caches)
     fixed = generate_fixed_sites(
-        implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
+        implementation, cluster, location_map, caches=caches, upper_bound=upper_bound
     )
 
     # Ordinary (non-fixed) variables: every location × variable site.
     rep_vars = variables_for_matching(cluster.representative)
     impl_vars = variables_for_matching(implementation)
-    for_site = _site_generator(implementation, cluster, caches, cost_bound)
+    for_site = _site_generator(implementation, cluster, caches, upper_bound)
     candidates: dict[Site, list[LocalRepairCandidate]] = {}
     for loc_id in implementation.location_ids():
         rep_loc = location_map[loc_id]
@@ -284,7 +284,7 @@ def generate_fixed_sites(
     location_map: Mapping[int, int],
     *,
     caches: "RepairCaches | None" = None,
-    cost_bound: float | None = None,
+    upper_bound: float | None = None,
 ) -> dict[Site, list[LocalRepairCandidate]]:
     """The candidates of the fixed special variables' sites (``$cond``,
     ``$ret``, ``$out``, ...), cheapest first, location by location.
@@ -300,7 +300,7 @@ def generate_fixed_sites(
     """
     caches = _default_caches(caches)
     representative = cluster.representative
-    for_site = _site_generator(implementation, cluster, caches, cost_bound)
+    for_site = _site_generator(implementation, cluster, caches, upper_bound)
     fixed: dict[Site, list[LocalRepairCandidate]] = {}
     fixed_vars = sorted(
         (set(implementation.variables) | set(representative.variables)) & FIXED_VARS
@@ -355,7 +355,7 @@ def _site_generator(
     implementation: Program,
     cluster: Cluster,
     caches: "RepairCaches",
-    cost_bound: float | None,
+    upper_bound: float | None,
 ) -> Callable[[int, str, Expr, Sequence[str]], list[LocalRepairCandidate]]:
     """``for_site(rep_loc, var, impl_expr, targets)``: one site's candidates,
     with the site's variable and expression taken into canonical names."""
@@ -375,7 +375,7 @@ def _site_generator(
             rep_vars,
             canonical_vars,
             caches=caches,
-            cost_bound=cost_bound,
+            upper_bound=upper_bound,
         )
 
     return for_site
@@ -421,7 +421,7 @@ def _site_candidates(
     impl_vars: Sequence[str],
     *,
     caches: "RepairCaches",
-    cost_bound: float | None,
+    upper_bound: float | None,
 ) -> list[LocalRepairCandidate]:
     """Candidates for one site against each representative variable in ``targets``.
 
@@ -439,7 +439,7 @@ def _site_candidates(
             (id(cluster), rep_loc, rep_var, var, impl_expr, len(impl_vars)),
             cluster,
             len(cluster.expressions_for(rep_loc, rep_var)),
-            cost_bound,
+            upper_bound,
             partial(
                 _candidates_for_target,
                 cluster,
@@ -450,10 +450,10 @@ def _site_candidates(
                 rep_vars,
                 impl_vars,
                 caches=caches,
-                cost_bound=cost_bound,
+                upper_bound=upper_bound,
             ),
         )
-        if cost_bound is None:
+        if upper_bound is None:
             out.extend(memoized)
             continue
         # A memo entry generated under a wider bound (or none) still holds
@@ -462,7 +462,7 @@ def _site_candidates(
         out.extend(
             candidate
             for candidate in memoized
-            if candidate.new_expr is None or candidate.cost < cost_bound
+            if candidate.new_expr is None or candidate.cost < upper_bound
         )
     return out
 
@@ -477,7 +477,7 @@ def _candidates_for_target(
     impl_vars: Sequence[str],
     *,
     caches: "RepairCaches",
-    cost_bound: float | None,
+    upper_bound: float | None,
 ) -> list[LocalRepairCandidate]:
     """Candidates for one implementation site against one representative variable.
 
@@ -519,7 +519,7 @@ def _candidates_for_target(
         # expression so that a spurious implementation assignment can be
         # dropped.
         out.extend(
-            _identity_candidates(var, rep_var, impl_expr, caches, cost_bound)
+            _identity_candidates(var, rep_var, impl_expr, caches, upper_bound)
         )
     if pool:
         pool_index = cluster.pool_index_for(rep_loc, rep_var)
@@ -534,7 +534,7 @@ def _candidates_for_target(
                     rep_var,
                     impl_vars,
                     caches=caches,
-                    cost_bound=cost_bound,
+                    upper_bound=upper_bound,
                 )
             )
     return out
@@ -550,7 +550,7 @@ def _pool_candidates(
     impl_vars: Sequence[str],
     *,
     caches: "RepairCaches",
-    cost_bound: float | None,
+    upper_bound: float | None,
 ) -> list[LocalRepairCandidate]:
     """Replacement candidates drawn from one pool expression."""
     ted = caches.ted
@@ -568,11 +568,11 @@ def _pool_candidates(
         # it.
         ted.seed_annotation(replacement, entry_index.annotation.rename_vars(relation))
         if profiler is None:  # innermost loop: skip the context-manager cost
-            cost = ted.distance(impl_expr, replacement, budget=cost_bound)
+            cost = ted.distance(impl_expr, replacement, budget=upper_bound)
         else:
             with profiler.phase("ted"):
-                cost = ted.distance(impl_expr, replacement, budget=cost_bound)
-        if cost_bound is not None and cost >= cost_bound:
+                cost = ted.distance(impl_expr, replacement, budget=upper_bound)
+        if upper_bound is not None and cost >= upper_bound:
             # A repair using this candidate costs at least ``cost`` —
             # already no better than the best repair found so far.
             continue
@@ -593,15 +593,15 @@ def _identity_candidates(
     rep_var: str,
     impl_expr: Expr,
     caches: "RepairCaches",
-    cost_bound: float | None,
+    upper_bound: float | None,
 ) -> list[LocalRepairCandidate]:
     """Offer "remove this assignment" when the representative has none."""
     identity = Var(var)
     if impl_expr == identity:
         return []
     with profiled(caches.profiler, "ted"):
-        cost = caches.ted.distance(impl_expr, identity, budget=cost_bound)
-    if cost_bound is not None and cost >= cost_bound:
+        cost = caches.ted.distance(impl_expr, identity, budget=upper_bound)
+    if upper_bound is not None and cost >= upper_bound:
         return []
     return [
         LocalRepairCandidate(

@@ -96,8 +96,6 @@ class Clara:
         cases: Test inputs with expected behaviour defining correctness.
         language: Source language of the attempts ("python" or "c").
         entry: Entry function name (``None`` = first function / ``main``).
-        timeout: Wall-clock budget per repaired attempt, in seconds; a batch
-            engine may override it per attempt.
         use_cluster_expressions: When ``False``, the repair algorithm only
             draws expressions from the cluster representative instead of the
             whole cluster (the ablation of §2.1's "diversity of repairs").
@@ -132,7 +130,6 @@ class Clara:
     cases: Sequence[InputCase]
     language: str = "python"
     entry: str | None = None
-    timeout: float | None = None
     use_cluster_expressions: bool = True
     generic_threshold: float = GENERIC_FEEDBACK_THRESHOLD
     retrieval_prefilter: bool = True
@@ -375,8 +372,8 @@ class Clara:
         Args:
             program: The parsed attempt.  Must not be mutated afterwards by
                 the caller (its fingerprint keys the caches).
-            budget: Per-attempt wall-clock budget in seconds, overriding the
-                pipeline-wide ``timeout`` when given.
+            budget: Wall-clock budget for this attempt's cluster search, in
+                seconds (``None``: unbounded).  Part of the repair-memo key.
 
         The correctness check and the structural gate run through the shared
         caches; the cluster search itself is memoized on the attempt
@@ -384,7 +381,6 @@ class Clara:
         pays for parsing.
         """
         start = time.perf_counter()
-        timeout = self.timeout if budget is None else budget
         if self.caches.is_correct(program, self.cases):
             return RepairOutcome(
                 status=RepairStatus.ALREADY_CORRECT,
@@ -429,7 +425,7 @@ class Clara:
         context_key = (
             self._memo_token,
             self._cluster_version,
-            timeout,
+            budget,
             self.generic_threshold,
             # Line numbers and location names flow into feedback text but are
             # not part of structure_key, so structurally identical attempts
@@ -439,7 +435,7 @@ class Clara:
         status, repair, feedback, detail = self.caches.repair_outcome(
             program,
             context_key,
-            lambda: self._search_clusters(program, candidates, timeout),
+            lambda: self._search_clusters(program, candidates, budget),
             # A timeout reflects machine load at that moment, not a property
             # of the attempt; memoizing it would make one slow moment sticky
             # for every future duplicate.
@@ -565,8 +561,8 @@ class Clara:
         """
         from ..engine.batch import BatchRepairEngine
 
-        engine = BatchRepairEngine(self, workers=1, budget=budget)
-        return engine.run([source]).outcomes[0]
+        engine = BatchRepairEngine(self, workers=1)
+        return engine.run([source], budget=budget).outcomes[0]
 
     def _repair_attempt(
         self, source: str, *, budget: float | None = None

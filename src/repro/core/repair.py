@@ -424,7 +424,7 @@ def repair_against_cluster(
     *,
     location_map: Mapping[int, int] | None = None,
     caches: "RepairCaches | None" = None,
-    cost_bound: float | None = None,
+    upper_bound: float | None = None,
 ) -> Repair | None:
     """Repair an implementation against one cluster (Fig. 5).
 
@@ -448,7 +448,7 @@ def repair_against_cluster(
             ILP in the same order, which the solve memo keys on as built;
             only the chosen candidates are renamed back, by the decoder.
             Defaults to a fresh instance.
-        cost_bound: Branch-and-bound budget: only repairs cheaper than it
+        upper_bound: Branch-and-bound budget: only repairs cheaper than it
             matter (:func:`find_best_repair` passes the incumbent's cost, or
             one more where a tie would win).  Candidates costing at least
             this much are pruned during generation, and the bound
@@ -484,7 +484,7 @@ def repair_against_cluster(
 
     with profiled(profiler, "candidate_gen"):
         candidates = generate_local_repairs(
-            implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
+            implementation, cluster, location_map, caches=caches, upper_bound=upper_bound
         )
     try:
         with profiled(profiler, "ilp"):
@@ -493,12 +493,12 @@ def repair_against_cluster(
                 problem,
                 node_limit=ILP_NODE_LIMIT,
                 cache=caches.solve,
-                upper_bound=cost_bound,
+                upper_bound=upper_bound,
             )
     except InfeasibleError:
         return None
     if solution is None:
-        # Nothing beats the caller's bound: under the cost_bound contract
+        # Nothing beats the caller's bound: under the upper_bound contract
         # this cluster contributes no candidate repair.
         return None
     if profiler is not None:
@@ -515,7 +515,6 @@ def find_best_repair(
     *,
     timeout: float | None = None,
     caches: "RepairCaches | None" = None,
-    cost_bound: bool = True,
 ) -> Repair | None:
     """Run the repair algorithm against every cluster and keep the cheapest.
 
@@ -539,13 +538,13 @@ def find_best_repair(
     solve whatever they are given (docs/ARCHITECTURE.md, "Fixed-site
     refutation").
 
-    With ``cost_bound`` (the default), the incumbent — cost ``c`` from the
-    cluster of canonical rank ``r*`` — bounds the rest of the search.  The
-    search stops at the first cluster whose floor exceeds ``c``: every later
-    floor is at least as high.  A cluster ranked before ``r*`` must still
-    win a tie at ``c``, so it is repaired under the bound ``c + 1``; one
-    ranked after ``r*`` must be strictly cheaper and gets the bound ``c``;
-    a cluster whose floor already reaches its bound is skipped.  Every cost
+    The incumbent — cost ``c`` from the cluster of canonical rank ``r*`` —
+    bounds the rest of the search.  The search stops at the first cluster
+    whose floor exceeds ``c``: every later floor is at least as high.  A
+    cluster ranked before ``r*`` must still win a tie at ``c``, so it is
+    repaired under the bound ``c + 1``; one ranked after ``r*`` must be
+    strictly cheaper and gets the bound ``c``; a cluster whose floor
+    already reaches its bound is skipped.  Every cost
     is an integer (tree edit distances and expression sizes), so "at most
     ``c``" is exactly "below ``c + 1``", and the one strict bound of
     :func:`repair_against_cluster` serves both cases.  That function
@@ -554,10 +553,8 @@ def find_best_repair(
     pruned (see there).  Any repair that comes back therefore replaces the
     incumbent, and the result is the lexicographic minimum of ``(cost,
     canonical rank)`` — the first strictly cheapest repair in canonical
-    order.  ``cost_bound=False`` runs the same loop with no bound and no
-    stop, keeping the same minimum; it stays as the exhaustive path for
-    cross-checks and measurement (``benchmarks/test_repair_throughput.py``
-    asserts field-identical outcomes).
+    order, which is what repairing every matched cluster alone, without a
+    bound, selects (``tests/helpers/search.py`` is that reference).
 
     The argument assumes each solve finds its optimum.  A solve cut at
     :data:`ILP_NODE_LIMIT` returns its best repair so far, and then neither
@@ -579,7 +576,6 @@ def find_best_repair(
             pipeline's gate check and the search, and its site memo serves
             the fixed sites the pre-pass generated to the search.  Defaults
             to a fresh instance.
-        cost_bound: Enable best-cost-so-far pruning (see above).
 
     Returns:
         The cheapest repair over all clusters, or ``None``.
@@ -615,7 +611,7 @@ def find_best_repair(
         if expired():
             break
         bound = None
-        if cost_bound and best is not None:
+        if best is not None:
             if floor > best.cost:
                 break
             bound = best.cost + 1 if rank < best_rank else best.cost
@@ -626,7 +622,7 @@ def find_best_repair(
             cluster,
             location_map=location_map,
             caches=caches,
-            cost_bound=bound,
+            upper_bound=bound,
         )
         if repair is not None and (best is None or (repair.cost, rank) < (best.cost, best_rank)):
             best, best_rank = repair, rank

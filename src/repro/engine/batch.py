@@ -194,9 +194,9 @@ class BatchRepairEngine:
             its clusters are treated as read-only for the duration of a run.
         workers: Worker-thread count.  ``1`` runs inline on the calling
             thread (no pool), which is what ``Clara.repair_source`` uses.
-        budget: Per-attempt wall-clock budget in seconds, overriding the
-            pipeline's ``timeout`` when given.  Attempts exceeding it are
-            reported with status ``timeout``.
+
+    A per-attempt budget is an argument of each :meth:`run`, not of the
+    engine.
 
     The worker pool is made of *threads sharing one pipeline*: every worker
     sees the same cluster state and the same :class:`RepairCaches`, which is
@@ -222,13 +222,11 @@ class BatchRepairEngine:
         clara: "Clara",
         *,
         workers: int = DEFAULT_WORKERS,
-        budget: float | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.clara = clara
         self.workers = workers
-        self.budget = budget
 
     @classmethod
     def from_store(
@@ -237,7 +235,6 @@ class BatchRepairEngine:
         clara: "Clara",
         *,
         workers: int = DEFAULT_WORKERS,
-        budget: float | None = None,
         processes: int = 1,
     ) -> "BatchRepairEngine":
         """Build an engine from a persisted cluster store.
@@ -271,7 +268,6 @@ class BatchRepairEngine:
             return ProcessBatchEngine(
                 clusters_path,
                 processes=processes,
-                budget=budget,
                 profile=clara.caches.profiler is not None,
                 retrieval_prefilter=clara.retrieval_prefilter,
                 language=clara.language,
@@ -279,7 +275,7 @@ class BatchRepairEngine:
         from ..clusterstore.store import open_lazy
 
         clara.attach_lazy_clusters(open_lazy(clusters_path, cases=clara.cases))
-        return cls(clara, workers=workers, budget=budget)
+        return cls(clara, workers=workers)
 
     # -- public API --------------------------------------------------------------
 
@@ -298,20 +294,20 @@ class BatchRepairEngine:
 
         Args:
             attempts: The corpus to repair.
-            budget: Per-attempt budget for *this run only*, overriding the
-                engine-wide ``budget`` when given (the service layer passes
-                each request's deadline through here).
+            budget: Wall-clock budget of each attempt's cluster search, in
+                seconds (``None``: unbounded).  Attempts that exceed it are
+                reported with status ``timeout``.  The service passes each
+                request's deadline through here.
         """
         items = self._normalise(attempts)
-        effective_budget = self.budget if budget is None else budget
         before = self.clara.caches.stats.snapshot()
         started = time.perf_counter()
         if self.workers == 1 or len(items) <= 1:
-            outcomes = [self._repair_one(item, effective_budget) for item in items]
+            outcomes = [self._repair_one(item, budget) for item in items]
         else:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 outcomes = list(
-                    pool.map(lambda item: self._repair_one(item, effective_budget), items)
+                    pool.map(lambda item: self._repair_one(item, budget), items)
                 )
         wall_time = time.perf_counter() - started
         after = self.clara.caches.stats.snapshot()

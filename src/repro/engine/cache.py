@@ -533,7 +533,7 @@ class RepairCaches:
         key: tuple,
         cluster: "Cluster",
         pool_size: int,
-        cost_bound: float | None,
+        upper_bound: float | None,
         compute: Callable[[], list["LocalRepairCandidate"]],
     ) -> list["LocalRepairCandidate"]:
         """Canonical local repair candidates of one site, memoized.
@@ -545,9 +545,9 @@ class RepairCaches:
             cluster: The cluster the candidates are drawn from.
             pool_size: Current length of the cluster's pool at
                 ``(rep_loc, rep_var)``.
-            cost_bound: The query's branch-and-bound budget (``None`` for
+            upper_bound: The query's branch-and-bound budget (``None`` for
                 none).
-            compute: Generates the candidates under ``cost_bound`` on a miss.
+            compute: Generates the candidates under ``upper_bound`` on a miss.
 
         An entry is *fresh* when it was stored for this very ``cluster``
         object, whose ``expressions`` dict is still the same object and
@@ -555,9 +555,9 @@ class RepairCaches:
         append-or-replace (:meth:`Cluster.pool_index_for` uses the same
         rule), so ``add_member`` and the representative-only ablation both
         show up here.  A fresh entry generated under bound ``B`` serves any
-        query with ``cost_bound <= B``, and one generated without a bound
+        query with ``upper_bound <= B``, and one generated without a bound
         serves every query.  The returned list may therefore hold
-        replacement candidates whose cost reaches ``cost_bound``; the
+        replacement candidates whose cost reaches ``upper_bound``; the
         caller drops them (costs below a TED budget are exact, so what
         remains is exactly what ``compute`` would return).  Anything else
         recomputes and replaces the entry.  Computation runs outside the
@@ -576,7 +576,7 @@ class RepairCaches:
                 and entry[2] == pool_size
                 and (
                     entry[3] is None
-                    or (cost_bound is not None and cost_bound <= entry[3])
+                    or (upper_bound is not None and upper_bound <= entry[3])
                 )
             ):
                 self.stats.site_hits += 1
@@ -590,7 +590,7 @@ class RepairCaches:
                 cluster,
                 cluster.expressions,
                 pool_size,
-                cost_bound,
+                upper_bound,
                 candidates,
             )
         return candidates

@@ -185,8 +185,6 @@ class ProcessBatchEngine:
         processes: Worker-process count (>= 1); also the reported
             ``BatchReport.workers``.  Shards left empty by the planner
             spawn no process.
-        budget: Per-attempt wall-clock budget, sent as each repair
-            request's ``deadline``.
         profile: Attach a :class:`~repro.core.profile.PhaseProfiler` in
             every worker and merge the payloads (``batch --profile``).
         retrieval_prefilter: Forwarded pipeline configuration
@@ -215,7 +213,6 @@ class ProcessBatchEngine:
         clusters_path: str | Path,
         *,
         processes: int,
-        budget: float | None = None,
         profile: bool = False,
         retrieval_prefilter: bool = True,
         language: str | None = None,
@@ -235,7 +232,6 @@ class ProcessBatchEngine:
                 f"clusters but the pipeline is configured for {language!r}"
             )
         self.processes = processes
-        self.budget = budget
         self.profile = profile
         self.retrieval_prefilter = retrieval_prefilter
 
@@ -256,6 +252,10 @@ class ProcessBatchEngine:
         ``report.profile`` (the :meth:`repro.core.pipeline.Clara.counters_payload`
         shape); ``report.cache_stats`` carries the summed trace/match/repair
         counters.
+
+        ``budget`` (seconds, ``None``: unbounded) is sent as each repair
+        request's ``deadline``, which bounds the whole request in the worker
+        (:class:`repro.service.RepairService`).
         """
         # Imported here, not at module level: the fleet imports the service
         # layer, which imports this package (the same lazy hop the core
@@ -263,7 +263,6 @@ class ProcessBatchEngine:
         from ..fleet.supervisor import WorkerSupervisor
 
         items = BatchRepairEngine._normalise(attempts)
-        effective_budget = self.budget if budget is None else budget
         started = time.perf_counter()
         shards = shard_plan(
             items, self.processes, language=self.header.language, entry=self.header.entry
@@ -288,8 +287,8 @@ class ProcessBatchEngine:
                 supervisor.start()
                 for index in member_indices:
                     request = {"op": "repair", "id": index, "source": items[index].source}
-                    if effective_budget is not None:
-                        request["deadline"] = effective_budget
+                    if budget is not None:
+                        request["deadline"] = budget
                     futures[index] = supervisor.submit(
                         json.dumps(request), request_id=index
                     )
@@ -299,7 +298,7 @@ class ProcessBatchEngine:
                         items[index].attempt_id,
                         futures[index].result(),
                         shard_index,
-                        effective_budget,
+                        budget,
                     )
                 # Asked only once the shard's repairs are answered, so the
                 # counters come from the incarnation that finished the shard.

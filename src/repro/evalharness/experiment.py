@@ -156,7 +156,6 @@ def run_problem(
         cases=problem.cases,
         language=problem.language,
         entry=problem.entry,
-        timeout=timeout,
         use_cluster_expressions=use_cluster_expressions,
         generic_threshold=generic_threshold,
         caches=RepairCaches(enabled=False),
@@ -179,7 +178,7 @@ def run_problem(
     )
 
     for attempt in corpus.incorrect:
-        outcome = clara.repair_source(attempt.source)
+        outcome = clara.repair_source(attempt.source, budget=timeout)
         record = AttemptResult(
             problem=problem.name,
             fault_label=attempt.label,
@@ -226,7 +225,6 @@ def run_experiment(
     n_incorrect: int | None = None,
     seed: int = 0,
     run_autograder: bool = False,
-    use_cluster_expressions: bool = True,
 ) -> list[ProblemResult]:
     """Run :func:`run_problem` over a list of problems."""
     return [
@@ -236,7 +234,6 @@ def run_experiment(
             n_incorrect=n_incorrect,
             seed=seed,
             run_autograder=run_autograder,
-            use_cluster_expressions=use_cluster_expressions,
         )
         for problem in problems
     ]

@@ -23,7 +23,7 @@ objective-identical to it by construction:
    in :func:`repro.core.repair.find_best_repair`) is forwarded to
    branch-and-bound as the initial incumbent.  A solve that cannot beat the
    bound returns ``None`` instead of raising, which callers treat exactly
-   like the documented ``cost_bound`` contract: a repair at least as costly
+   like the documented ``upper_bound`` contract: a repair at least as costly
    as the current best could never be selected anyway.
 
 Counters (hits, misses, nodes explored) surface through ``batch --profile``

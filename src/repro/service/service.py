@@ -53,10 +53,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
 from ..clusterstore.store import ClusterStoreError, case_signature, open_lazy
-from ..core.inputs import InputCase
 from ..core.pipeline import Clara
 from ..core.profile import PhaseProfiler
 from ..engine.batch import BatchAttempt, BatchRecord, BatchRepairEngine
@@ -93,21 +90,13 @@ class ProblemRuntime:
     single attribute load, atomic under the GIL).
     """
 
-    def __init__(
-        self,
-        name: str,
-        store_path: Path,
-        cases: Sequence[InputCase],
-        language: str,
-        entry: str | None,
-        state: _ProblemState,
-        clara: Clara,
-    ) -> None:
+    def __init__(self, name: str, store_path: Path, state: _ProblemState) -> None:
+        clara = state.engine.clara
         self.name = name
         self.store_path = store_path
-        self.cases = cases
-        self.language = language
-        self.entry = entry
+        self.cases = clara.cases
+        self.language = clara.language
+        self.entry = clara.entry
         self.caches = clara.caches
         self._state = state
         self._reload_lock = threading.Lock()
@@ -256,22 +245,12 @@ class RepairService:
 
     # -- problem management ------------------------------------------------------
 
-    def add_problem(
-        self,
-        store_path: str | Path,
-        *,
-        problem: str | None = None,
-        cases: Sequence[InputCase] | None = None,
-        language: str | None = None,
-        entry: str | None = None,
-    ) -> ProblemRuntime:
+    def add_problem(self, store_path: str | Path) -> ProblemRuntime:
         """Load a cluster store and start serving its problem.
 
-        The store names its problem; cases default to the registered
-        :class:`repro.datasets.ProblemSpec` of that name, so the usual call
-        is just ``service.add_problem("derivatives.json")``.  Explicit
-        ``cases``/``language``/``entry`` override the registry (for
-        problems that are not part of the paper's nine).  Only the store
+        The store names its problem, and the cases, language and entry come
+        from the registered :class:`repro.datasets.ProblemSpec` of that
+        name: ``service.add_problem("derivatives.json")``.  Only the store
         header is read here — segments page in lazily as repairs need them,
         so adding a large problem is O(header), not O(store).
 
@@ -279,20 +258,24 @@ class RepairService:
             ClusterStoreError: Missing/unreadable store, stale format
                 version, or case-signature mismatch.
             KeyError: The store names a problem the dataset registry does
-                not know and no explicit ``cases`` were given.
-            ValueError: The store has no problem name and none was passed.
+                not know.
+            ValueError: The store names no problem, or its problem is
+                already served.
         """
+        from ..datasets import get_problem
+
         store_path = Path(store_path)
         # One header read serves both the problem-name lookup and the
         # segment index the pipeline will page through, so the reported
         # revision always matches the served clustering.  The case
-        # signature is checked manually below because the cases are only
-        # known once the store has named its problem.
+        # signature is checked here because the cases are only known once
+        # the store has named its problem.
         stored = open_lazy(store_path)
-        name = problem or stored.problem
+        name = stored.problem
         if name is None:
             raise ValueError(
-                f"cluster store {store_path} records no problem name; pass problem="
+                f"cluster store {store_path} records no problem name; rebuild it "
+                f"with 'repro-clara cluster build --problem <name>'"
             )
         if name in self._problems:
             raise ValueError(
@@ -300,24 +283,17 @@ class RepairService:
                 f"{self._problems[name].store_path}); refusing to silently "
                 f"replace it with {store_path}"
             )
-        if cases is None:
-            from ..datasets import get_problem
-
-            spec = get_problem(name)
-            cases = spec.cases
-            language = spec.language if language is None else language
-            entry = spec.entry if entry is None else entry
-        language = language or "python"
-        if stored.case_signature != case_signature(cases):
+        spec = get_problem(name)
+        if stored.case_signature != case_signature(spec.cases):
             raise ClusterStoreError(
                 f"cluster store {store_path} was built against a different "
                 f"test-case set than problem {name!r} uses; rebuild it with "
                 f"'repro-clara cluster build'"
             )
         clara = Clara(
-            cases=cases,
-            language=language,
-            entry=entry,
+            cases=spec.cases,
+            language=spec.language,
+            entry=spec.entry,
             retrieval_prefilter=self.retrieval_prefilter,
             caches=RepairCaches(profiler=PhaseProfiler() if self.profile else None),
         )
@@ -325,13 +301,9 @@ class RepairService:
         runtime = ProblemRuntime(
             name=name,
             store_path=store_path,
-            cases=cases,
-            language=language,
-            entry=entry,
             state=_ProblemState(
                 revision=stored.revision, engine=BatchRepairEngine(clara, workers=1)
             ),
-            clara=clara,
         )
         self._problems[name] = runtime
         return runtime

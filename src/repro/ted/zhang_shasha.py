@@ -361,25 +361,15 @@ def _annotated_distance(a: AnnotatedTree, b: AnnotatedTree) -> int:
     return distance[-1][-1]
 
 
-def expr_edit_distance(
-    expr1: Expr,
-    expr2: Expr,
-    *,
-    cache: TedCache | None = None,
-    budget: float | None = None,
-) -> int:
+def expr_edit_distance(expr1: Expr, expr2: Expr) -> int:
     """Tree edit distance between the ASTs of two model expressions.
+
+    Routed through a shared module-level :class:`TedCache`; callers that
+    need their own memo table, counters or a budget call
+    :meth:`TedCache.distance` directly.
 
     Args:
         expr1: The "old" expression.
         expr2: The "new" expression.
-        cache: Memo table and counters to route the computation through;
-            defaults to a shared module-level cache.
-        budget: Optional branch-and-bound budget.  When the cheap lower
-            bound already reaches it the DP is skipped and the bound (a
-            value ≥ ``budget`` but possibly below the true distance) is
-            returned; results below the budget are always exact.
     """
-    if cache is None:
-        cache = _DEFAULT_CACHE
-    return cache.distance(expr1, expr2, budget=budget)
+    return _DEFAULT_CACHE.distance(expr1, expr2)

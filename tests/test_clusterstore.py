@@ -222,9 +222,9 @@ def test_load_rejects_mismatched_case_set(deriv_setup, tmp_path):
     other = get_problem("oddTuples")
     with pytest.raises(ClusterStoreError, match="different test-case set"):
         BatchRepairEngine.from_store(path, Clara(cases=other.cases))
-    # Opting out opens the store anyway (inspection-style use).
+    # Opened without cases, the store is read anyway (inspection-style use).
     inspector = Clara(cases=other.cases)
-    source = open_lazy(path, cases=other.cases, check_cases=False)
+    source = open_lazy(path)
     assert inspector.attach_lazy_clusters(source) == clara.cluster_count
 
 

@@ -286,7 +286,5 @@ def test_timeout_outcomes_are_not_memoized(deriv_cases, paper_sources):
 def test_batch_budget_produces_timeout_status(deriv_cases, paper_sources):
     clara = Clara(deriv_cases)
     clara.add_correct_sources([paper_sources["C1"], paper_sources["C2"]])
-    report = BatchRepairEngine(clara, workers=1, budget=0.0).run(
-        [paper_sources["I1"]]
-    )
+    report = BatchRepairEngine(clara, workers=1).run([paper_sources["I1"]], budget=0.0)
     assert report.records[0].status == "timeout"

@@ -242,7 +242,7 @@ def test_find_best_repair_visits_clusters_in_deterministic_order(
             return match(program, representative)
 
         caches.structural_match = spy
-        best = find_best_repair(implementation, ordering, caches=caches, cost_bound=False)
+        best = find_best_repair(implementation, ordering, caches=caches)
         assert best is not None
         assert visited == [2, 0, 1]  # size first, then lowest cluster_id
 
@@ -356,11 +356,6 @@ def test_enumeration_solver_agrees_with_ilp():
 # -- the fast path: cost-bounded search and candidate pruning ------------------------
 
 
-def _repair_fields(repair):
-    """Everything observable about a repair except wall-clock solve time."""
-    return repair.comparable_fields() if repair is not None else None
-
-
 def test_cost_bounded_search_is_field_identical(paper_sources, deriv_cases):
     from repro.engine import RepairCaches
 
@@ -373,13 +368,11 @@ def test_cost_bounded_search_is_field_identical(paper_sources, deriv_cases):
     clusters[1].cluster_id = 1
     for name in ("I1", "I2"):
         implementation = parse_python_source(paper_sources[name])
-        unpruned = find_best_repair(
-            implementation, clusters, caches=RepairCaches(enabled=False), cost_bound=False
+        unpruned = repair_each_cluster_alone(
+            implementation, clusters, caches=RepairCaches(enabled=False)
         )
-        pruned = find_best_repair(
-            implementation, clusters, caches=RepairCaches(), cost_bound=True
-        )
-        assert _repair_fields(pruned) == _repair_fields(unpruned)
+        pruned = find_best_repair(implementation, clusters, caches=RepairCaches())
+        assert repair_fields(pruned) == repair_fields(unpruned)
 
 
 def test_cost_bounded_search_skips_ted_dps(paper_sources, deriv_cases):
@@ -393,9 +386,9 @@ def test_cost_bounded_search_skips_ted_dps(paper_sources, deriv_cases):
     implementation = parse_python_source(paper_sources["I2"])
 
     baseline = RepairCaches(enabled=False)
-    find_best_repair(implementation, clusters, caches=baseline, cost_bound=False)
+    repair_each_cluster_alone(implementation, clusters, caches=baseline)
     fast = RepairCaches()
-    find_best_repair(implementation, clusters, caches=fast, cost_bound=True)
+    find_best_repair(implementation, clusters, caches=fast)
 
     assert fast.ted.dp_runs < baseline.ted.dp_runs
     assert fast.ted.memo_hits + fast.ted.lb_prunes > 0
@@ -461,7 +454,7 @@ def test_generate_local_repairs_prunes_only_at_or_above_bound(
     bound = float(costs[len(costs) // 2])
 
     bounded = generate_local_repairs(
-        implementation, deriv_cluster, location_map, cost_bound=bound
+        implementation, deriv_cluster, location_map, upper_bound=bound
     )
     assert set(bounded) == set(unbounded)
     for site, candidates in unbounded.items():
@@ -548,7 +541,7 @@ def test_fixed_site_refutation_is_exact_on_the_derivatives_corpus():
                 cluster,
                 location_map=location_map,
                 caches=caches,
-                cost_bound=bound,
+                upper_bound=bound,
             )
             reference = _reference_repair(
                 implementation, cluster, location_map, unbounded, bound
@@ -619,14 +612,14 @@ def test_skipped_cluster_is_refuted_by_the_ilp(attempt, bound, empty_sites):
     assert floor is None or floor >= bound
     # Generation does not refute: the bounded lists hold every site, the
     # pruned fixed sites empty.
-    bounded = generate_local_repairs(implementation, cluster, location_map, cost_bound=bound)
+    bounded = generate_local_repairs(implementation, cluster, location_map, upper_bound=bound)
     assert list(bounded) == list(unbounded)
     emptied = [site.var for site, candidates in bounded.items() if site.fixed and not candidates]
     assert emptied == empty_sites
 
     if floor is not None:  # the floor is tight: one more and it repairs
-        assert repair_against_cluster(implementation, cluster, cost_bound=floor + 1).cost == floor
-    repair = repair_against_cluster(implementation, cluster, cost_bound=bound)
+        assert repair_against_cluster(implementation, cluster, upper_bound=floor + 1).cost == floor
+    repair = repair_against_cluster(implementation, cluster, upper_bound=bound)
     assert repair is None
     assert _reference_repair(implementation, cluster, location_map, unbounded, bound) is None
 
@@ -682,10 +675,10 @@ def _floor(implementation, cluster):
 
 def test_best_first_search_breaks_ties_like_canonical_order():
     """Planted equal-cost ties between clusters of different sizes, ids and
-    fixed-site floors, in seeded random input orders: the bounded search
-    returns, field for field, the unbounded search's repair, and that is
-    the repair of the tied cluster ranked first in canonical order
-    (decreasing size, then ascending id), each cluster repaired alone.
+    fixed-site floors, in seeded random input orders: the search returns,
+    field for field, the repair of the tied cluster ranked first in
+    canonical order (decreasing size, then ascending id), each cluster
+    repaired alone.
     Some ties are first found by a later-ranked cluster with a lower floor,
     so an earlier-ranked cluster must still be able to match its cost."""
     import random
@@ -711,10 +704,6 @@ def test_best_first_search_breaks_ties_like_canonical_order():
             found_later_first += min(tied_floors) < floors[expected.cluster_id]
 
             bounded = find_best_repair(implementation, clusters, caches=RepairCaches())
-            unbounded = find_best_repair(
-                implementation, clusters, caches=RepairCaches(enabled=False), cost_bound=False
-            )
-            assert repair_fields(bounded) == repair_fields(unbounded)
             assert repair_fields(bounded) == repair_fields(expected)
     assert found_later_first > 0
 
@@ -734,10 +723,10 @@ def _spy_on_searched_clusters(monkeypatch):
 
 
 def test_best_first_search_visits_clusters_in_floor_order(monkeypatch):
-    """On the derivatives corpus, every matched cluster with candidates on
-    all its fixed sites is repaired in ``(floor, canonical rank)`` order
-    without a bound; with one, the search repairs a subsequence of that
-    order that includes the winner."""
+    """On the derivatives corpus, the search repairs a subsequence of the
+    ``(floor, canonical rank)`` order of the matched clusters with
+    candidates on all their fixed sites: it starts at the lowest, includes
+    the winner, and returns the repair of each cluster repaired alone."""
     from repro.datasets import generate_corpus, get_problem
     from repro.engine import RepairCaches
     from repro.frontend.errors import UnsupportedFeatureError
@@ -766,14 +755,12 @@ def test_best_first_search_visits_clusters_in_floor_order(monkeypatch):
         reordered += order != [cluster_id for _, _, cluster_id in floors]
 
         searched.clear()
-        unbounded = find_best_repair(
-            implementation, clusters, caches=RepairCaches(), cost_bound=False
-        )
-        assert searched == order
-        searched.clear()
         bounded = find_best_repair(implementation, clusters, caches=RepairCaches())
+        assert searched[:1] == order[:1]
         assert searched == [cluster_id for cluster_id in order if cluster_id in searched]
-        assert repair_fields(bounded) == repair_fields(unbounded)
+        assert repair_fields(bounded) == repair_fields(
+            repair_each_cluster_alone(implementation, clusters)
+        )
         if bounded is not None:
             assert bounded.cluster_id in searched
     assert reordered > 0, "floor order must differ from canonical order somewhere"
@@ -825,18 +812,18 @@ def test_timeout_takes_clusters_in_floor_order(monkeypatch, timeout, prepassed, 
 # -- the candidate-site memo -----------------------------------------------------------
 
 
-def _local_repairs(implementation, cluster, caches, cost_bound=None):
+def _local_repairs(implementation, cluster, caches, upper_bound=None):
     location_map = structural_match(implementation, cluster.representative)
     return generate_local_repairs(
-        implementation, cluster, location_map, caches=caches, cost_bound=cost_bound
+        implementation, cluster, location_map, caches=caches, upper_bound=upper_bound
     )
 
 
-def _uncached(implementation, cluster, cost_bound=None):
+def _uncached(implementation, cluster, upper_bound=None):
     from repro.engine import RepairCaches
 
     return candidate_fields(
-        _local_repairs(implementation, cluster, RepairCaches(enabled=False), cost_bound)
+        _local_repairs(implementation, cluster, RepairCaches(enabled=False), upper_bound)
     )
 
 

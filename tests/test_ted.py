@@ -134,10 +134,10 @@ def test_memoized_distance_equals_fresh_dp_on_random_corpus():
     pairs = [(_random_expr(rng), _random_expr(rng)) for _ in range(120)]
     for expr1, expr2 in pairs:
         expected = _fresh_distance(expr1, expr2)
-        assert expr_edit_distance(expr1, expr2, cache=cache) == expected
+        assert cache.distance(expr1, expr2) == expected
         # Second lookup must hit the memo and still agree (both orders).
-        assert expr_edit_distance(expr1, expr2, cache=cache) == expected
-        assert expr_edit_distance(expr2, expr1, cache=cache) == expected
+        assert cache.distance(expr1, expr2) == expected
+        assert cache.distance(expr2, expr1) == expected
     assert cache.memo_hits > 0
     assert cache.dp_runs <= len(pairs)
 
@@ -150,7 +150,7 @@ def test_budgeted_distance_is_exact_below_budget_and_bounding_above():
         expr1, expr2 = _random_expr(rng), _random_expr(rng)
         true_distance = _fresh_distance(expr1, expr2)
         budget = rng.randint(0, 8) + 0.5
-        result = expr_edit_distance(expr1, expr2, cache=TedCache(), budget=budget)
+        result = TedCache().distance(expr1, expr2, budget=budget)
         if result < budget:
             assert result == true_distance
         else:
@@ -187,8 +187,8 @@ def test_disabled_cache_counts_every_dp():
     cache = TedCache(enabled=False)
     a = Op("Add", Var("x"), Const(1))
     b = Op("Add", Var("x"), Const(2))
-    assert expr_edit_distance(a, b, cache=cache) == 1
-    assert expr_edit_distance(a, b, cache=cache) == 1
+    assert cache.distance(a, b) == 1
+    assert cache.distance(a, b) == 1
     assert cache.dp_runs == 2
     assert cache.memo_hits == 0
     assert cache.entry_counts() == {"ted_annotations": 0, "ted_distances": 0}
@@ -207,7 +207,7 @@ def test_cache_tables_are_bounded():
     rng = random.Random(9)
     cache = TedCache(max_entries=4)
     for _ in range(60):
-        expr_edit_distance(_random_expr(rng), _random_expr(rng), cache=cache)
+        cache.distance(_random_expr(rng), _random_expr(rng))
     counts = cache.entry_counts()
     assert counts["ted_annotations"] <= 4
     assert counts["ted_distances"] <= 5  # both orders land after a flush check
