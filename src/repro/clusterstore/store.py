@@ -484,11 +484,12 @@ def open_lazy(
     incremental updates (:meth:`ClusterStore.open_indexed`) and export all
     start here.  Reads exactly one file — the header — and validates its
     format version, its aggregate counts against the segment index, and
-    (when ``cases`` are given) the case signature.  The returned view's lookups load only the
-    segments whose index entry could satisfy them; a segment rewritten on
-    disk after this open is detected by the index's byte-length check and
-    reported as a deterministic error rather than served.  Thread safety:
-    the returned view is safe to share across repair workers.
+    (when ``cases`` are given) the case signature.  The returned view's
+    lookups load only the segments whose index entry could satisfy them; a
+    segment rewritten on disk after this open is detected by the index's
+    byte-length check and reported as a deterministic error rather than
+    served.  Thread safety: the returned view is safe to share across
+    repair workers.
 
     Args:
         path: Store header written by :func:`save_clusters`.

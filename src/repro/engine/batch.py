@@ -195,9 +195,6 @@ class BatchRepairEngine:
         workers: Worker-thread count.  ``1`` runs inline on the calling
             thread (no pool), which is what ``Clara.repair_source`` uses.
 
-    A per-attempt budget is an argument of each :meth:`run`, not of the
-    engine.
-
     The worker pool is made of *threads sharing one pipeline*: every worker
     sees the same cluster state and the same :class:`RepairCaches`, which is
     what deduplicates MOOC-shaped corpora (and what the resident service

@@ -53,6 +53,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+
 from ..clusterstore.store import ClusterStoreError, case_signature, open_lazy
 from ..core.pipeline import Clara
 from ..core.profile import PhaseProfiler
