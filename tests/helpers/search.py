@@ -14,11 +14,6 @@ from __future__ import annotations
 from repro.core.repair import repair_against_cluster
 
 
-def canonical_order(clusters):
-    """Clusters by decreasing size, then ascending ``cluster_id``."""
-    return sorted(clusters, key=lambda cluster: (-cluster.size, cluster.cluster_id))
-
-
 def repair_each_cluster_alone(implementation, clusters, *, caches=None):
     """The cheapest repair over ``clusters``, ties to the first in canonical
     order, with every matched cluster repaired alone and unbounded.
@@ -31,7 +26,8 @@ def repair_each_cluster_alone(implementation, clusters, *, caches=None):
 
         caches = RepairCaches()
     best = None
-    for cluster in canonical_order(clusters):
+    # Canonical order: decreasing size, then ascending cluster_id.
+    for cluster in sorted(clusters, key=lambda c: (-c.size, c.cluster_id)):
         location_map = caches.structural_match(implementation, cluster.representative)
         if location_map is None:
             continue
