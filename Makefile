@@ -14,7 +14,8 @@ tier1:
 
 # Mirror of the CI batch-parallel-smoke job: drive the real CLI with
 # --processes 2 vs --processes 1 and require identical reports and
-# deterministic profile counter sections.
+# deterministic profile counter sections, and identical reports under
+# --budget 0.
 batch-parallel-smoke:
 	$(PYTHON) tools/parallel_smoke.py
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -291,7 +292,17 @@ def _cmd_cluster_import(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_seconds(flag: str, value: float | None) -> bool:
+    """Report a NaN, infinite or negative seconds flag; True when it is one."""
+    bad = value is not None and not 0 <= value < math.inf
+    if bad:
+        print(f"{flag} must be a finite, non-negative number of seconds", file=sys.stderr)
+    return bad
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
+    if _bad_seconds("--budget", args.budget):
+        return 2
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
@@ -338,11 +349,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 processes=args.processes,
             )
-        except (ClusterStoreError, ValueError) as exc:
-            # ValueError: --processes > 1 against a store that names no
-            # problem (workers could not rebuild their pipelines) or whose
-            # language contradicts --problem's.
-            print(str(exc), file=sys.stderr)
+        except (ClusterStoreError, KeyError, ValueError) as exc:
+            # KeyError/ValueError: --processes > 1 against a store that
+            # names no or an unregistered problem (workers could not rebuild
+            # their pipelines) or whose language contradicts --problem's.
+            print(exc.args[0], file=sys.stderr)
             return 2
     else:
         corpus = generate_corpus(spec, args.correct, 0, seed=args.seed)
@@ -437,7 +448,6 @@ def _build_serve_service(args: argparse.Namespace):
         service = FleetService(
             args.clusters,
             fleet_size=args.fleet,
-            threads=args.workers,
             default_deadline=args.deadline,
             fault_plan_path=args.fault_plan,
             **fleet_kwargs,
@@ -448,10 +458,7 @@ def _build_serve_service(args: argparse.Namespace):
             print("warning: not every fleet shard reached serving", file=sys.stderr)
         for shard, names in enumerate(service._shard_problems):
             print(f"fleet shard {shard}: {', '.join(names)}", file=sys.stderr)
-        description = (
-            f"{len(service.problems())} problems, fleet of {service.fleet_size}, "
-            f"{args.workers} threads/worker"
-        )
+        description = f"{len(service.problems())} problems, fleet of {service.fleet_size}"
         return service, description
 
     from .service import RepairService
@@ -482,17 +489,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.fault_plan and args.fleet is None:
         print("--fault-plan requires --fleet (faults are injected in workers)", file=sys.stderr)
         return 2
+    if _bad_seconds("--deadline", args.deadline):
+        return 2
     try:
         service, description = _build_serve_service(args)
-    except ValueError as exc:
-        # The constructors own the bounds (queue_size/workers/fleet >= 1);
-        # surface their messages rather than duplicating the checks here.
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ClusterStoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except KeyError as exc:
+    except (ClusterStoreError, KeyError, ValueError) as exc:
+        # The constructors own the bounds (queue_size/workers/fleet >= 1)
+        # and the store check; surface their messages.
         print(exc.args[0], file=sys.stderr)
         return 2
     server = RepairServer(
@@ -698,12 +701,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="max repairs in flight before requests are rejected as overloaded",
     )
-    p_serve.add_argument("--workers", type=int, default=4, help="repair worker threads")
+    p_serve.add_argument(
+        "--workers", type=int, default=4,
+        help="repair worker threads of in-process serving (not used with --fleet)",
+    )
     p_serve.add_argument(
         "--deadline",
         type=float,
         default=None,
-        help="default per-request deadline in seconds (requests may override)",
+        help="default per-request deadline in seconds (requests may override); "
+        "it is also each repair's search budget",
     )
     p_serve.add_argument(
         "--ready-file",
@@ -717,8 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="serve through N supervised worker subprocesses (crash-isolated "
-        "shards, one warm engine set per worker) instead of in-process; "
-        "--workers then sets threads per worker (see docs/SERVICE.md)",
+        "shards, one warm engine set per worker, each answering its requests "
+        "one at a time) instead of in-process (see docs/SERVICE.md)",
     )
     p_serve.add_argument(
         "--fault-plan",

@@ -65,7 +65,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..clusterstore.segments import skeleton_digest
-from ..clusterstore.store import StoreHeader, read_store_header
 from ..core.profile import merge_phases, sum_counters
 from .batch import BatchAttempt, BatchRecord, BatchRepairEngine, BatchReport
 from .cache import CacheStats
@@ -203,7 +202,9 @@ class ProcessBatchEngine:
     it spawns share nothing with the caller.
 
     Raises:
-        ClusterStoreError: Unreadable or non-store ``clusters_path``.
+        ClusterStoreError: Unreadable, stale or non-store ``clusters_path``,
+            or one built for other test cases than its problem's.
+        KeyError: The store names an unregistered problem.
         ValueError: Store names no problem, or its language contradicts
             ``language``.
     """
@@ -217,15 +218,16 @@ class ProcessBatchEngine:
         retrieval_prefilter: bool = True,
         language: str | None = None,
     ) -> None:
+        # Imported here, not at module level: the service layer imports this
+        # package (the same lazy hop the core takes back into the engine).
+        from ..service.service import open_served_store
+
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         self.clusters_path = Path(clusters_path)
-        self.header: StoreHeader = read_store_header(self.clusters_path)
-        if not self.header.problem:
-            raise ValueError(
-                f"store {self.clusters_path} names no problem; process workers "
-                "rebuild their pipelines from the dataset registry and need one"
-            )
+        # The workers serve the store, so it passes the service's check here,
+        # once, instead of failing in every worker.
+        self.header = open_served_store(self.clusters_path, {}).header
         if language is not None and self.header.language != language:
             raise ValueError(
                 f"store {self.clusters_path} holds {self.header.language!r} "
@@ -254,12 +256,10 @@ class ProcessBatchEngine:
         counters.
 
         ``budget`` (seconds, ``None``: unbounded) is sent as each repair
-        request's ``deadline``, which bounds the whole request in the worker
-        (:class:`repro.service.RepairService`).
+        request's ``deadline``, which a worker uses as exactly this
+        per-attempt budget of the cluster search, as in process.
         """
-        # Imported here, not at module level: the fleet imports the service
-        # layer, which imports this package (the same lazy hop the core
-        # takes back into the engine).
+        # Imported here for the reason given in __init__.
         from ..fleet.supervisor import WorkerSupervisor
 
         items = BatchRepairEngine._normalise(attempts)
@@ -295,10 +295,7 @@ class ProcessBatchEngine:
             for shard_index, supervisor in supervisors.items():
                 for index in shards[shard_index]:
                     records[index] = _record(
-                        items[index].attempt_id,
-                        futures[index].result(),
-                        shard_index,
-                        budget,
+                        items[index].attempt_id, futures[index].result(), shard_index
                     )
                 # Asked only once the shard's repairs are answered, so the
                 # counters come from the incarnation that finished the shard.
@@ -316,9 +313,7 @@ class ProcessBatchEngine:
         )
 
 
-def _record(
-    attempt_id: str, response: dict, shard_index: int, budget: float | None
-) -> BatchRecord:
+def _record(attempt_id: str, response: dict, shard_index: int) -> BatchRecord:
     """One batch row from a worker's ``repair`` response."""
     from ..core.pipeline import RepairStatus
 
@@ -333,8 +328,7 @@ def _record(
     return BatchRecord(
         attempt_id=attempt_id,
         status=response["status"],
-        # A timeout answered by the request deadline carries no elapsed.
-        elapsed=response.get("elapsed", budget or 0.0),
+        elapsed=response["elapsed"],
         detail=response["detail"],
         cost=response.get("cost"),
         relative_size=response.get("relative_size"),

@@ -19,6 +19,10 @@ errors (``worker-crashed``, ``shard-unavailable``); the router keeps
 routing other shards' traffic throughout, and the client connection never
 drops.
 
+A repair's deadline bounds the router's wait on the shard: past it, the
+client gets the in-process ``timeout`` answer, while the worker, which uses
+the deadline as its search budget, finishes under the kill watchdog.
+
 ``ping``/``stats``/``shutdown`` are answered at the router.  ``stats``
 reports the fleet topology and per-shard recovery counters under
 ``fleet`` and, for every serving shard, the worker's own stats payload
@@ -32,7 +36,6 @@ import asyncio
 from pathlib import Path
 from typing import Sequence
 
-from ..clusterstore.store import ClusterStoreError, read_store_header
 from ..core.profile import sum_counters
 from ..service.protocol import (
     PROTOCOL_VERSION,
@@ -40,8 +43,11 @@ from ..service.protocol import (
     Request,
     error_payload,
     parse_request_line,
+    resolve_problem,
+    response_payload,
+    timeout_payload,
 )
-from .faults import FaultPlan  # noqa: F401  (re-exported convenience)
+from ..service.service import open_served_store
 from .supervisor import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_KILL_AFTER,
@@ -63,16 +69,14 @@ class FleetService:
 
     Args:
         stores: Cluster-store paths, one per problem; assigned to shards
-            round-robin in this order.  Headers are read (and problems
-            resolved against the dataset registry) *before* any worker is
-            spawned, so a missing/stale store or unknown problem fails
-            fast with the same exceptions ``RepairService.add_problem``
-            raises.
+            round-robin in this order.  Each passes
+            ``RepairService.add_problem``'s store check (and raises its
+            exceptions) *before* any worker is spawned.
         fleet_size: Worker subprocesses; capped at ``len(stores)`` (a
             worker with no problems would serve nothing).
-        threads: Repair threads inside each worker.
-        default_deadline: Per-request deadline each worker applies when a
-            request carries none.
+        default_deadline: Per-request deadline applied when a request
+            carries none: the router's wait on the shard and the worker's
+            search budget.
         fault_plan_path: Fault-injection plan forwarded to every worker.
         backoff: Restart/breaker policy for every shard.
         kill_after: Hard per-request processing bound before a worker is
@@ -90,7 +94,6 @@ class FleetService:
         stores: Sequence[str | Path],
         *,
         fleet_size: int = DEFAULT_FLEET_SIZE,
-        threads: int = 1,
         default_deadline: float | None = None,
         fault_plan_path: str | Path | None = None,
         backoff: BackoffPolicy | None = None,
@@ -102,41 +105,26 @@ class FleetService:
             raise ValueError("a fleet needs at least one cluster store")
         if fleet_size < 1:
             raise ValueError(f"fleet_size must be >= 1, got {fleet_size}")
-        from ..datasets import get_problem
-
-        names: list[str] = []
+        served: dict[str, Path] = {}
+        # The revision each problem was last answered with, which a
+        # deadline's timeout answer reports.
+        self._revisions: dict[str, int] = {}
         for store in stores:
-            header = read_store_header(store)
-            if not header.is_current:
-                raise ClusterStoreError(
-                    f"cluster store {store} has format version "
-                    f"{header.format_version}; rebuild or migrate it before serving"
-                )
-            name = header.problem
-            if name is None:
-                raise ValueError(f"cluster store {store} records no problem name")
-            if name in names:
-                raise ValueError(f"problem {name!r} appears in more than one store")
-            get_problem(name)  # fail fast on unregistered problems, like add_problem
-            names.append(name)
-
+            stored = open_served_store(store, served)
+            served[stored.problem] = Path(store)
+            self._revisions[stored.problem] = stored.revision
+        self.default_deadline = default_deadline
         self.fleet_size = min(fleet_size, len(stores))
-        shard_stores: list[list[Path]] = [[] for _ in range(self.fleet_size)]
-        shard_names: list[list[str]] = [[] for _ in range(self.fleet_size)]
-        for index, (store, name) in enumerate(zip(stores, names)):
-            shard_stores[index % self.fleet_size].append(Path(store))
-            shard_names[index % self.fleet_size].append(name)
-        self._shard_of = {
-            name: shard
-            for shard, shard_problem_names in enumerate(shard_names)
-            for name in shard_problem_names
-        }
-        self._problem_names = names
+        # Round-robin in store order.
+        self._shard_of = {name: index % self.fleet_size for index, name in enumerate(served)}
+        self._shard_problems = [
+            [name for name, of in self._shard_of.items() if of == shard]
+            for shard in range(self.fleet_size)
+        ]
         self.supervisors = [
             WorkerSupervisor(
                 shard,
-                shard_stores[shard],
-                threads=threads,
+                [served[name] for name in self._shard_problems[shard]],
                 deadline=default_deadline,
                 fault_plan_path=fault_plan_path,
                 backoff=backoff,
@@ -146,7 +134,6 @@ class FleetService:
             )
             for shard in range(self.fleet_size)
         ]
-        self._shard_problems = shard_names
         for supervisor in self.supervisors:
             supervisor.start()
 
@@ -173,7 +160,7 @@ class FleetService:
 
     def problems(self) -> list[str]:
         """Hosted problem names, in store order (parity with RepairService)."""
-        return list(self._problem_names)
+        return list(self._shard_of)
 
     def shard_for(self, problem: str) -> WorkerSupervisor:
         return self.supervisors[self._shard_of[problem]]
@@ -206,45 +193,33 @@ class FleetService:
             return error_payload(exc.code, exc.message, exc.request_id)
         try:
             if request.op == "ping":
-                return self._base_response(request, protocol=PROTOCOL_VERSION)
+                return response_payload(request, protocol=PROTOCOL_VERSION)
             if request.op == "shutdown":
-                return self._base_response(request)
+                return response_payload(request)
             if request.op == "stats":
                 return await self._handle_stats(request)
             # repair / reload: forward the original line verbatim — the
             # worker's RepairService re-validates and answers with ids,
             # revisions and statuses exactly as the single-process daemon
             # would.
-            supervisor = self._resolve(request)
-            future = supervisor.submit(line, request_id=request.request_id)
-            return await asyncio.wrap_future(future)
+            problem = resolve_problem(request.problem, self._shard_of)
+            future = self.shard_for(problem).submit(line, request_id=request.request_id)
+            deadline = request.deadline if request.deadline is not None else self.default_deadline
+            if request.op != "repair":
+                deadline = None
+            try:
+                response = await asyncio.wait_for(asyncio.wrap_future(future), deadline)
+            except asyncio.TimeoutError:
+                return timeout_payload(request, problem, self._revisions[problem], deadline)
+            if "revision" in response:
+                self._revisions[problem] = response["revision"]
+            return response
         except ProtocolError as exc:
             return error_payload(exc.code, exc.message, request.request_id)
         except Exception as exc:  # noqa: BLE001 - a request must never kill the loop
             return error_payload(
                 "internal", f"{type(exc).__name__}: {exc}", request.request_id
             )
-
-    def _resolve(self, request: Request) -> WorkerSupervisor:
-        problem = request.problem
-        if problem is None:
-            if len(self._problem_names) == 1:
-                problem = self._problem_names[0]
-            else:
-                raise ProtocolError(
-                    "bad-request",
-                    "request names no problem and the fleet hosts "
-                    f"{len(self._problem_names)} — pass 'problem'",
-                    request.request_id,
-                )
-        if problem not in self._shard_of:
-            raise ProtocolError(
-                "unknown-problem",
-                f"problem {problem!r} is not served here "
-                f"(hosting: {', '.join(sorted(self._shard_of))})",
-                request.request_id,
-            )
-        return self.shard_for(problem)
 
     async def _handle_stats(self, request: Request) -> dict:
         """Router topology plus each serving shard's own stats payload."""
@@ -265,17 +240,9 @@ class FleetService:
         gathered = await asyncio.gather(
             *(shard_stats(supervisor) for supervisor in self.supervisors)
         )
-        return self._base_response(
+        return response_payload(
             request,
             protocol=PROTOCOL_VERSION,
             fleet=self._fleet_stats(),
             workers=dict(gathered),
         )
-
-    @staticmethod
-    def _base_response(request: Request, **fields) -> dict:
-        response: dict = {"ok": True, "op": request.op}
-        if request.request_id is not None:
-            response["id"] = request.request_id
-        response.update(fields)
-        return response

@@ -118,8 +118,8 @@ class WorkerSupervisor:
     Args:
         worker_id: Shard index (stable; appears in errors, stats, faults).
         stores: Cluster-store paths the worker hosts.
-        threads: Repair threads inside the worker process.
-        deadline: Default per-request deadline forwarded to the worker.
+        deadline: Default per-request deadline forwarded to the worker,
+            which uses it as the repair search budget.
         fault_plan_path: Optional fault-injection plan file (tests/soak).
         backoff: Restart/breaker policy.
         kill_after: Hard wall-clock bound on one request's processing time
@@ -144,7 +144,6 @@ class WorkerSupervisor:
         worker_id: int,
         stores: Sequence[str | Path],
         *,
-        threads: int = 1,
         deadline: float | None = None,
         fault_plan_path: str | Path | None = None,
         backoff: BackoffPolicy | None = None,
@@ -157,7 +156,6 @@ class WorkerSupervisor:
     ) -> None:
         self.worker_id = worker_id
         self.stores = [Path(store) for store in stores]
-        self.threads = threads
         self.deadline = deadline
         self.fault_plan_path = Path(fault_plan_path) if fault_plan_path else None
         self.backoff = backoff or BackoffPolicy()
@@ -266,8 +264,11 @@ class WorkerSupervisor:
 
         Never raises and never leaves the future unresolved — shed and
         draining states resolve it immediately with a structured error.
+        The future is marked running at once, so a caller that stops
+        waiting (a router deadline) cannot cancel it under the reader.
         """
         future: Future = Future()
+        future.set_running_or_notify_cancel()
         pend = _Pending(line, request_id, future, internal)
         with self._cond:
             if self._state == "unavailable":
@@ -319,7 +320,6 @@ class WorkerSupervisor:
         command += [
             "--worker-id", str(self.worker_id),
             "--incarnation", str(incarnation),
-            "--threads", str(self.threads),
         ]
         if self.deadline is not None:
             command += ["--deadline", str(self.deadline)]

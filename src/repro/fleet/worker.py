@@ -19,10 +19,14 @@ Handshake: the first line a healthy worker writes is a ready frame ::
 (an op outside the public protocol's namespace, so it can never collide
 with a response).  The supervisor holds queued requests until it arrives.
 
-Requests are processed strictly in order on one thread — per-shard
-serialisation is the concurrency model (cross-problem parallelism comes
-from running many workers), and it is what lets the supervisor correlate
-responses to requests by FIFO order with no envelope format on the wire.
+Requests are answered strictly in order on the reading thread
+(:meth:`~repro.service.service.RepairService.answer_line`: no event loop,
+no thread pool) — per-shard serialisation is the concurrency model
+(cross-problem parallelism comes from running many workers), and it is
+what lets the supervisor correlate responses to requests by FIFO order
+with no envelope format on the wire.  A request's deadline is the repair
+search's budget; the router answers a client whose deadline passes first,
+and the supervisor's kill watchdog bounds the rest of the request.
 
 A configured :class:`~repro.fleet.faults.FaultPlan` is consulted *before*
 each request is handled; ``crash`` calls ``os._exit`` (no cleanup — the
@@ -33,7 +37,6 @@ graceful-stop signal: finish buffered requests, flush, exit 0.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import sys
@@ -64,10 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "(fault-plan rules key on it)",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="repair worker threads inside this process"
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None, help="default per-request deadline (seconds)"
+        "--deadline", type=float, default=None,
+        help="default per-request deadline (seconds): the repair search budget",
     )
     parser.add_argument(
         "--fault-plan", default=None, help="JSON fault-injection plan (tests/soak only)"
@@ -101,7 +102,6 @@ def main(argv: "list[str] | None" = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     service = RepairService(
-        workers=args.threads,
         default_deadline=args.deadline,
         profile=args.profile,
         retrieval_prefilter=not args.no_prefilter,
@@ -116,7 +116,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
-    loop = asyncio.new_event_loop()
 
     def emit(payload: dict) -> None:
         stdout.write(json.dumps(payload).encode("utf-8") + b"\n")
@@ -154,10 +153,9 @@ def main(argv: "list[str] | None" = None) -> int:
                     ordinal = ordinals.get(op, 0)
                     ordinals[op] = ordinal + 1
                     _apply_fault(plan, args.worker_id, args.incarnation, op, ordinal)
-            emit(loop.run_until_complete(service.handle_line(text)))
+            emit(service.answer_line(text))
     finally:
         service.close()
-        loop.close()
     return 0
 
 

@@ -6,9 +6,9 @@ is a JSON object with an ``op`` field; everything else depends on the op:
 ``repair``
     ``{"op": "repair", "problem": "derivatives", "source": "...",
     "id": "attempt-7", "deadline": 5.0}`` — repair one attempt.  ``id`` is
-    echoed back verbatim; ``deadline`` (seconds, optional) bounds this
-    request and overrides the service default.  ``problem`` may be omitted
-    when the service hosts exactly one problem.
+    echoed back verbatim; ``deadline`` (finite, non-negative seconds,
+    optional) bounds this request and overrides the service default.
+    ``problem`` may be omitted when the service hosts exactly one problem.
 ``ping``
     Liveness probe; answers immediately without touching any engine.
 ``stats``
@@ -48,8 +48,9 @@ responses, which is wall-clock and informational only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Collection
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -63,6 +64,9 @@ __all__ = [
     "parse_request_line",
     "error_payload",
     "is_retriable",
+    "resolve_problem",
+    "response_payload",
+    "timeout_payload",
 ]
 
 #: Bump when the wire format changes incompatibly.  Responses to ``ping``
@@ -178,9 +182,12 @@ def parse_request(payload: object) -> Request:
             )
     deadline = payload.get("deadline")
     if deadline is not None:
-        if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
+        numeric = isinstance(deadline, (int, float)) and not isinstance(deadline, bool)
+        if not numeric or not 0 <= deadline < math.inf:  # NaN fails too
             raise ProtocolError(
-                "bad-request", "'deadline' must be a number of seconds", request_id
+                "bad-request",
+                "'deadline' must be a finite, non-negative number of seconds",
+                request_id,
             )
         deadline = float(deadline)
     return Request(
@@ -200,6 +207,41 @@ def parse_request_line(line: str) -> Request:
     except json.JSONDecodeError as exc:
         raise ProtocolError("bad-json", f"invalid JSON: {exc}") from exc
     return parse_request(payload)
+
+
+def response_payload(request: Request, **fields) -> dict:
+    """A successful response body: ``ok``, the request's op and id, ``fields``."""
+    response: dict = {"ok": True, "op": request.op}
+    if request.request_id is not None:
+        response["id"] = request.request_id
+    response.update(fields)
+    return response
+
+
+def timeout_payload(request: Request, problem: str, revision: int, deadline: float) -> dict:
+    """The answer to a repair whose deadline passed before its record came."""
+    detail = f"deadline of {deadline}s exceeded"
+    return response_payload(
+        request, problem=problem, revision=revision, status="timeout", detail=detail
+    )
+
+
+def resolve_problem(problem: str | None, hosted: Collection[str]) -> str:
+    """The hosted problem a request targets; ``None`` picks a lone one."""
+    if problem is None and len(hosted) == 1:
+        return next(iter(hosted))
+    if problem is None:
+        raise ProtocolError(
+            "bad-request",
+            f"request names no problem and the service hosts {len(hosted)} — pass 'problem'",
+        )
+    if problem not in hosted:
+        raise ProtocolError(
+            "unknown-problem",
+            f"problem {problem!r} is not served here "
+            f"(hosting: {', '.join(sorted(hosted)) or 'none'})",
+        )
+    return problem
 
 
 def error_payload(

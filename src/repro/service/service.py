@@ -5,20 +5,22 @@ it owns one :class:`ProblemRuntime` per hosted problem — a configured
 :class:`~repro.core.pipeline.Clara`, its
 :class:`~repro.engine.cache.RepairCaches` and a
 :class:`~repro.engine.batch.BatchRepairEngine` — and turns protocol
-:class:`~repro.service.protocol.Request` objects into response dicts.  The
-TCP front end (:mod:`repro.service.server`) is a thin line-pump over
+:class:`~repro.service.protocol.Request` objects into response dicts.
+:meth:`RepairService.answer_line` answers any request on the calling
+thread (a fleet worker's reading loop); the TCP front end
+(:mod:`repro.service.server`) is a thin line-pump over the async
 :meth:`RepairService.handle_line`; tests drive the service directly.
 
-Concurrency model.  Repairs are CPU-bound synchronous work, so the asyncio
-handler dispatches them to a bounded :class:`~concurrent.futures.\
-ThreadPoolExecutor` and awaits the result.  Admission control is a counter:
-at most ``queue_size`` repairs may be in flight (queued or running); the
-next one is rejected immediately with an ``overloaded`` error rather than
-building an unbounded backlog.  Per-request deadlines are enforced twice —
-as the engine's per-attempt ``budget`` (bounding the cluster search) and as
-an ``asyncio.wait_for`` timeout on the executor future (bounding parse and
-solver overruns); whichever trips first yields a ``timeout`` status.  A
-deadline that fires cannot interrupt the worker thread mid-repair — the
+Concurrency model.  :meth:`~RepairService.answer` repairs inline, with
+the request's deadline as the engine's per-attempt ``budget`` (bounding
+the cluster search).  The asyncio handler dispatches repairs to a bounded
+:class:`~concurrent.futures.ThreadPoolExecutor` and awaits the result.
+Admission control is a counter: at most ``queue_size`` repairs may be in
+flight (queued or running); the next one is rejected immediately with an
+``overloaded`` error rather than building an unbounded backlog.  There the
+deadline also bounds the wait, with ``asyncio.wait_for`` (bounding parse
+and solver overruns); whichever trips first yields a ``timeout`` status.
+A deadline that fires cannot interrupt the worker thread mid-repair — the
 thread finishes and its slot frees then — so ``queue_size`` should exceed
 ``workers`` by the burst you want to absorb, not by orders of magnitude.
 
@@ -53,21 +55,57 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
-from ..clusterstore.store import ClusterStoreError, case_signature, open_lazy
+from ..clusterstore.store import ClusterStoreError, LazyStoredClustering, case_signature
+from ..clusterstore.store import open_lazy
 from ..core.pipeline import Clara
 from ..core.profile import PhaseProfiler
-from ..engine.batch import BatchAttempt, BatchRecord, BatchRepairEngine
+from ..engine.batch import BatchAttempt, BatchRepairEngine
 from ..engine.cache import RepairCaches
 from .protocol import PROTOCOL_VERSION, ProtocolError, Request, error_payload
-from .protocol import parse_request_line
+from .protocol import parse_request_line, resolve_problem, response_payload, timeout_payload
 
-__all__ = ["ProblemRuntime", "RepairService", "ServiceStats"]
+__all__ = ["ProblemRuntime", "RepairService", "ServiceStats", "open_served_store"]
 
 #: Default bound on concurrently admitted repair requests.
 DEFAULT_QUEUE_SIZE = 64
 #: Default repair worker threads.
 DEFAULT_WORKERS = 4
+
+
+def open_served_store(store_path: str | Path, served: Mapping[str, Path]) -> LazyStoredClustering:
+    """Open a store header-only for serving: the one store check.
+
+    :meth:`RepairService.add_problem`, the fleet router and ``batch
+    --processes`` all call it.  ``served`` maps the problems already
+    served to their stores.  Raises what :meth:`RepairService.add_problem`
+    documents.
+    """
+    from ..datasets import get_problem
+
+    stored = open_lazy(store_path)
+    name = stored.problem
+    if name is None:
+        raise ValueError(
+            f"cluster store {store_path} records no problem name; rebuild it "
+            f"with 'repro-clara cluster build --problem <name>'"
+        )
+    if name in served:
+        raise ValueError(
+            f"problem {name!r} is already served (from {served[name]}); "
+            f"refusing to silently replace it with {store_path}"
+        )
+    spec = get_problem(name)
+    # Checked here, not by open_lazy, because the cases are only known once
+    # the store has named its problem.
+    if stored.case_signature != case_signature(spec.cases):
+        raise ClusterStoreError(
+            f"cluster store {store_path} was built against a different "
+            f"test-case set than problem {name!r} uses; rebuild it with "
+            f"'repro-clara cluster build'"
+        )
+    return stored
 
 
 @dataclass(frozen=True)
@@ -199,14 +237,16 @@ class ServiceStats:
 
 
 class RepairService:
-    """Async front door: many clients, one warm engine per problem.
+    """Front door: many clients, one warm engine per problem.
 
     Args:
-        queue_size: Maximum repairs in flight (queued + running); the next
-            request is rejected with an ``overloaded`` error.
-        workers: Repair worker threads shared by all problems.
-        default_deadline: Per-request wall-clock bound in seconds applied
-            when a request carries no ``deadline`` field; ``None`` means
+        queue_size: Maximum repairs in flight (queued + running) on the
+            async path; the next request is rejected with an
+            ``overloaded`` error.
+        workers: Repair pool threads of the async path, shared by all
+            problems (created on first use).
+        default_deadline: Per-request deadline in seconds applied when a
+            request carries no ``deadline`` field; ``None`` means
             unbounded.
         profile: Attach a :class:`~repro.core.profile.PhaseProfiler` to
             every hosted problem's caches, so ``stats`` reports ``phases``.
@@ -214,10 +254,10 @@ class RepairService:
             (:class:`repro.core.pipeline.Clara`).
 
     Thread safety: :meth:`handle`/:meth:`handle_line` are coroutines meant
-    to run on one event loop; the underlying state (admission counter,
-    stats, runtimes) is lock-guarded, so :meth:`reload` and
-    :meth:`stats_snapshot` may additionally be called from other threads
-    (the tests do).
+    to run on one event loop; :meth:`answer`/:meth:`answer_line` run on the
+    calling thread.  The underlying state (admission counter, stats,
+    runtimes) is lock-guarded, so :meth:`reload` and :meth:`stats_snapshot`
+    may additionally be called from other threads (the tests do).
     """
 
     def __init__(
@@ -268,29 +308,12 @@ class RepairService:
         store_path = Path(store_path)
         # One header read serves both the problem-name lookup and the
         # segment index the pipeline will page through, so the reported
-        # revision always matches the served clustering.  The case
-        # signature is checked here because the cases are only known once
-        # the store has named its problem.
-        stored = open_lazy(store_path)
+        # revision always matches the served clustering.
+        stored = open_served_store(
+            store_path, {name: runtime.store_path for name, runtime in self._problems.items()}
+        )
         name = stored.problem
-        if name is None:
-            raise ValueError(
-                f"cluster store {store_path} records no problem name; rebuild it "
-                f"with 'repro-clara cluster build --problem <name>'"
-            )
-        if name in self._problems:
-            raise ValueError(
-                f"problem {name!r} is already served (from "
-                f"{self._problems[name].store_path}); refusing to silently "
-                f"replace it with {store_path}"
-            )
         spec = get_problem(name)
-        if stored.case_signature != case_signature(spec.cases):
-            raise ClusterStoreError(
-                f"cluster store {store_path} was built against a different "
-                f"test-case set than problem {name!r} uses; rebuild it with "
-                f"'repro-clara cluster build'"
-            )
         clara = Clara(
             cases=spec.cases,
             language=spec.language,
@@ -320,24 +343,64 @@ class RepairService:
         return result
 
     def _resolve(self, problem: str | None) -> ProblemRuntime:
-        if problem is None:
-            if len(self._problems) == 1:
-                return next(iter(self._problems.values()))
-            raise ProtocolError(
-                "bad-request",
-                "request names no problem and the service hosts "
-                f"{len(self._problems)} — pass 'problem'",
-            )
-        runtime = self._problems.get(problem)
-        if runtime is None:
-            raise ProtocolError(
-                "unknown-problem",
-                f"problem {problem!r} is not served here "
-                f"(hosting: {', '.join(sorted(self._problems)) or 'none'})",
-            )
-        return runtime
+        return self._problems[resolve_problem(problem, self._problems)]
 
     # -- request handling --------------------------------------------------------
+
+    def answer_line(self, line: str) -> dict:
+        """Parse one wire line and answer it on this thread; never raises."""
+        try:
+            request = parse_request_line(line)
+        except ProtocolError as exc:
+            self.stats.bump("errors")
+            return error_payload(exc.code, exc.message, exc.request_id)
+        return self.answer(request)
+
+    def answer(self, request: Request) -> dict:
+        """Answer one parsed request of any op on the calling thread.
+
+        A repair runs inline, with its deadline (the request's, else
+        ``default_deadline``) as the engine's per-attempt budget: the
+        cluster search stops at it and the record reads ``timeout``.
+        """
+        self.stats.bump("requests")
+        return self._count_repair(self._answer(request))
+
+    def _count_repair(self, response: dict) -> dict:
+        if response["ok"] and response["op"] == "repair":
+            self.stats.bump("repairs")
+        return response
+
+    def _answer(self, request: Request) -> dict:
+        try:
+            if request.op == "repair":
+                return self._repair(self._resolve(request.problem), request)
+            if request.op == "ping":
+                return response_payload(request, protocol=PROTOCOL_VERSION)
+            if request.op == "stats":
+                return response_payload(
+                    request, protocol=PROTOCOL_VERSION, **self.stats_snapshot()
+                )
+            if request.op == "reload":
+                runtime = self._resolve(request.problem)
+                old, new = self.reload(runtime.name)
+                return response_payload(
+                    request, problem=runtime.name, previous_revision=old, revision=new
+                )
+            if request.op == "shutdown":
+                # The transport layer watches for this response and stops;
+                # the service itself has nothing to tear down per-request.
+                return response_payload(request)
+            raise ProtocolError("unknown-op", f"unknown op {request.op!r}")
+        except Exception as exc:  # noqa: BLE001 - a request must never kill its caller
+            return self._failure(request, exc)
+
+    def _failure(self, request: Request, exc: Exception) -> dict:
+        """The structured error answering a request that raised ``exc``."""
+        self.stats.bump("errors")
+        if isinstance(exc, ProtocolError):
+            return error_payload(exc.code, exc.message, request.request_id)
+        return error_payload("internal", f"{type(exc).__name__}: {exc}", request.request_id)
 
     async def handle_line(self, line: str) -> dict:
         """Parse one wire line and dispatch it; never raises for bad input."""
@@ -349,165 +412,88 @@ class RepairService:
         return await self.handle(request)
 
     async def handle(self, request: Request) -> dict:
-        """Dispatch one parsed request to its op handler."""
+        """Answer one parsed request from the event loop.
+
+        A repair passes admission control and runs on the repair pool,
+        bounded by ``asyncio.wait_for``.  A reload (store decode plus
+        representative re-execution) runs on the default executor, not the
+        repair pool, so a backlog of repairs cannot starve an operator's
+        reload and pings stay live meanwhile.  Every op is :meth:`answer`'s.
+        """
+        if request.op == "reload":
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(None, self.answer, request)
+        if request.op != "repair":
+            return self.answer(request)
         self.stats.bump("requests")
         try:
-            if request.op == "repair":
-                return await self._handle_repair(request)
-            if request.op == "ping":
-                return self._base_response(request, protocol=PROTOCOL_VERSION)
-            if request.op == "stats":
-                return self._base_response(
-                    request, protocol=PROTOCOL_VERSION, **self.stats_snapshot()
-                )
-            if request.op == "reload":
-                # Store decode + representative re-execution is CPU work;
-                # run it off the event loop (on the default executor, not
-                # the repair pool, so a backlog of repairs cannot starve an
-                # operator's reload) to keep pings and response writes live.
-                runtime = self._resolve(request.problem)
-                loop = asyncio.get_running_loop()
-                old, new = await loop.run_in_executor(None, self.reload, runtime.name)
-                return self._base_response(
-                    request,
-                    problem=runtime.name,
-                    previous_revision=old,
-                    revision=new,
-                )
-            if request.op == "shutdown":
-                # The transport layer watches for this response and stops;
-                # the service itself has nothing to tear down per-request.
-                return self._base_response(request)
-            raise ProtocolError("unknown-op", f"unknown op {request.op!r}")
+            runtime = self._resolve(request.problem)
+            with self._admission_lock:
+                if self.stats.in_flight >= self.queue_size:
+                    self.stats.bump("rejected_overload")
+                    raise ProtocolError(
+                        "overloaded", f"{self.queue_size} repairs already in flight"
+                    )
+                self.stats.bump("in_flight")
         except ProtocolError as exc:
-            self.stats.bump("errors")
-            return error_payload(exc.code, exc.message, request.request_id)
-        except Exception as exc:  # noqa: BLE001 - a request must never kill the loop
-            self.stats.bump("errors")
-            return error_payload(
-                "internal", f"{type(exc).__name__}: {exc}", request.request_id
-            )
-
-    async def _handle_repair(self, request: Request) -> dict:
-        runtime = self._resolve(request.problem)
-        with self._admission_lock:
-            if self.stats.in_flight >= self.queue_size:
-                self.stats.bump("rejected_overload")
-                self.stats.bump("errors")
-                return error_payload(
-                    "overloaded",
-                    f"{self.queue_size} repairs already in flight",
-                    request.request_id,
-                )
-            self.stats.bump("in_flight")
-        # Snapshot after admission: a reload during this request must not
-        # switch it to the new engine mid-flight.
-        state = runtime.snapshot()
-        deadline = (
-            request.deadline if request.deadline is not None else self.default_deadline
-        )
+            return self._failure(request, exc)
+        # The revision at admission, which a timeout answer reports.
+        revision = runtime.revision
         # Submit to the pool directly so the admission slot is released by
         # the *worker's* done-callback — i.e. when the repair truly ends
         # (or is cancelled before starting), not when a deadline abandons
         # it.  An abandoned repair therefore keeps holding its slot, which
         # is what makes queue_size a real bound on backlogged work.
         try:
-            worker_future = self._executor.submit(
-                self._repair_sync, runtime, state, request, deadline
-            )
-        except BaseException:
+            worker_future = self._executor.submit(self._answer, request)
+        except Exception as exc:  # noqa: BLE001 - a request must never kill the loop
             # submit can fail (e.g. the pool was shut down under a racing
             # close()); without a worker there is no done-callback, so the
             # slot must be released here or it leaks forever.
             self.stats.bump("in_flight", -1)
-            raise
+            return self._failure(request, exc)
         worker_future.add_done_callback(lambda _f: self.stats.bump("in_flight", -1))
-        future = asyncio.wrap_future(worker_future)
+        deadline = self._deadline(request)
         try:
-            if deadline is not None:
-                record = await asyncio.wait_for(future, timeout=max(0.0, deadline))
-            else:
-                record = await future
+            response = await asyncio.wait_for(asyncio.wrap_future(worker_future), deadline)
         except asyncio.TimeoutError:
             self.stats.bump("deadline_timeouts")
-            return self._base_response(
-                request,
-                problem=runtime.name,
-                revision=state.revision,
-                status="timeout",
-                detail=f"deadline of {deadline}s exceeded",
-            )
-        except ClusterStoreError as exc:
-            # Both generations saw a segment rewritten after their header
-            # was read: the store changed on disk and nobody reloaded.
-            self.stats.bump("errors")
-            return error_payload(
-                "stale-store",
-                f"{exc} (send a 'reload' for problem {runtime.name!r})",
-                request.request_id,
-            )
-        self.stats.bump("repairs")
-        revision, record = record
-        return self._record_response(request, runtime.name, revision, record)
+            return timeout_payload(request, runtime.name, revision, deadline)
+        return self._count_repair(response)
 
-    def _repair_sync(
-        self,
-        runtime: ProblemRuntime,
-        state: _ProblemState,
-        request: Request,
-        deadline: float | None,
-    ) -> tuple[int, BatchRecord]:
-        """Worker-thread body: one batch of size 1 on the snapshotted engine.
+    def _deadline(self, request: Request) -> float | None:
+        return request.deadline if request.deadline is not None else self.default_deadline
 
-        Returns the record together with the revision that actually answered.
-        Normally that is the admission snapshot's; if paging a segment fails
-        because the store was rewritten on disk under this lazily-opened
-        generation, the repair re-runs once on the runtime's *current*
-        generation (a reload racing this request installed one with a fresh
-        header).  Only when no newer generation exists does the
-        ClusterStoreError propagate, surfacing as a ``stale-store`` error.
+    def _repair(self, runtime: ProblemRuntime, request: Request) -> dict:
+        """One repair (a batch of size 1) as its response payload.
 
-        The request deadline doubles as the engine's per-attempt budget, so
-        the cluster search self-limits (yielding the paper's ``timeout``
-        status) even when the asyncio-side timer has already abandoned this
-        thread's result.
+        The request keeps the generation it snapshots here through any
+        reload.  If a segment was rewritten on disk under it, the repair
+        re-runs once on the *current* generation (a racing reload installed
+        one); without one, or on the same failure, it is ``stale-store``.
         """
+        state = runtime.snapshot()
+        attempt = BatchAttempt(
+            attempt_id=str(request.request_id) if request.request_id is not None else "request",
+            source=request.source,
+        )
+        deadline = self._deadline(request)
         try:
-            return state.revision, self._run_once(state.engine, request, deadline)
-        except ClusterStoreError:
-            fresh = runtime.snapshot()
-            if fresh is state:
-                raise
-            return fresh.revision, self._run_once(fresh.engine, request, deadline)
-
-    @staticmethod
-    def _run_once(
-        engine: BatchRepairEngine, request: Request, deadline: float | None
-    ) -> BatchRecord:
-        attempt_id = (
-            str(request.request_id) if request.request_id is not None else "request"
-        )
-        report = engine.run(
-            [BatchAttempt(attempt_id=attempt_id, source=request.source)],
-            budget=deadline,
-        )
-        return report.records[0]
-
-    @staticmethod
-    def _base_response(request: Request, **fields) -> dict:
-        response: dict = {"ok": True, "op": request.op}
-        if request.request_id is not None:
-            response["id"] = request.request_id
-        response.update(fields)
-        return response
-
-    def _record_response(
-        self, request: Request, problem: str, revision: int, record: BatchRecord
-    ) -> dict:
-        return self._base_response(
+            try:
+                record = state.engine.run([attempt], budget=deadline).records[0]
+            except ClusterStoreError:
+                if runtime.snapshot() is state:
+                    raise
+                state = runtime.snapshot()
+                record = state.engine.run([attempt], budget=deadline).records[0]
+        except ClusterStoreError as exc:
+            raise ProtocolError(
+                "stale-store", f"{exc} (send a 'reload' for problem {runtime.name!r})"
+            ) from exc
+        return response_payload(
             request,
-            problem=problem,
-            revision=revision,
+            problem=runtime.name,
+            revision=state.revision,
             status=record.status,
             detail=record.detail,
             cost=record.cost,

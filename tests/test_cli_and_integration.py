@@ -306,6 +306,20 @@ def test_cli_batch_report_utf8_round_trips_non_ascii_sources(tmp_path):
     assert record["status"] in ("repaired", "already-correct")
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-0.5"])
+def test_cli_batch_exits_2_on_out_of_range_budget(tmp_path, capsys, budget):
+    """A NaN budget would never expire in the search; it is refused up front,
+    like any negative or infinite one."""
+    attempt = tmp_path / "attempt.py"
+    attempt.write_text("def computeDeriv(poly):\n    return poly\n")
+    code = main(
+        ["batch", "--problem", "derivatives", "--attempts", str(attempt),
+         "--correct", "4", "--budget", budget]
+    )
+    assert code == 2
+    assert "--budget must be a finite, non-negative" in capsys.readouterr().err
+
+
 #: Statuses decided by the cluster search; every other status is settled
 #: before it (parse, correctness check, structural gate).
 _SEARCH_STATUSES = ("repaired", "no-repair")
@@ -314,10 +328,9 @@ _SEARCH_STATUSES = ("repaired", "no-repair")
 @pytest.mark.parametrize("mode", ["correct", "clusters", "processes-2"])
 def test_cli_batch_budget_zero_times_out_every_searched_attempt(tmp_path, capsys, mode):
     """``batch --budget 0`` reaches the search of every attempt: each attempt
-    that is repaired or refuted without a budget comes back ``timeout``.  In
-    process, the attempts settled before the search keep their status; the
-    worker processes may also time those out, as their request deadline
-    bounds the whole request."""
+    that is repaired or refuted without a budget comes back ``timeout``, and
+    the attempts settled before the search keep their status.  Worker
+    processes apply the budget to the search alone, as in process."""
     import json
 
     from repro.datasets import generate_corpus, get_problem
@@ -364,7 +377,5 @@ def test_cli_batch_budget_zero_times_out_every_searched_attempt(tmp_path, capsys
     for before, after, reaches in zip(unbudgeted, budgeted, searched):
         if reaches:
             assert after == "timeout"
-        elif mode == "processes-2":
-            assert after in (before, "timeout")
         else:
             assert after == before

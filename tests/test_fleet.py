@@ -27,8 +27,10 @@ from pathlib import Path
 import pytest
 
 from repro import Clara
+from repro.clusterstore import ClusterStoreError, read_store_header
 from repro.datasets import generate_corpus, get_problem
 from repro.engine import BatchAttempt, BatchRepairEngine
+from repro.engine.parallel import ProcessBatchEngine
 from repro.fleet import (
     BackoffPolicy,
     Fault,
@@ -37,7 +39,7 @@ from repro.fleet import (
     FleetService,
     WorkerSupervisor,
 )
-from repro.service import RetryPolicy, ServiceClient
+from repro.service import RepairService, RetryPolicy, ServiceClient
 from repro.service.protocol import RETRIABLE_CODES, error_payload, is_retriable
 
 PROBLEMS = ("derivatives", "oddTuples")
@@ -448,6 +450,71 @@ class TestFleetRouting:
             FleetService([])
 
 
+def _rejection(build):
+    """The exception a serving entry point raises for a bad store."""
+    try:
+        build()
+    except (ClusterStoreError, KeyError, ValueError) as exc:
+        return type(exc), exc.args
+    pytest.fail("the bad store was accepted")
+
+
+@pytest.mark.parametrize("kind", ["nameless", "unregistered", "stale", "duplicate"])
+def test_every_serving_entry_point_rejects_a_bad_store_alike(
+    kind, stores, corpora, tmp_path
+):
+    """``RepairService.add_problem``, ``FleetService`` and ``ProcessBatchEngine``
+    run one store check, so each bad store fails with one exception and one
+    message everywhere, before any worker is spawned."""
+    spec = get_problem("derivatives")
+    clara = Clara(cases=spec.cases, language=spec.language, entry=spec.entry)
+    clara.add_correct_sources(corpora["derivatives"].correct_sources[:2])
+    if kind == "nameless":
+        paths = [clara.save_clusters(tmp_path / "nameless.json")]
+    elif kind == "unregistered":
+        paths = [clara.save_clusters(tmp_path / "mystery.json", problem="mystery")]
+    elif kind == "stale":
+        stale = tmp_path / "stale.json"
+        stale.write_text(
+            json.dumps(
+                {
+                    "format": "repro-clara-clusterstore",
+                    "format_version": 1,
+                    "problem": "derivatives",
+                    "case_signature": "0" * 64,
+                    "clusters": [],
+                }
+            )
+        )
+        paths = [stale]
+    else:
+        paths = [stores[0], stores[0]]
+
+    def serve_in_process():
+        service = RepairService(workers=1)
+        try:
+            for path in paths:
+                service.add_problem(path)
+        finally:
+            service.close()
+
+    rejections = {
+        _rejection(serve_in_process),
+        _rejection(lambda: FleetService(paths, fleet_size=1).close()),
+    }
+    if kind != "duplicate":  # a batch has one store
+        rejections.add(_rejection(lambda: ProcessBatchEngine(paths[0], processes=2)))
+    assert len(rejections) == 1, rejections
+    ((_type, args),) = rejections
+    wording = {
+        "nameless": "records no problem name",
+        "unregistered": "unknown problem 'mystery'",
+        "stale": "format version 1",
+        "duplicate": "is already served",
+    }
+    assert wording[kind] in args[0]
+
+
 class TestFleetRecovery:
     def test_crash_mid_request_is_retried_once_and_repaired(self, stores, corpora, tmp_path):
         fleet = _fleet(
@@ -518,6 +585,55 @@ class TestFleetRecovery:
             assert counters["kills"] == 1
             assert counters["crashes"] == 1  # the kill is observed as a death
             assert counters["retries"] == 1
+        finally:
+            fleet.close()
+
+    def test_router_answers_the_deadline_and_the_watchdog_kills_the_hung_worker(
+        self, stores, corpora, tmp_path
+    ):
+        fleet = _fleet(
+            stores[:1],
+            tmp_path,
+            fleet_size=1,
+            kill_after=1.5,
+            faults=[Fault(action="hang", request=0, worker=0, incarnation=0, seconds=3600)],
+        )
+        try:
+            line = json.dumps(
+                {
+                    "op": "repair",
+                    "problem": "derivatives",
+                    "source": corpora["derivatives"].incorrect_sources[0],
+                    "id": "slow",
+                    "deadline": 0.5,
+                }
+            )
+            started = time.monotonic()
+            response = _run(fleet.handle_line(line))
+            waited = time.monotonic() - started
+            # The router answers on time, with the in-process deadline answer.
+            assert response == {
+                "ok": True,
+                "op": "repair",
+                "id": "slow",
+                "problem": "derivatives",
+                "revision": read_store_header(stores[0]).revision,
+                "status": "timeout",
+                "detail": "deadline of 0.5s exceeded",
+            }
+            assert waited < 0.5 + 0.75
+            # The worker stayed busy with the request, so the watchdog sees it.
+            limit = time.monotonic() + 30
+            while fleet.fleet_counters()["kills"] < 1 and time.monotonic() < limit:
+                time.sleep(0.05)
+            assert fleet.fleet_counters()["kills"] == 1
+            supervisor = fleet.shard_for("derivatives")
+            assert supervisor.wait_ready(30)
+            recovered = _run(
+                fleet.handle_line(_repair_line(corpora["derivatives"].incorrect_sources[1]))
+            )
+            assert recovered["ok"] is True and recovered["status"] == "repaired"
+            assert fleet.fleet_counters()["kills"] == 1
         finally:
             fleet.close()
 

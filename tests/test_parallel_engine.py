@@ -250,7 +250,7 @@ def test_process_engine_rejects_anonymous_store(tmp_path):
     clara = Clara(cases=problem.cases, language=problem.language, entry=problem.entry)
     clara.add_correct_sources([TWO_LOOP])
     path = clara.save_clusters(tmp_path / "anon.json")  # no problem name
-    with pytest.raises(ValueError, match="names no problem"):
+    with pytest.raises(ValueError, match="records no problem name"):
         ProcessBatchEngine(path, processes=2)
 
 

@@ -4,7 +4,8 @@ hot reload.
 TCP tests run a real :class:`~repro.service.server.RepairServer` on an
 ephemeral port in a background thread and talk to it through the blocking
 :class:`~repro.service.client.ServiceClient`; service-only tests drive
-:meth:`RepairService.handle_line` directly.
+:meth:`RepairService.handle_line` or :meth:`RepairService.answer_line`
+directly.
 """
 
 from __future__ import annotations
@@ -152,6 +153,45 @@ def test_deadline_exceeded_yields_timeout_status(store_path, corpus):
             # the race at deadline 0, and both must surface as "timeout".
             if response["detail"]:
                 assert "deadline" in response["detail"]
+
+
+@pytest.mark.parametrize("deadline", ["NaN", "Infinity", "-Infinity", "-0.5"])
+def test_out_of_range_deadlines_are_bad_requests(store_path, deadline):
+    """A NaN deadline would time out at once in the service but never in the
+    engine; it is rejected where it enters, like every negative deadline."""
+    service = RepairService(workers=1)
+    service.add_problem(store_path)
+    line = '{"op": "repair", "source": "x = 1", "id": 3, "deadline": %s}' % deadline
+    for response in (service.answer_line(line), asyncio.run(service.handle_line(line))):
+        assert response["ok"] is False
+        assert response["id"] == 3
+        assert response["error"]["code"] == "bad-request"
+        assert "finite, non-negative" in response["error"]["message"]
+    assert service.stats.as_dict()["repairs"] == 0
+    service.close()
+
+
+def test_answer_applies_the_deadline_as_the_search_budget_only(store_path, spec, corpus):
+    """The synchronous dispatcher repairs inline: a zero deadline times out
+    the cluster search, as ``batch --budget 0`` does, and leaves attempts
+    settled before the search with their own status."""
+    service = RepairService(workers=1)
+    service.add_problem(store_path)
+
+    def answer(source):
+        return service.answer_line(
+            json.dumps({"op": "repair", "source": source, "id": "a", "deadline": 0})
+        )
+
+    searched = answer(corpus.incorrect_sources[0])
+    assert searched["status"] == "timeout"
+    assert searched["revision"] == service.problems()[0].revision
+    assert "elapsed" in searched  # an engine record, not a timer's answer
+    assert answer(corpus.correct_sources[0])["status"] == "already-correct"
+    assert answer("def computeDeriv(poly:\n")["status"] == "parse-error"
+    stats = service.answer_line('{"op": "stats"}')["service"]
+    assert stats["repairs"] == 3 and stats["deadline_timeouts"] == 0
+    service.close()
 
 
 def test_overload_is_rejected_with_structured_error(store_path, corpus):
@@ -379,6 +419,12 @@ def test_single_problem_services_accept_requests_without_a_problem_field(
 def test_serve_exits_2_on_missing_store(tmp_path, capsys):
     assert cli_main(["serve", "--clusters", str(tmp_path / "absent.json")]) == 2
     assert "cannot read cluster store" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deadline", ["nan", "inf", "-1"])
+def test_serve_exits_2_on_out_of_range_deadline(store_path, deadline, capsys):
+    assert cli_main(["serve", "--clusters", str(store_path), "--deadline", deadline]) == 2
+    assert "--deadline must be a finite, non-negative" in capsys.readouterr().err
 
 
 def test_serve_exits_2_on_old_format_store(tmp_path, capsys):

@@ -17,7 +17,12 @@ Drives the real CLI end to end (the same entry points an operator uses):
 5. assert the one-process run reused candidate sites
    (``cache["site_hits"] > 0``): the non-ASCII attempt writes the
    single-loop attempt's expressions under another variable name.  With
-   step 4, this pins that the site counters do not depend on sharding.
+   step 4, this pins that the site counters do not depend on sharding;
+6. run ``batch --budget 0`` with 1 and 2 processes over the smoke corpus
+   plus one unparseable and one already-correct attempt, and assert the
+   two reports are identical modulo wall-clock, that the searched
+   attempts time out and that the other two keep their statuses: the
+   workers apply the budget to the cluster search alone, as in process.
 
 Exit code 0 on identity, 1 with a section-by-section diff on divergence.
 Used by the ``batch-parallel-smoke`` CI job and ``make
@@ -75,6 +80,26 @@ NON_ASCII = (
     "    return rés\n"
 )
 
+UNPARSEABLE = "def computeDeriv(poly:\n    return\n"
+
+ALREADY_CORRECT = (
+    "def computeDeriv(poly):\n"
+    "    result = []\n"
+    "    for e in range(1, len(poly)):\n"
+    "        result.append(float(poly[e]*e))\n"
+    "    if result == []:\n"
+    "        return [0.0]\n"
+    "    return result\n"
+)
+
+#: Statuses of the extra attempts of the ``--budget 0`` pass, settled
+#: before the cluster search.
+SETTLED = {"e-unparseable.py": "parse-error", "f-correct.py": "already-correct"}
+
+#: Statuses the cluster search decides; a zero budget turns them into
+#: ``timeout``.
+SEARCHED = ("repaired", "no-repair")
+
 
 def _cli(workdir: Path, *arguments: str) -> None:
     env = dict(os.environ)
@@ -85,6 +110,22 @@ def _cli(workdir: Path, *arguments: str) -> None:
         env=env,
         check=True,
     )
+
+
+def _batch(workdir: Path, attempts: Path, store: Path, processes: int, *extra: str) -> list[dict]:
+    """One ``batch`` run over ``attempts``; its report rows."""
+    report_path = workdir / f"report-p{processes}.jsonl"
+    _cli(
+        workdir, "batch",
+        "--problem", "derivatives",
+        "--attempts", str(attempts),
+        "--clusters", str(store),
+        "--workers", "1",
+        "--processes", str(processes),
+        "--output", str(report_path),
+        *extra,
+    )
+    return _rows(report_path)
 
 
 def _rows(report_path: Path) -> list[dict]:
@@ -115,24 +156,19 @@ def main() -> int:
         profiles: dict[int, dict] = {}
         reports: dict[int, list[dict]] = {}
         for processes in (1, 2):
-            report_path = workdir / f"report-p{processes}.jsonl"
-            _cli(
-                workdir, "batch",
-                "--problem", "derivatives",
-                "--attempts", str(attempts),
-                "--clusters", str(store),
-                "--workers", "1",
-                "--processes", str(processes),
-                "--profile",
-                "--output", str(report_path),
-            )
-            payload = json.loads(
+            reports[processes] = _batch(workdir, attempts, store, processes, "--profile")
+            profiles[processes] = json.loads(
                 (workdir / "results" / "local" / "batch_profile.json").read_text(
                     encoding="utf-8"
                 )
             )
-            profiles[processes] = payload
-            reports[processes] = _rows(report_path)
+
+        (attempts / "e-unparseable.py").write_text(UNPARSEABLE, encoding="utf-8")
+        (attempts / "f-correct.py").write_text(ALREADY_CORRECT, encoding="utf-8")
+        budgeted = {
+            processes: _batch(workdir, attempts, store, processes, "--budget", "0")
+            for processes in (1, 2)
+        }
 
         failures = []
         if not profiles[1]["cache"]["site_hits"] > 0:
@@ -146,6 +182,23 @@ def main() -> int:
                 f"  --processes 1: {json.dumps(reports[1])}\n"
                 f"  --processes 2: {json.dumps(reports[2])}"
             )
+        if budgeted[1] != budgeted[2]:
+            failures.append(
+                "--budget 0 report rows diverged:\n"
+                f"  --processes 1: {json.dumps(budgeted[1])}\n"
+                f"  --processes 2: {json.dumps(budgeted[2])}"
+            )
+        unbudgeted = {row["attempt_id"]: row["status"] for row in reports[1]}
+        unbudgeted.update(SETTLED)
+        for row in budgeted[1]:
+            expected = unbudgeted[row["attempt_id"]]
+            if expected in SEARCHED:
+                expected = "timeout"
+            if row["status"] != expected:
+                failures.append(
+                    f"--budget 0 gave {row['attempt_id']} status {row['status']!r}, "
+                    f"expected {expected!r}"
+                )
         if list(profiles[1]) != list(profiles[2]):
             failures.append(
                 "profile section order diverged:\n"
@@ -174,7 +227,8 @@ def main() -> int:
         checked = ", ".join(("phases",) + IDENTICAL_SECTIONS)
         print(
             f"batch --processes smoke OK: {len(reports[1])} records and "
-            f"counter sections [{checked}] identical across 1 and 2 processes"
+            f"counter sections [{checked}] identical across 1 and 2 processes; "
+            f"{len(budgeted[1])} --budget 0 records identical too"
         )
         return 0
 
