@@ -12,10 +12,10 @@ bench:
 tier1:
 	$(PYTHON) -m pytest -x -q
 
-# Mirror of the CI batch-parallel-smoke job: drive the real CLI with
-# --processes 2 vs --processes 1 and require identical reports and
-# deterministic profile counter sections, and identical reports under
-# --budget 0.
+# Mirror of the CI batch-parallel-smoke job: drive the real CLI and
+# require identical reports at 1, 2 and 4 processes, --processes 2 profile
+# counter sections equal to the sum of per-shard --processes 1 runs, and
+# identical reports under --budget 0.
 batch-parallel-smoke:
 	$(PYTHON) tools/parallel_smoke.py
 

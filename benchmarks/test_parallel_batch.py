@@ -1,20 +1,22 @@
 """Benchmark E11 — process-parallel batch repair with counter-identity evidence.
 
-``batch --processes N`` shards a corpus across worker subprocesses by
-CFG-skeleton digest and merges the per-shard streams
+``batch --processes N`` deals a corpus's distinct sources round-robin
+across worker subprocesses and merges the per-shard streams
 (:mod:`repro.engine.parallel`).  The claim this benchmark commits evidence
-for: the merged report rows and the class-local counter sections — phase
-counters, trace/match/repair cache counters, retrieval counters, store
-paging — are **equal** to a single-process run for N ∈ {1, 2, 4}, on a
-corpus spanning two skeleton families.  The expression-level TED/compile
-memo counters carry no such guarantee (one process can share entries
-across skeleton classes) and are recorded as summed-only.
+for, for N ∈ {1, 2, 4}: the merged report rows are **equal** to a
+single-process run, and every merged counter section — phase counters,
+trace/match/repair/site cache counters, retrieval, store paging and the
+TED/compile/solve memo and cache-entry counters — is **equal** to the
+key-wise sum of in-process runs, one per shard, each over that shard's
+attempts in shard order (:mod:`helpers.parallel`).  At N = 1 that sum is
+the single-process run; the committed sections per N show what sharding
+costs in repeated memo work.
 
 Deterministic identity evidence goes to ``results/parallel_batch.json``
 (timing-free, byte-stable across ``PYTHONHASHSEED`` — the tier-1 CI job
 regenerates and diffs it); wall-clock timings per process count go to the
 gitignored ``results/local/parallel_batch_timings.json``.  The benchmarked
-unit is one cold two-process run over a two-family attempt pair.
+unit is one cold two-process run over a two-attempt pair.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ import json
 import time
 
 from repro import Clara
-from repro.core.profile import PhaseProfiler
 from repro.datasets import generate_corpus, get_problem
-from repro.engine import BatchAttempt, BatchRepairEngine, ProcessBatchEngine
-from repro.engine.cache import RepairCaches
+from repro.engine import BatchAttempt, ProcessBatchEngine
 
 from conftest import bench_scale
+from helpers.parallel import counter_sections, in_process_run, per_shard_sums
 
-#: Correct two-loop strategy: a second CFG-skeleton family, so the shard
-#: planner has real classes to distribute.
+#: Correct two-loop strategy: a second CFG-skeleton family (and store
+#: segment) next to the generated pool's.
 TWO_LOOP = (
     "def computeDeriv(poly):\n"
     "    new = []\n"
@@ -67,16 +68,6 @@ def _build_store(tmp_path):
     return problem, path, attempts
 
 
-def _identity_sections(cache_stats, payload):
-    """The four sections whose merged values must equal a single process."""
-    return {
-        "phases": payload["phases"]["counters"],
-        "cache": cache_stats.as_dict(),
-        "retrieval": payload["retrieval"],
-        "store_paging": payload["store_paging"],
-    }
-
-
 def _rows(report):
     return [
         [r.attempt_id, r.status, r.cost, r.relative_size, r.num_modified, r.feedback]
@@ -88,21 +79,14 @@ def test_parallel_batch(benchmark, results_dir, local_results_dir, tmp_path):
     problem, path, attempts = _build_store(tmp_path)
 
     # Single-process baseline: one in-process engine, one thread.
-    clara = Clara(
-        cases=problem.cases,
-        language=problem.language,
-        entry=problem.entry,
-        caches=RepairCaches(profiler=PhaseProfiler()),
-    )
-    engine = BatchRepairEngine.from_store(path, clara, workers=1)
     baseline_started = time.perf_counter()
-    baseline = engine.run(attempts)
+    baseline, _ = in_process_run(problem, path, attempts)
     baseline_time = time.perf_counter() - baseline_started
-    expected_sections = _identity_sections(baseline.cache_stats, clara.counters_payload())
     expected_rows = _rows(baseline)
 
     timings = {"single_process": round(baseline_time, 4)}
-    identical: dict[str, bool] = {}
+    equal: dict[str, bool] = {}
+    sections: dict[str, dict] = {}
     for processes in PROCESS_COUNTS:
         run_started = time.perf_counter()
         report = ProcessBatchEngine(path, processes=processes, profile=True).run(
@@ -113,15 +97,17 @@ def test_parallel_batch(benchmark, results_dir, local_results_dir, tmp_path):
             f"report rows diverged from the single-process run at "
             f"{processes} processes"
         )
-        merged = _identity_sections(report.cache_stats, report.profile)
-        for section in expected_sections:
-            same = merged[section] == expected_sections[section]
-            identical[section] = identical.get(section, True) and same
+        merged = counter_sections(report.cache_stats, report.profile)
+        expected = per_shard_sums(problem, path, attempts, processes)
+        for section in expected:
+            same = merged[section] == expected[section]
+            equal[section] = equal.get(section, True) and same
             assert same, (
                 f"{section} counters diverged at {processes} processes:\n"
-                f"  single : {expected_sections[section]}\n"
-                f"  merged : {merged[section]}"
+                f"  per-shard sum : {expected[section]}\n"
+                f"  merged        : {merged[section]}"
             )
+        sections[str(processes)] = expected
 
     correct, _incorrect = bench_scale()
     payload = {
@@ -129,9 +115,8 @@ def test_parallel_batch(benchmark, results_dir, local_results_dir, tmp_path):
         "correct_pool": max(2 * correct, 30) + 1,
         "attempts": len(attempts),
         "process_counts": list(PROCESS_COUNTS),
-        "counters_identical_to_single_process": identical,
-        "sections": expected_sections,
-        "summed_only_sections": ["ted", "compile", "solve", "cache_entries"],
+        "counters_equal_sum_of_per_shard_runs": equal,
+        "sections": sections,
         "statuses": baseline.status_histogram(),
     }
     (results_dir / "parallel_batch.json").write_text(
@@ -142,8 +127,9 @@ def test_parallel_batch(benchmark, results_dir, local_results_dir, tmp_path):
     )
     print("\n" + json.dumps(payload, indent=2, sort_keys=True))
 
-    # Benchmarked unit: one cold two-process run over a two-family pair —
-    # dominated by worker spawn + warm-up, the fixed cost --processes pays.
+    # Benchmarked unit: one cold two-process run over two distinct attempts
+    # (one per worker) — dominated by worker spawn + warm-up, the fixed
+    # cost --processes pays.
     pair = [attempts[0], BatchAttempt("two-loop-unit", TWO_LOOP_BROKEN)]
 
     def cold_two_process_run():

@@ -640,11 +640,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard the corpus across N worker subprocesses, each repairing "
-        "its CFG-skeleton-aligned shard single-threaded with its own warm "
-        "caches; the merged report and --profile counters are identical to "
-        "a single-process run (requires --clusters; --workers is then "
-        "ignored). Default 1 = repair in this process.",
+        help="deal the corpus's distinct sources round-robin across N worker "
+        "subprocesses (repeats follow their first copy), each repairing its "
+        "shard single-threaded with its own caches; the merged report is "
+        "identical to a single-process run, and the --profile counters are "
+        "the sum of one in-process run per shard (requires --clusters; "
+        "--workers is then ignored). Default 1 = repair in this process.",
     )
     p_batch.add_argument(
         "--budget", type=float, default=None, help="per-attempt budget in seconds"

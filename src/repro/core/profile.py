@@ -25,8 +25,8 @@ key by key, and :func:`merge_phases` adds :meth:`PhaseProfiler.as_dict`
 payloads in the same canonical phase order and timing rounding that a
 single profiler reports.  The process-parallel batch engine
 (:mod:`repro.engine.parallel`) and the fleet router use them to fold
-per-worker payloads into one report whose *counters* equal the
-single-process run exactly.  This module imports nothing from
+per-worker payloads into one report whose *counters* equal the sum of
+the workers' own runs exactly.  This module imports nothing from
 :mod:`repro`, so every layer can use it without import cycles.
 """
 

@@ -9,9 +9,9 @@ this package scales it to corpora.  It contributes two pieces:
   :class:`BatchReport`, concurrent repair of many attempts with per-attempt
   budgets and aggregate statistics;
 * :mod:`repro.engine.parallel` — :class:`ProcessBatchEngine`, the
-  multi-core path: skeleton-aligned shards across fleet worker
-  subprocesses (:class:`repro.fleet.WorkerSupervisor`) with deterministic
-  counter merging.
+  multi-core path: distinct sources dealt round-robin across fleet worker
+  subprocesses (:class:`repro.fleet.WorkerSupervisor`), with the workers'
+  counters merged by deterministic sums.
 
 The dependency direction is ``engine → core``; the one place the core calls
 back (``Clara.repair_source`` delegating to a batch of size 1) imports this

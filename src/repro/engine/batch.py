@@ -254,9 +254,9 @@ class BatchRepairEngine:
         corpus is sharded across that many spawned worker processes, each
         opening the store header-only with its own warm caches and
         repairing its shard single-threaded.  ``clara`` then only supplies
-        configuration (language check, prefilter settings, attached
-        profiler) — it is *not* attached to the store, and ``workers`` is
-        ignored (each worker process is single-threaded).  The store must name a registered problem,
+        configuration (language and case checks, prefilter settings,
+        attached profiler) — it is *not* attached to the store, and
+        ``workers`` is ignored (each worker process is single-threaded).  The store must name a registered problem,
         as the workers rebuild their pipelines from the dataset registry.
         """
         if processes > 1:
@@ -268,6 +268,7 @@ class BatchRepairEngine:
                 profile=clara.caches.profiler is not None,
                 retrieval_prefilter=clara.retrieval_prefilter,
                 language=clara.language,
+                cases=clara.cases,
             )
         from ..clusterstore.store import open_lazy
 

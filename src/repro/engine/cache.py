@@ -142,13 +142,12 @@ class CacheStats:
     uncached runs; the exception is the site memo, which disabled caches
     bypass without a lookup (its counters stay 0).
 
-    The site counters are deterministic for a fixed sequence of repairs on
-    one thread, and they do not depend on how ``batch --processes`` shards
-    while :func:`repro.engine.parallel.shard_plan` shards by CFG skeleton:
-    the memo is keyed per cluster, a cluster only ever serves attempts of
-    its own skeleton (Def. 4.1), and the store pager never evicts a loaded
-    cluster, so every shard sees the same lookups for its clusters in the
-    same order as one process would.
+    Like every counter here, the site counters are deterministic for a
+    fixed sequence of repairs on one thread.  Under ``batch --processes``
+    each worker runs such a sequence over its shard
+    (:func:`repro.engine.parallel.shard_plan`), so the merged counters are
+    the sum of those per-shard runs; a site two shards both look up is a
+    miss in each.
     """
 
     trace_hits: int = 0

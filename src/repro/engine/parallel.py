@@ -17,34 +17,19 @@ every worker's per-problem ``stats`` section by plain sums —
 (the ``cache`` section then rebuilds its hit rates through
 :meth:`~repro.engine.cache.CacheStats.from_dict`) and
 :func:`merge_store_paging` for ``store_paging`` — so ``--profile`` output
-is byte-stable regardless of process count.
+is byte-stable for a given process count.
 
-Why the merged counters *equal* a single-process run (not merely sum to
-something plausible): shards are planned by **CFG-skeleton digest**
-(:func:`shard_key`).  Two attempts land on the same worker whenever their
-skeletons are equal, i.e. whenever they are structurally matchable at all
-(Def. 4.1) — so every trace/match/repair memo key, every structural-match
-probe and every store segment a worker touches is local to the skeleton
-classes it owns.  Duplicate attempts hit the same warm cache they would
-have hit in one process; a segment pages in on exactly one worker, namely
-the one owning its skeleton; no cache entry or match that a single
-process would have shared is ever split across two processes.  Summing
-per-shard counters therefore reproduces the single-process values
-exactly for the sections built from class-local work: the profiler's
-``phases.counters``, the trace/match/repair ``cache`` hit/miss counters,
-the ``retrieval`` prefilter counters and the ``store_paging`` section
-(totals asserted equal across workers, loaded counts summed).  The
-expression-level TED/compile/solve memos *can* legitimately share entries
-across skeleton classes (the same sub-expression appears in two shapes),
-so those sections are merged by the same sum but carry no identity
-guarantee — ``benchmarks/test_parallel_batch.py`` records which sections
-are provably identical.
-
-Determinism also does not depend on ``PYTHONHASHSEED``: shard planning
-uses SHA-256 skeleton digests and CRC-32 of the source bytes (for
-unparseable attempts) with first-appearance round-robin assignment, and
-each worker repairs one request at a time, so per-shard records and
-counters are reproducible run to run.
+What the merged counters equal: :func:`shard_plan` deals each distinct
+source text to the next shard in turn, and a byte-identical repeat
+follows its first copy, so a resubmission still hits the repair memo on
+its own worker.  Each worker repairs its shard in order, one request at a
+time, with fresh caches, so the merged sections equal the key-wise sum of
+in-process runs, one per shard, each over that shard's attempts in shard
+order (store totals are kept, :func:`merge_store_paging`).  At one
+process that is the single-process run; at more, work that one process
+would have shared across shards (a match, a candidate site, a solved
+ILP, a store segment) is paid once per worker.  Nothing depends on
+``PYTHONHASHSEED``: the plan reads only the attempts' order and text.
 
 Worker death is the supervisor's business.  A worker that dies mid-shard
 (crash, OOM kill) is respawned and its in-flight attempts are retried
@@ -60,16 +45,15 @@ from __future__ import annotations
 
 import json
 import time
-import zlib
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..clusterstore.segments import skeleton_digest
+from ..core.inputs import InputCase
 from ..core.profile import merge_phases, sum_counters
 from .batch import BatchAttempt, BatchRecord, BatchRepairEngine, BatchReport
 from .cache import CacheStats
 
-__all__ = ["ProcessBatchEngine", "shard_key", "shard_plan", "merge_store_paging"]
+__all__ = ["ProcessBatchEngine", "shard_plan", "merge_store_paging"]
 
 #: The ``stats`` sections merged by plain key-wise sum.
 _SUMMED_SECTIONS = ("ted", "compile", "solve", "cache_entries")
@@ -78,48 +62,20 @@ _SUMMED_SECTIONS = ("ted", "compile", "solve", "cache_entries")
 # -- shard planning ----------------------------------------------------------------
 
 
-def shard_key(source: str, *, language: str, entry: str | None) -> str:
-    """Deterministic equivalence-class key for shard planning.
+def shard_plan(attempts: Sequence[BatchAttempt], processes: int) -> list[list[int]]:
+    """Deal attempt indices onto ``processes`` shards by distinct source text.
 
-    Parseable attempts key on their CFG-skeleton digest — the necessary
-    condition for structural matching (Def. 4.1), hence the boundary along
-    which caches and store segments partition.  Unparseable attempts can
-    never share cache entries beyond the parse itself, so they key on a
-    CRC-32 of their bytes, which keeps byte-identical duplicates together
-    (one parse failure per distinct source, same as a single process).
-    Stable across processes, platforms and ``PYTHONHASHSEED``.
-    """
-    from ..frontend import parse_source
-
-    try:
-        program = parse_source(source, language=language, entry=entry)
-    except Exception:  # noqa: BLE001 - any frontend failure → content key
-        return "unparsed:%08x" % (zlib.crc32(source.encode("utf-8")) & 0xFFFFFFFF)
-    return "skeleton:" + skeleton_digest(program)
-
-
-def shard_plan(
-    attempts: Sequence[BatchAttempt],
-    processes: int,
-    *,
-    language: str,
-    entry: str | None,
-) -> list[list[int]]:
-    """Partition attempt indices into ``processes`` skeleton-aligned shards.
-
-    Every attempt of one equivalence class (equal :func:`shard_key`) lands
-    on one shard; classes are dealt round-robin in first-appearance order,
-    which balances class counts without consulting anything
-    nondeterministic.  Some shards may be empty when there are fewer
-    classes than processes.  Thread safety: pure function.
+    The first copy of each distinct source goes to the next shard in turn;
+    a byte-identical repeat lands on its first copy's shard.  Shards may be
+    empty when there are fewer distinct sources than processes.  Thread
+    safety: pure function.
     """
     assignment: dict[str, int] = {}
     shards: list[list[int]] = [[] for _ in range(processes)]
     for index, attempt in enumerate(attempts):
-        key = shard_key(attempt.source, language=language, entry=entry)
-        if key not in assignment:
-            assignment[key] = len(assignment) % processes
-        shards[assignment[key]].append(index)
+        if attempt.source not in assignment:
+            assignment[attempt.source] = len(assignment) % processes
+        shards[assignment[attempt.source]].append(index)
     return shards
 
 
@@ -127,14 +83,12 @@ def shard_plan(
 
 
 def merge_store_paging(sections: Iterable[dict | None]) -> dict | None:
-    """Fold per-worker ``store_paging`` sections into the global view.
+    """Fold per-worker ``store_paging`` sections into one section.
 
     Every worker opens the same store, so the ``*_total`` counters must
     agree (asserted — a mismatch means workers saw different stores, which
-    would invalidate the whole merge).  The ``*_loaded`` counters sum:
-    skeleton sharding pages each segment into exactly one worker, so the
-    sum equals the single-process loaded count, and ``segments_skipped``
-    is recomputed as total minus the merged loaded.
+    would invalidate the whole merge).  The loaded and skipped counters are
+    summed: two workers that page in the same segment each count it.
 
     Returns ``None`` when no worker reported a section (no lazy store).
     """
@@ -150,11 +104,10 @@ def merge_store_paging(sections: Iterable[dict | None]) -> dict | None:
             "they cannot have opened the same store"
         )
     segments_total, clusters_total = next(iter(totals))
-    segments_loaded = sum(section["segments_loaded"] for section in reported)
     return {
         "segments_total": segments_total,
-        "segments_loaded": segments_loaded,
-        "segments_skipped": segments_total - segments_loaded,
+        "segments_loaded": sum(section["segments_loaded"] for section in reported),
+        "segments_skipped": sum(section["segments_skipped"] for section in reported),
         "clusters_total": clusters_total,
         "clusters_loaded": sum(section["clusters_loaded"] for section in reported),
     }
@@ -172,10 +125,10 @@ class ProcessBatchEngine:
     ``python -m repro.fleet.worker`` subprocess — the same stack as ``serve
     --fleet`` — which rebuilds its pipeline from the dataset registry (the
     store header's ``problem`` name), opens the store header-only, and
-    repairs its skeleton-aligned shard one request at a time.  Per-shard
+    repairs its shard (:func:`shard_plan`) one request at a time.  Per-shard
     counters are therefore deterministic, which is what lets the merged
-    ``--profile`` payload be committed and asserted byte-identical to a
-    single-process run (see the module docstring for the argument, and
+    ``--profile`` payload be committed and asserted equal to one
+    in-process run per shard, summed (see the module docstring, and
     ``results/parallel_batch.json`` for the committed evidence).
 
     Args:
@@ -190,6 +143,7 @@ class ProcessBatchEngine:
             (:class:`repro.core.pipeline.Clara`).
         language: When given, validated against the store header up front
             so a mismatch fails in the parent, not N times in workers.
+        cases: When given, the store must have been built for them.
 
     Differences from the in-process engine, by construction: the
     ``outcomes`` on the returned report carry status/detail/elapsed only —
@@ -203,7 +157,8 @@ class ProcessBatchEngine:
 
     Raises:
         ClusterStoreError: Unreadable, stale or non-store ``clusters_path``,
-            or one built for other test cases than its problem's.
+            or one built for other test cases than its problem's or than
+            ``cases``.
         KeyError: The store names an unregistered problem.
         ValueError: Store names no problem, or its language contradicts
             ``language``.
@@ -217,6 +172,7 @@ class ProcessBatchEngine:
         profile: bool = False,
         retrieval_prefilter: bool = True,
         language: str | None = None,
+        cases: Sequence[InputCase] | None = None,
     ) -> None:
         # Imported here, not at module level: the service layer imports this
         # package (the same lazy hop the core takes back into the engine).
@@ -227,7 +183,7 @@ class ProcessBatchEngine:
         self.clusters_path = Path(clusters_path)
         # The workers serve the store, so it passes the service's check here,
         # once, instead of failing in every worker.
-        self.header = open_served_store(self.clusters_path, {}).header
+        self.header = open_served_store(self.clusters_path, {}, cases=cases).header
         if language is not None and self.header.language != language:
             raise ValueError(
                 f"store {self.clusters_path} holds {self.header.language!r} "
@@ -264,9 +220,7 @@ class ProcessBatchEngine:
 
         items = BatchRepairEngine._normalise(attempts)
         started = time.perf_counter()
-        shards = shard_plan(
-            items, self.processes, language=self.header.language, entry=self.header.entry
-        )
+        shards = shard_plan(items, self.processes)
         supervisors: dict[int, WorkerSupervisor] = {}
         futures = {}
         records: dict[int, BatchRecord] = {}

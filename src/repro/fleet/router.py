@@ -21,7 +21,9 @@ drops.
 
 A repair's deadline bounds the router's wait on the shard: past it, the
 client gets the in-process ``timeout`` answer, while the worker, which uses
-the deadline as its search budget, finishes under the kill watchdog.
+the deadline as its search budget, finishes under the kill watchdog.  The
+request is then abandoned: if the watchdog kills the worker, the respawn
+does not repair it again.
 
 ``ping``/``stats``/``shutdown`` are answered at the router.  ``stats``
 reports the fleet topology and per-shard recovery counters under
@@ -203,13 +205,15 @@ class FleetService:
             # revisions and statuses exactly as the single-process daemon
             # would.
             problem = resolve_problem(request.problem, self._shard_of)
-            future = self.shard_for(problem).submit(line, request_id=request.request_id)
+            supervisor = self.shard_for(problem)
+            future = supervisor.submit(line, request_id=request.request_id)
             deadline = request.deadline if request.deadline is not None else self.default_deadline
             if request.op != "repair":
                 deadline = None
             try:
                 response = await asyncio.wait_for(asyncio.wrap_future(future), deadline)
             except asyncio.TimeoutError:
+                supervisor.abandon(future)
                 return timeout_payload(request, problem, self._revisions[problem], deadline)
             if "revision" in response:
                 self._revisions[problem] = response["revision"]

@@ -19,9 +19,10 @@ A :class:`WorkerSupervisor` owns one shard's worker subprocess
   by the next unlucky client.
 * **Crash recovery** — EOF on the worker's stdout (crash, SIGKILL, lost
   pipe) fails nothing immediately: requests in flight are re-queued for
-  exactly one retry on the respawned worker, and only a request whose
-  retry *also* dies is answered with a structured, retriable
-  ``worker-crashed`` error.  The zero-lost-request invariant: every
+  exactly one retry on the respawned worker (unless their caller has
+  already answered its client, :meth:`WorkerSupervisor.abandon`), and
+  only a request whose retry *also* dies is answered with a structured,
+  retriable ``worker-crashed`` error.  The zero-lost-request invariant: every
   submitted future resolves with a response dict, always.
 * **Backoff and circuit breaker** — respawns are delayed exponentially
   (:class:`BackoffPolicy`), and after ``max_strikes`` consecutive deaths
@@ -99,7 +100,7 @@ class BackoffPolicy:
 class _Pending:
     """One submitted request riding the supervisor's queues."""
 
-    __slots__ = ("line", "request_id", "future", "internal", "retried", "started")
+    __slots__ = ("line", "request_id", "future", "internal", "retried", "abandoned", "started")
 
     def __init__(self, line: str, request_id: object, future: Future, internal: bool) -> None:
         self.line = line
@@ -107,6 +108,7 @@ class _Pending:
         self.future = future
         self.internal = internal
         self.retried = False
+        self.abandoned = False
         #: When this request reached the head of the FIFO (i.e. started
         #: processing); the kill deadline is measured from here.
         self.started: float | None = None
@@ -283,6 +285,16 @@ class WorkerSupervisor:
             self._last_activity = time.monotonic()
             self._cond.notify_all()
         return future
+
+    def abandon(self, future: "Future[dict]") -> None:
+        """Drop, instead of retrying, ``future``'s request if its worker dies.
+
+        The router calls this once it has answered a repair's deadline.
+        """
+        with self._cond:
+            for pend in (*self._outbox, *self._pending):
+                if pend.future is future:
+                    pend.abandoned = True
 
     # -- introspection ------------------------------------------------------------
 
@@ -470,9 +482,11 @@ class WorkerSupervisor:
             requeue: list[_Pending] = []
             while self._pending:
                 pend = self._pending.popleft()
-                if pend.internal:
-                    # Heartbeats have no client; drop them silently (the
-                    # future is resolved for hygiene, nobody awaits it).
+                if pend.internal or pend.abandoned:
+                    # Heartbeats have no client, and an abandoned request's
+                    # client was already answered; drop them instead of
+                    # retrying (the future is resolved for hygiene, nobody
+                    # awaits it).
                     self._resolve(pend, self._crashed_error)
                 elif pend.retried:
                     self._resolve(pend, self._crashed_error)

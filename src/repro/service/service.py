@@ -55,10 +55,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..clusterstore.store import ClusterStoreError, LazyStoredClustering, case_signature
 from ..clusterstore.store import open_lazy
+from ..core.inputs import InputCase
 from ..core.pipeline import Clara
 from ..core.profile import PhaseProfiler
 from ..engine.batch import BatchAttempt, BatchRepairEngine
@@ -74,17 +75,23 @@ DEFAULT_QUEUE_SIZE = 64
 DEFAULT_WORKERS = 4
 
 
-def open_served_store(store_path: str | Path, served: Mapping[str, Path]) -> LazyStoredClustering:
+def open_served_store(
+    store_path: str | Path,
+    served: Mapping[str, Path],
+    *,
+    cases: Sequence[InputCase] | None = None,
+) -> LazyStoredClustering:
     """Open a store header-only for serving: the one store check.
 
     :meth:`RepairService.add_problem`, the fleet router and ``batch
     --processes`` all call it.  ``served`` maps the problems already
-    served to their stores.  Raises what :meth:`RepairService.add_problem`
-    documents.
+    served to their stores; ``batch`` also passes its pipeline's
+    ``cases``, checked as an in-process batch checks them.  Raises what
+    :meth:`RepairService.add_problem` documents.
     """
     from ..datasets import get_problem
 
-    stored = open_lazy(store_path)
+    stored = open_lazy(store_path, cases=cases)
     name = stored.problem
     if name is None:
         raise ValueError(

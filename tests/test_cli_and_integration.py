@@ -379,3 +379,31 @@ def test_cli_batch_budget_zero_times_out_every_searched_attempt(tmp_path, capsys
             assert after == "timeout"
         else:
             assert after == before
+
+
+@pytest.mark.parametrize("processes", ["1", "2"])
+def test_cli_batch_rejects_a_store_built_for_another_problem(tmp_path, capsys, processes):
+    """A store built for derivatives cannot serve ``--problem oddTuples``: both
+    the in-process and the worker-process path exit 2 with one message,
+    before any repair (or worker) runs."""
+    store = tmp_path / "derivatives.json"
+    assert main(
+        ["cluster", "build", "--problem", "derivatives", "--correct", "4",
+         "--output", str(store)]
+    ) == 0
+    attempt = tmp_path / "attempt.py"
+    attempt.write_text("def oddTuples(aTup):\n    return aTup\n")
+    capsys.readouterr()
+    report = tmp_path / "report.jsonl"
+    code = main(
+        ["batch", "--problem", "oddTuples", "--attempts", str(attempt),
+         "--clusters", str(store), "--processes", processes, "--output", str(report)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == (
+        f"cluster store {store} was built against a different test-case set; "
+        "clusters are only valid for the inputs they were clustered on — "
+        "rebuild the store for these cases"
+    )
+    assert not report.exists()

@@ -1,14 +1,14 @@
 """Process-parallel batch engine: differential, determinism and crash tests.
 
-The contract under test (:mod:`repro.engine.parallel`): sharding a corpus
-across worker subprocesses by CFG-skeleton digest and merging the shard
-streams yields a report *field-identical* to the in-process engine, and
-merged ``--profile`` counter sections — phase counters, trace/match/repair
-cache counters, retrieval counters, store paging — *equal* to a
-single-process run, independent of process count and ``PYTHONHASHSEED``.
-A worker that dies mid-shard is retried on its respawn, and a shard whose
-worker keeps dying surfaces structured ``internal-error`` records instead
-of hanging the merge.
+The contract under test (:mod:`repro.engine.parallel`): dealing a corpus's
+distinct sources round-robin across worker subprocesses and merging the
+shard streams yields a report *field-identical* to the in-process engine
+at any process count, and merged ``--profile`` counter sections *equal*
+to the key-wise sum of in-process runs, one per shard, each over that
+shard's attempts in shard order (:mod:`helpers.parallel`), independent
+of ``PYTHONHASHSEED``.  A worker that dies mid-shard is retried on its
+respawn, and a shard whose worker keeps dying surfaces structured
+``internal-error`` records instead of hanging the merge.
 """
 
 from __future__ import annotations
@@ -21,19 +21,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.clusterstore.segments import skeleton_digest
 from repro.core.pipeline import Clara
-from repro.core.profile import PhaseProfiler
 from repro.datasets import generate_corpus, get_problem
 from repro.engine import BatchAttempt, BatchRepairEngine, ProcessBatchEngine
-from repro.engine.cache import RepairCaches
-from repro.engine.parallel import merge_store_paging, shard_key, shard_plan
+from repro.engine.parallel import merge_store_paging, shard_plan
 from repro.fleet import Fault, FaultPlan, WorkerSupervisor, supervisor
+from repro.frontend import parse_source
 
 from helpers.differential import report_rows
+from helpers.parallel import counter_sections, in_process_run, per_shard_sums
 
 #: A correct two-loop derivatives solution — a CFG shape the generated pool
-#: never emits, giving the store a second skeleton family so multi-process
-#: runs actually split work.
+#: never emits, giving the store a second skeleton family (and segment).
 TWO_LOOP = (
     "def computeDeriv(poly):\n"
     "    new = []\n"
@@ -95,38 +95,12 @@ def store(tmp_path_factory):
     return problem, path, attempts
 
 
-def _single_process_run(problem, path, attempts):
-    """The baseline: one in-process engine, one thread, profiler attached."""
-    clara = Clara(
-        cases=problem.cases,
-        language=problem.language,
-        entry=problem.entry,
-        caches=RepairCaches(profiler=PhaseProfiler()),
-    )
-    engine = BatchRepairEngine.from_store(path, clara, workers=1)
-    report = engine.run(attempts)
-    return report, clara.counters_payload()
-
-
-def _identity_sections(cache_stats, payload):
-    """The sections whose merged values provably equal the single-process
-    run (class-local work; see the repro.engine.parallel module docstring).
-    ted/compile/cache_entries may legitimately differ: expression-level
-    memos can share entries across skeleton classes in one process."""
-    return {
-        "phases": payload["phases"]["counters"],
-        "cache": cache_stats.as_dict(),
-        "retrieval": payload["retrieval"],
-        "store_paging": payload["store_paging"],
-    }
-
-
 # -- differential: process engine vs in-process engines ------------------------------
 
 
 def test_process_report_matches_sequential_and_threaded(store):
     problem, path, attempts = store
-    baseline, _ = _single_process_run(problem, path, attempts)
+    baseline, _ = in_process_run(problem, path, attempts)
 
     threaded_clara = Clara(
         cases=problem.cases, language=problem.language, entry=problem.entry
@@ -150,20 +124,21 @@ def test_process_report_matches_sequential_and_threaded(store):
 
 
 def test_counter_sections_identical_across_process_counts(store):
+    """Every counter section equals the sum of in-process runs over the
+    shards: at one process that is the single-process run itself."""
     problem, path, attempts = store
-    baseline_report, baseline_payload = _single_process_run(problem, path, attempts)
-    expected = _identity_sections(baseline_report.cache_stats, baseline_payload)
+    _baseline, single = in_process_run(problem, path, attempts)
+    assert per_shard_sums(problem, path, attempts, 1) == single
 
     for processes in (1, 2, 4):
         report = ProcessBatchEngine(path, processes=processes, profile=True).run(
             attempts
         )
         assert report.profile is not None
-        merged = _identity_sections(report.cache_stats, report.profile)
+        merged = counter_sections(report.cache_stats, report.profile)
+        expected = per_shard_sums(problem, path, attempts, processes)
+        # Every section, the solve memo's misses included.
         assert merged == expected, f"counter sections diverged at {processes} processes"
-        # The sum-merged sections without an identity guarantee still exist
-        # and carry sane totals.
-        assert report.profile["solve"]["misses"] == baseline_payload["solve"]["misses"]
 
 
 def test_empty_corpus_spawns_nothing(store):
@@ -176,31 +151,69 @@ def test_empty_corpus_spawns_nothing(store):
 # -- shard planning ------------------------------------------------------------------
 
 
-def test_shard_plan_colocates_skeleton_classes():
+def test_shard_plan_deals_distinct_sources_round_robin():
     items = [
         BatchAttempt("a", SINGLE_LOOP_BROKEN),
         BatchAttempt("b", TWO_LOOP_BROKEN),
-        BatchAttempt("c", SINGLE_LOOP_BROKEN),  # duplicate of a's class
-        BatchAttempt("d", NON_ASCII),  # same skeleton as SINGLE_LOOP_BROKEN
+        BatchAttempt("c", NON_ASCII),  # same skeleton as SINGLE_LOOP_BROKEN
+        BatchAttempt("d", TWO_LOOP),
+        BatchAttempt("e", UNPARSEABLE),
     ]
-    shards = shard_plan(items, 2, language="python", entry=None)
-    # First-appearance round-robin: class(single-loop) -> shard 0,
-    # class(two-loop) -> shard 1.  NON_ASCII shares the single-loop skeleton.
-    assert shards == [[0, 2, 3], [1]]
+    # First-appearance order, next shard in turn; skeletons play no part.
+    assert shard_plan(items, 2) == [[0, 2, 4], [1, 3]]
+    assert shard_plan(items, 3) == [[0, 3], [1, 4], [2]]
+    assert shard_plan(items, 1) == [[0, 1, 2, 3, 4]]
+    # Fewer distinct sources than processes leaves shards empty.
+    assert shard_plan(items[:2], 4) == [[0], [1], [], []]
+    assert shard_plan([], 2) == [[], []]
 
 
-def test_shard_plan_groups_unparseable_duplicates_by_content():
+def test_shard_plan_keeps_byte_identical_duplicates_together():
+    items = [
+        BatchAttempt("a", SINGLE_LOOP_BROKEN),
+        BatchAttempt("b", TWO_LOOP_BROKEN),
+        BatchAttempt("c", SINGLE_LOOP_BROKEN),
+        BatchAttempt("d", NON_ASCII),
+        BatchAttempt("e", TWO_LOOP_BROKEN),
+        # One trailing newline more: another source, dealt on its own.
+        BatchAttempt("f", SINGLE_LOOP_BROKEN + "\n"),
+    ]
+    # A repeat follows its first copy and takes no turn of its own.
+    assert shard_plan(items, 2) == [[0, 2, 3], [1, 4, 5]]
+
+
+def test_shard_plan_treats_unparseable_sources_like_any_other():
+    other = "def g(:\n  pass\n"
     items = [
         BatchAttempt("a", UNPARSEABLE),
-        BatchAttempt("b", UNPARSEABLE),
-        BatchAttempt("c", "def g(:\n  pass\n"),
+        BatchAttempt("b", SINGLE_LOOP_BROKEN),
+        BatchAttempt("c", UNPARSEABLE),
+        BatchAttempt("d", other),
+        BatchAttempt("e", TWO_LOOP_BROKEN),
     ]
-    key_a = shard_key(items[0].source, language="python", entry=None)
-    key_c = shard_key(items[2].source, language="python", entry=None)
-    assert key_a.startswith("unparsed:") and key_c.startswith("unparsed:")
-    assert key_a != key_c
-    shards = shard_plan(items, 2, language="python", entry=None)
-    assert shards == [[0, 1], [2]]
+    assert shard_plan(items, 2) == [[0, 2, 3], [1, 4]]
+
+
+def test_one_skeleton_corpus_splits_into_balanced_shards():
+    """The generated derivatives attempts that share the commonest CFG
+    skeleton (skeleton sharding put them all on one worker) split into
+    shards whose sizes differ by at most one."""
+    problem = get_problem("derivatives")
+    corpus = generate_corpus(problem, 0, 40, seed=7)
+    by_skeleton: dict[str, list[str]] = {}
+    for source in dict.fromkeys(corpus.incorrect_sources):
+        try:
+            program = parse_source(source, language=problem.language, entry=problem.entry)
+        except Exception:  # noqa: BLE001 - unparseable attempts have no skeleton
+            continue
+        by_skeleton.setdefault(skeleton_digest(program), []).append(source)
+    sources = max(by_skeleton.values(), key=len)
+    assert len(sources) >= 10, "the corpus needs a large one-skeleton class"
+    items = [BatchAttempt(f"attempt-{index}", source) for index, source in enumerate(sources)]
+    for processes in (2, 3, 4):
+        sizes = [len(shard) for shard in shard_plan(items, processes)]
+        assert sum(sizes) == len(items)
+        assert max(sizes) - min(sizes) <= 1, (processes, sizes)
 
 
 def test_merge_store_paging_sums_loads_and_checks_totals():
@@ -226,9 +239,25 @@ def test_merge_store_paging_sums_loads_and_checks_totals():
     assert merged == {
         "segments_total": 4,
         "segments_loaded": 3,
+        "segments_skipped": 5,
+        "clusters_total": 6,
+        "clusters_loaded": 5,
+    }
+    # Two workers that page in the same segments each count them: loads may
+    # sum past the totals, and nothing goes negative.
+    both = {
+        "segments_total": 4,
+        "segments_loaded": 3,
         "segments_skipped": 1,
         "clusters_total": 6,
         "clusters_loaded": 5,
+    }
+    assert merge_store_paging([both, dict(both)]) == {
+        "segments_total": 4,
+        "segments_loaded": 6,
+        "segments_skipped": 2,
+        "clusters_total": 6,
+        "clusters_loaded": 10,
     }
     assert merge_store_paging([None, None]) is None
     with pytest.raises(ValueError, match="disagree"):
@@ -281,8 +310,9 @@ def _with_fault_plan(monkeypatch, tmp_path, *faults):
 
 def test_worker_crash_is_retried_on_the_respawn(store, monkeypatch, tmp_path):
     problem, path, attempts = store
-    baseline, baseline_payload = _single_process_run(problem, path, attempts)
-    shards = shard_plan(attempts, 2, language=problem.language, entry=problem.entry)
+    baseline, _ = in_process_run(problem, path, attempts)
+    expected = per_shard_sums(problem, path, attempts, 2)
+    shards = shard_plan(attempts, 2)
     assert len(shards[0]) > 2, "crash test needs a shard with several attempts"
 
     # Shard 0's first worker dies on its second repair; the respawn
@@ -299,13 +329,13 @@ def test_worker_crash_is_retried_on_the_respawn(store, monkeypatch, tmp_path):
     # Counters cover each shard's last incarnation only: the parse of the
     # one attempt shard 0's first worker answered died with it.
     parses = report.profile["phases"]["counters"]["parse"]
-    assert parses == baseline_payload["phases"]["counters"]["parse"] - 1
+    assert parses == expected["phases"]["parse"] - 1
 
 
 def test_flapping_worker_surfaces_internal_error_records(store, monkeypatch, tmp_path):
     problem, path, attempts = store
-    baseline, _ = _single_process_run(problem, path, attempts)
-    shards = shard_plan(attempts, 2, language=problem.language, entry=problem.entry)
+    baseline, _ = in_process_run(problem, path, attempts)
+    shards = shard_plan(attempts, 2)
 
     # Every incarnation of shard 0's worker dies on its first repair.
     _with_fault_plan(monkeypatch, tmp_path, Fault(action="crash", request=0, worker=0))
