@@ -6,8 +6,8 @@ code, the common case in MOOC dumps) through two configurations:
 * the **baseline**: ``Clara.repair_source`` in a plain loop with caching
   disabled — the pre-engine behaviour, re-executing and re-matching every
   attempt from scratch;
-* the **engine**: :class:`repro.engine.batch.BatchRepairEngine` with 4
-  workers sharing a :class:`repro.engine.cache.RepairCaches`.
+* the **engine**: :class:`repro.engine.batch.BatchRepairEngine` over one
+  :class:`repro.engine.cache.RepairCaches`.
 
 Statuses must be identical between the two; the engine must record trace
 cache hits and at least 1.5× the baseline throughput.  Deterministic metrics
@@ -51,7 +51,7 @@ def _measure(problem, corpus, sources):
     sequential_time = time.perf_counter() - started
 
     batched = _build_clara(problem, corpus, cached=True)
-    engine = BatchRepairEngine(batched, workers=4)
+    engine = BatchRepairEngine(batched)
     report = engine.run(sources)
     return sequential_outcomes, sequential_time, engine, report
 
@@ -83,23 +83,16 @@ def test_batch_throughput(benchmark, results_dir, local_results_dir):
     assert report.cache_stats.repair_hits > 0
 
     # Committed artifact: load-insensitive metrics only, so the file is
-    # byte-identical across machines and runs.  Cache counters from the
-    # 4-worker run depend on thread scheduling (two concurrent duplicates of
-    # a not-yet-cached attempt both miss), so the committed counters come
-    # from a single-worker run where each unique attempt misses exactly once.
-    single = BatchRepairEngine(_build_clara(problem, corpus, cached=True), workers=1)
-    single_report = single.run(sources)
-    assert single_report.status_histogram() == report.status_histogram()
+    # byte-identical across machines and runs.  The engine repairs on one
+    # thread, so each unique attempt misses exactly once.
     payload = {
         "problem": problem.name,
         "attempts": len(sources),
         "unique_attempts": len(corpus.incorrect_sources),
         "duplication": DUPLICATION,
-        "workers": engine.workers,
         "speedup_threshold": 1.5,
         "status_histogram": report.status_histogram(),
-        "cache_workers": 1,
-        "cache": single_report.cache_stats.as_dict(),
+        "cache": report.cache_stats.as_dict(),
     }
     (results_dir / "batch_throughput.json").write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -112,7 +105,6 @@ def test_batch_throughput(benchmark, results_dir, local_results_dir):
         "speedup": round(speedup, 3),
         "p50_latency": round(report.p50_latency, 5),
         "p95_latency": round(report.p95_latency, 5),
-        "workers_4_cache": report.cache_stats.as_dict(),
     }
     (local_results_dir / "batch_throughput_timings.json").write_text(
         json.dumps(timings, indent=2) + "\n"

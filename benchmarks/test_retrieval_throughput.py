@@ -164,7 +164,7 @@ def _run(problem, corpus, *, prefilter):
     build_time = time.perf_counter() - build_started
     built = clara.caches.stats.snapshot()
     repair_started = time.perf_counter()
-    report = BatchRepairEngine(clara, workers=1).run(corpus.incorrect_sources)
+    report = BatchRepairEngine(clara).run(corpus.incorrect_sources)
     repair_time = time.perf_counter() - repair_started
     match_computations = clara.caches.stats.match_misses - built.match_misses
     return clara, report, match_computations, build_time, repair_time

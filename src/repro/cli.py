@@ -12,7 +12,7 @@ Examples::
     repro-clara cluster export clusters.json --output clusters-v2.json
     repro-clara cluster import clusters-v2.json --output clusters.json
     repro-clara batch --problem derivatives --attempts submissions/ \
-        --clusters clusters.json --workers 4 --output report.jsonl
+        --clusters clusters.json --output report.jsonl
     repro-clara batch --problem derivatives --attempts submissions/ \
         --clusters clusters.json --processes 4 --profile
     repro-clara serve --clusters clusters.json --port 9172
@@ -303,9 +303,6 @@ def _bad_seconds(flag: str, value: float | None) -> bool:
 def _cmd_batch(args: argparse.Namespace) -> int:
     if _bad_seconds("--budget", args.budget):
         return 2
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
     if args.processes < 1:
         print(f"--processes must be >= 1, got {args.processes}", file=sys.stderr)
         return 2
@@ -343,12 +340,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         clara.caches.profiler = PhaseProfiler()
     if args.clusters:
         try:
-            engine = BatchRepairEngine.from_store(
-                args.clusters,
-                clara,
-                workers=args.workers,
-                processes=args.processes,
-            )
+            engine = BatchRepairEngine.from_store(args.clusters, clara, processes=args.processes)
         except (ClusterStoreError, KeyError, ValueError) as exc:
             # KeyError/ValueError: --processes > 1 against a store that
             # names no or an unregistered problem (workers could not rebuild
@@ -358,7 +350,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     else:
         corpus = generate_corpus(spec, args.correct, 0, seed=args.seed)
         clara.add_correct_sources(corpus.correct_sources)
-        engine = BatchRepairEngine(clara, workers=args.workers)
+        engine = BatchRepairEngine(clara)
     report = engine.run(attempts, budget=args.budget)
     if args.output:
         report.write_jsonl(args.output)
@@ -368,14 +360,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     histogram = ", ".join(
         f"{status}={count}" for status, count in summary["status_histogram"].items()
     )
-    parallelism = (
-        f"{args.processes} processes"
-        if args.processes > 1
-        else f"{args.workers} workers"
-    )
+    processes = f", {args.processes} processes" if args.processes > 1 else ""
     print(
         f"batch: {summary['attempts']} attempts in {summary['wall_time']:.2f}s "
-        f"({summary['attempts_per_second']:.2f}/s, {parallelism})",
+        f"({summary['attempts_per_second']:.2f}/s{processes})",
         file=sys.stderr,
     )
     print(f"statuses: {histogram}", file=sys.stderr)
@@ -419,7 +407,6 @@ def _write_batch_profile(args, spec, report, sections) -> Path:
     payload = {
         "problem": spec.name,
         "attempts": len(report.records),
-        "workers": args.workers,
         "processes": args.processes,
         **sections,
         "cache": report.cache_stats.as_dict(),
@@ -621,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch",
-        help="repair a corpus of attempts concurrently, emit a JSONL report",
-        description="Repair a corpus of attempts concurrently and emit a JSONL "
+        help="repair a corpus of attempts, emit a JSONL report",
+        description="Repair a corpus of attempts and emit a JSONL "
         "report (one line per attempt plus a summary trailer). Exit codes: "
         "0 = report produced (per-attempt statuses, including failures, are "
         "in the report), 1 = no attempts found, 2 = usage error.",
@@ -634,7 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of attempt files, a JSONL file with {id, source} lines, "
         "or a single source file",
     )
-    p_batch.add_argument("--workers", type=int, default=4, help="worker threads")
     p_batch.add_argument(
         "--processes",
         type=int,
@@ -644,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
         "subprocesses (repeats follow their first copy), each repairing its "
         "shard single-threaded with its own caches; the merged report is "
         "identical to a single-process run, and the --profile counters are "
-        "the sum of one in-process run per shard (requires --clusters; "
-        "--workers is then ignored). Default 1 = repair in this process.",
+        "the sum of one in-process run per shard (requires --clusters). "
+        "Default 1 = repair in this process.",
     )
     p_batch.add_argument(
         "--budget", type=float, default=None, help="per-attempt budget in seconds"

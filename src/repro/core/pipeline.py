@@ -15,9 +15,9 @@ through which all correctness checks and structural matches are routed, so
 repeated work — the same attempt resubmitted, the same (attempt, cluster)
 pair matched by the gate check and again by the search — is computed once.
 Single-attempt repair is the batch-size-1 case of
-:class:`repro.engine.batch.BatchRepairEngine`; to repair a whole corpus
-concurrently, hand the configured ``Clara`` to an engine instead of looping
-over ``repair_source``.
+:class:`repro.engine.batch.BatchRepairEngine`; to repair a whole corpus,
+hand the configured ``Clara`` to an engine instead of looping over
+``repair_source``.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ class Clara:
     ``attach_lazy_clusters`` — from a single thread, then repair from as
     many threads as you like: the cluster list is treated as read-only during
     repair and every mutable lookup goes through the lock-guarded caches.
-    That split is exactly how :class:`repro.engine.batch.BatchRepairEngine`
-    (worker threads) and :class:`repro.service.RepairService` (one warm
-    pipeline per problem, swapped whole on hot reload) use it.
+    That split is exactly how :class:`repro.service.RepairService` uses it
+    (one warm pipeline per problem shared by its repair threads, swapped
+    whole on hot reload).
     """
 
     cases: Sequence[InputCase]
@@ -555,14 +555,13 @@ class Clara:
         """Parse and repair one incorrect attempt from source text.
 
         Single-attempt repair is the batch-size-1 case of the engine: this
-        delegates to :class:`repro.engine.batch.BatchRepairEngine` with one
-        inline worker, so it shares the exact code path (budgets, caching,
-        accounting) that corpus runs use.
+        delegates to :class:`repro.engine.batch.BatchRepairEngine`, so it
+        shares the exact code path (budgets, caching, accounting) that
+        corpus runs use.
         """
         from ..engine.batch import BatchRepairEngine
 
-        engine = BatchRepairEngine(self, workers=1)
-        return engine.run([source], budget=budget).outcomes[0]
+        return BatchRepairEngine(self).run([source], budget=budget).outcomes[0]
 
     def _repair_attempt(
         self, source: str, *, budget: float | None = None

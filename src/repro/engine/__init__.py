@@ -1,13 +1,13 @@
 """Batch repair engine: resource-aware corpus processing on top of the core.
 
 The core (:mod:`repro.core`) reproduces the paper's per-attempt pipeline;
-this package scales it to corpora.  It contributes two pieces:
+this package scales it to corpora.  It contributes three pieces:
 
 * :mod:`repro.engine.cache` — :class:`RepairCaches`, the shared memoization
   of traces, correctness checks, structural matches and whole repairs;
 * :mod:`repro.engine.batch` — :class:`BatchRepairEngine` and
-  :class:`BatchReport`, concurrent repair of many attempts with per-attempt
-  budgets and aggregate statistics;
+  :class:`BatchReport`, repair of many attempts on the calling thread with
+  per-attempt budgets and aggregate statistics;
 * :mod:`repro.engine.parallel` — :class:`ProcessBatchEngine`, the
   multi-core path: distinct sources dealt round-robin across fleet worker
   subprocesses (:class:`repro.fleet.WorkerSupervisor`), with the workers'

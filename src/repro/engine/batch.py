@@ -3,25 +3,23 @@
 The paper evaluates Clara one attempt at a time; real deployments (the tool
 ran on MITx/edX dumps with thousands of submissions, §6.1) need to chew
 through whole corpora.  :class:`BatchRepairEngine` wraps a configured
-:class:`repro.core.pipeline.Clara` and repairs many attempts through a
-``concurrent.futures`` thread pool, sharing the pipeline's
-:class:`repro.engine.cache.RepairCaches` between workers so that duplicate
-attempts — the common case in MOOC data — are parsed, executed, matched and
-repaired once.
+:class:`repro.core.pipeline.Clara` and repairs many attempts on the calling
+thread through the pipeline's :class:`repro.engine.cache.RepairCaches`, so
+that duplicate attempts — the common case in MOOC data — are parsed,
+executed, matched and repaired once.
 
 Results are returned as a :class:`BatchReport`: per-attempt
-:class:`BatchRecord` rows in submission order (independent of worker
-scheduling) plus aggregate statistics — status histogram, latency
-percentiles, throughput, and cache hit rates.  The report serialises to
-JSONL for downstream analysis (see the ``batch`` subcommand of
-:mod:`repro.cli`).
+:class:`BatchRecord` rows in submission order plus aggregate statistics —
+status histogram, latency percentiles, throughput, and cache hit rates.
+The report serialises to JSONL for downstream analysis (see the ``batch``
+subcommand of :mod:`repro.cli`).
 
 Single-attempt repair is the batch-size-1 case:
 ``Clara.repair_source(src)`` simply runs an engine over ``[src]``.
 
 For multi-core corpus runs, :mod:`repro.engine.parallel` shards a batch
-across worker *processes* (each wrapping this engine single-threaded) and
-merges the per-shard reports back into one :class:`BatchReport`.
+across worker *processes* (each wrapping this engine) and merges the
+per-shard reports back into one :class:`BatchReport`.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -40,9 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.pipeline import Clara, RepairOutcome
 
 __all__ = ["BatchAttempt", "BatchRecord", "BatchReport", "BatchRepairEngine"]
-
-#: Default number of worker threads.
-DEFAULT_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,6 @@ class BatchReport:
             (kept for callers that need the repaired programs or feedback
             objects; they are omitted from the JSONL serialisation).
         wall_time: End-to-end wall-clock duration of the run, in seconds.
-        workers: Worker-thread count the batch ran with.
         cache_stats: Snapshot of the cache counters accumulated *during*
             this run (pre-existing counts are subtracted out).
     """
@@ -103,7 +96,6 @@ class BatchReport:
     records: list[BatchRecord]
     outcomes: list["RepairOutcome"]
     wall_time: float
-    workers: int
     cache_stats: CacheStats
     #: Merged per-phase/cache/retrieval/paging counter sections attached by
     #: :class:`repro.engine.parallel.ProcessBatchEngine` (the same shape
@@ -155,7 +147,6 @@ class BatchReport:
         """Aggregate statistics as a plain dict (the JSONL trailer line)."""
         return {
             "attempts": len(self.records),
-            "workers": self.workers,
             "wall_time": round(self.wall_time, 6),
             "attempts_per_second": round(self.attempts_per_second, 3),
             "p50_latency": round(self.p50_latency, 6),
@@ -186,44 +177,31 @@ class BatchReport:
 
 
 class BatchRepairEngine:
-    """Repair a corpus of attempts concurrently against one pipeline.
+    """Repair a corpus of attempts, one after another, against one pipeline.
 
     Args:
         clara: A configured pipeline whose clusters are already built via
-            ``add_correct_sources``.  Its caches are shared across workers;
+            ``add_correct_sources``.  Its caches deduplicate the corpus;
             its clusters are treated as read-only for the duration of a run.
-        workers: Worker-thread count.  ``1`` runs inline on the calling
-            thread (no pool), which is what ``Clara.repair_source`` uses.
 
-    The worker pool is made of *threads sharing one pipeline*: every worker
-    sees the same cluster state and the same :class:`RepairCaches`, which is
-    what deduplicates MOOC-shaped corpora (and what the resident service
-    relies on for warm duplicate hits).  The repair hot path is pure Python
-    and releases no GIL, so threads buy cache sharing and I/O-free
-    scheduling — not CPU parallelism.  To put more *cores* on a corpus, use
+    Every attempt is repaired on the calling thread: the repair hot path
+    is pure Python and holds the GIL, so worker threads would buy no
+    throughput.  To put more *cores* on a corpus, use
     :class:`repro.engine.parallel.ProcessBatchEngine` (``batch --processes
-    N``): it shards the corpus across spawned worker processes, each running
-    this engine single-threaded over shared-nothing caches, and merges the
+    N``), which shards the corpus across worker processes and merges the
     per-shard reports and counters deterministically.
 
     Thread safety: :meth:`run` may be called repeatedly (each call snapshots
     cache counters independently), and several engines may share one
-    ``Clara``; what must not happen concurrently is mutating the pipeline's
-    clusters (``add_correct_sources``/``attach_lazy_clusters``) while a run
-    is in flight — the service layer swaps in a whole new engine instead
+    ``Clara`` from several threads, as the service's repair pool does;
+    what must not happen concurrently is mutating the pipeline's clusters
+    (``add_correct_sources``/``attach_lazy_clusters``) while a run is in
+    flight — the service layer swaps in a whole new engine instead
     (:meth:`repro.service.service.ProblemRuntime.reload`).
     """
 
-    def __init__(
-        self,
-        clara: "Clara",
-        *,
-        workers: int = DEFAULT_WORKERS,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+    def __init__(self, clara: "Clara") -> None:
         self.clara = clara
-        self.workers = workers
 
     @classmethod
     def from_store(
@@ -231,7 +209,7 @@ class BatchRepairEngine:
         clusters_path: str | Path,
         clara: "Clara",
         *,
-        workers: int = DEFAULT_WORKERS,
+        workers: int = 1,  # only perfbench/bench.py passes it; goes with the next benchmark change
         processes: int = 1,
     ) -> "BatchRepairEngine":
         """Build an engine from a persisted cluster store.
@@ -255,10 +233,17 @@ class BatchRepairEngine:
         opening the store header-only with its own warm caches and
         repairing its shard single-threaded.  ``clara`` then only supplies
         configuration (language and case checks, prefilter settings,
-        attached profiler) — it is *not* attached to the store, and
-        ``workers`` is ignored (each worker process is single-threaded).  The store must name a registered problem,
-        as the workers rebuild their pipelines from the dataset registry.
+        attached profiler) — it is *not* attached to the store.  The store
+        must name a registered problem, as the workers rebuild their
+        pipelines from the dataset registry.
+
+        ``workers`` accepts only ``1``; other values raise ``ValueError``.
         """
+        if workers != 1:
+            raise ValueError(
+                f"the batch engine repairs on the calling thread, got workers={workers}; "
+                "use processes= for more cores or RepairService(workers=) for threads"
+            )
         if processes > 1:
             from .parallel import ProcessBatchEngine
 
@@ -273,7 +258,7 @@ class BatchRepairEngine:
         from ..clusterstore.store import open_lazy
 
         clara.attach_lazy_clusters(open_lazy(clusters_path, cases=clara.cases))
-        return cls(clara, workers=workers)
+        return cls(clara)
 
     # -- public API --------------------------------------------------------------
 
@@ -287,8 +272,8 @@ class BatchRepairEngine:
 
         Accepts raw source strings (auto-numbered ``attempt-0``, ...) or
         :class:`BatchAttempt` objects.  Records are returned in submission
-        order regardless of completion order, and a batch of size 1 produces
-        byte-identical results to a sequential ``repair_source`` call.
+        order, and a batch of size 1 produces
+        byte-identical results to a ``repair_source`` call.
 
         Args:
             attempts: The corpus to repair.
@@ -300,13 +285,7 @@ class BatchRepairEngine:
         items = self._normalise(attempts)
         before = self.clara.caches.stats.snapshot()
         started = time.perf_counter()
-        if self.workers == 1 or len(items) <= 1:
-            outcomes = [self._repair_one(item, budget) for item in items]
-        else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                outcomes = list(
-                    pool.map(lambda item: self._repair_one(item, budget), items)
-                )
+        outcomes = [self._repair_one(item, budget) for item in items]
         wall_time = time.perf_counter() - started
         after = self.clara.caches.stats.snapshot()
         return BatchReport(
@@ -315,7 +294,6 @@ class BatchRepairEngine:
             ],
             outcomes=outcomes,
             wall_time=wall_time,
-            workers=self.workers,
             cache_stats=after.diff(before),
         )
 

@@ -51,8 +51,8 @@ and substitute a fresh ``RepairCaches()`` for ``None`` once, at entry, so
 nothing below them branches on a missing cache.
 
 All tables are guarded by a single lock, making one :class:`RepairCaches`
-instance safe to share across the worker threads of
-:class:`repro.engine.batch.BatchRepairEngine`.  Constructing the caches with
+instance safe to share across the repair threads of
+:class:`repro.service.RepairService`.  Constructing the caches with
 ``enabled=False`` turns every lookup into a miss without storing anything,
 which is how the uncached baseline of ``benchmarks/test_batch_throughput.py``
 is measured; candidate generation then computes every site afresh, in the
@@ -252,7 +252,7 @@ class RepairCaches:
             of the repair search.
 
     One instance is owned by each :class:`repro.core.pipeline.Clara` and is
-    shared by every worker thread of a batch run.  All public methods are
+    shared by every repair thread of the service.  All public methods are
     thread-safe.
     """
 

@@ -1,13 +1,12 @@
 """Process-parallel batch repair with deterministic counter merging.
 
-:class:`repro.engine.batch.BatchRepairEngine` scales a corpus across
-*threads*, which share one pipeline's caches but — the repair hot path
-being pure Python that releases no GIL — never more than one core.
-:class:`ProcessBatchEngine` is the multi-core path behind ``batch
---processes N``: it shards a corpus across N worker subprocesses on the
-``serve --fleet`` stack — one :class:`~repro.fleet.supervisor.WorkerSupervisor`
-per shard driving ``python -m repro.fleet.worker``, which opens the
-cluster store header-only with its own warm shared-nothing
+:class:`repro.engine.batch.BatchRepairEngine` repairs a corpus on the
+calling thread, one core.  :class:`ProcessBatchEngine` is the multi-core
+path behind ``batch --processes N``: it shards a corpus across N worker
+subprocesses on the ``serve --fleet`` stack — one
+:class:`~repro.fleet.supervisor.WorkerSupervisor` per shard driving
+``python -m repro.fleet.worker``, which opens the cluster store
+header-only with its own warm shared-nothing
 :class:`~repro.engine.cache.RepairCaches` and answers one ``repair``
 request per attempt, in order.  The parent merges the responses into one
 :class:`~repro.engine.batch.BatchReport` in submission order and folds
@@ -134,9 +133,8 @@ class ProcessBatchEngine:
     Args:
         clusters_path: A current-format cluster store whose header names a
             registered problem (workers look it up to rebuild test cases).
-        processes: Worker-process count (>= 1); also the reported
-            ``BatchReport.workers``.  Shards left empty by the planner
-            spawn no process.
+        processes: Worker-process count (>= 1).  Shards left empty by the
+            planner spawn no process.
         profile: Attach a :class:`~repro.core.profile.PhaseProfiler` in
             every worker and merge the payloads (``batch --profile``).
         retrieval_prefilter: Forwarded pipeline configuration
@@ -262,7 +260,6 @@ class ProcessBatchEngine:
         return _report(
             [records[index] for index in range(len(items))],
             sections,
-            self.processes,
             time.perf_counter() - started,
         )
 
@@ -291,9 +288,7 @@ def _record(attempt_id: str, response: dict, shard_index: int) -> BatchRecord:
     )
 
 
-def _report(
-    records: list[BatchRecord], sections: list[dict], workers: int, wall_time: float
-) -> BatchReport:
+def _report(records: list[BatchRecord], sections: list[dict], wall_time: float) -> BatchReport:
     """Fold the workers' per-problem ``stats`` sections into one report."""
     from ..core.pipeline import RepairOutcome
 
@@ -317,7 +312,6 @@ def _report(
             for r in records
         ],
         wall_time=wall_time,
-        workers=workers,
         cache_stats=CacheStats.from_dict(
             sum_counters(section["cache"] for section in sections)
         ),

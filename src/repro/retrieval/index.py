@@ -103,9 +103,9 @@ class RetrievalStats:
             top-k head and the exact-fallback tail found it.
 
     All counters are per-process totals guarded by an internal lock, so
-    one instance is safe to share across batch worker threads; for a fixed
-    sequence of repairs the values are independent of thread scheduling
-    (each attempt contributes a fixed amount).
+    one instance is safe to share across the service's repair threads; for
+    a fixed sequence of repairs the values are independent of thread
+    scheduling (each attempt contributes a fixed amount).
     """
 
     candidates_ranked: int = 0

@@ -182,10 +182,7 @@ class ProblemRuntime:
                 caches=self.caches,
             )
             clara.attach_lazy_clusters(source)
-            self._state = _ProblemState(
-                revision=source.revision,
-                engine=BatchRepairEngine(clara, workers=1),
-            )
+            self._state = _ProblemState(revision=source.revision, engine=BatchRepairEngine(clara))
             # The replaced pipeline's repair memos are unreachable from now
             # on (new identity token); evict them so a daemon reloading per
             # accepted submission does not leak one generation per reload.
@@ -332,9 +329,7 @@ class RepairService:
         runtime = ProblemRuntime(
             name=name,
             store_path=store_path,
-            state=_ProblemState(
-                revision=stored.revision, engine=BatchRepairEngine(clara, workers=1)
-            ),
+            state=_ProblemState(revision=stored.revision, engine=BatchRepairEngine(clara)),
         )
         self._problems[name] = runtime
         return runtime

@@ -47,7 +47,7 @@ def in_process_run(problem, path, attempts):
         entry=problem.entry,
         caches=RepairCaches(profiler=PhaseProfiler()),
     )
-    report = BatchRepairEngine.from_store(path, clara, workers=1).run(attempts)
+    report = BatchRepairEngine.from_store(path, clara).run(attempts)
     return report, counter_sections(report.cache_stats, clara.counters_payload())
 
 

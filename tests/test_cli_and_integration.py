@@ -75,9 +75,7 @@ def test_cli_batch_command(tmp_path, capsys):
     attempts = tmp_path / "attempts"
     attempts.mkdir()
     (attempts / "alice.py").write_text(broken)
-    (attempts / "bob.py").write_text(broken)  # duplicate submission
-    # A third duplicate guarantees a trace-cache hit even when the first two
-    # race on the 2-worker pool and both miss concurrently.
+    (attempts / "bob.py").write_text(broken)  # duplicate submissions
     (attempts / "carol.py").write_text(broken)
     report_path = tmp_path / "report.jsonl"
 
@@ -90,8 +88,6 @@ def test_cli_batch_command(tmp_path, capsys):
             str(attempts),
             "--correct",
             "6",
-            "--workers",
-            "2",
             "--output",
             str(report_path),
         ]
@@ -108,6 +104,7 @@ def test_cli_batch_command(tmp_path, capsys):
     summary = lines[3]["summary"]
     assert summary["attempts"] == 3
     assert summary["cache"]["trace_hits"] >= 1  # a duplicate hit the cache
+    assert summary["cache"]["repair_hits"] == 2
 
 
 def test_cli_batch_reads_jsonl(tmp_path, capsys):
@@ -128,6 +125,14 @@ def test_cli_batch_reads_jsonl(tmp_path, capsys):
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_batch_has_no_workers_option(capsys):
+    """Batch repairs on one thread; only ``serve`` sizes a thread pool."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["batch", "--problem", "derivatives", "--attempts", "x", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 # -- integration: the library applied to a brand-new assignment ----------------------
@@ -224,8 +229,6 @@ def test_cli_batch_profile_writes_phase_breakdown(tmp_path, capsys, monkeypatch)
             str(attempts),
             "--correct",
             "6",
-            "--workers",
-            "1",
             "--output",
             str(report_path),
             "--profile",
@@ -362,7 +365,7 @@ def test_cli_batch_budget_zero_times_out_every_searched_attempt(tmp_path, capsys
         report = tmp_path / "report.jsonl"
         code = main(
             ["batch", "--problem", "derivatives", "--attempts", str(attempts),
-             "--workers", "1", "--output", str(report), *args, *budget]
+             "--output", str(report), *args, *budget]
         )
         assert code == 0
         lines = report.read_text().splitlines()[:-1]  # the summary trailer

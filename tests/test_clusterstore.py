@@ -142,10 +142,10 @@ def test_save_load_round_trip_preserves_repair_outcomes(deriv_setup, tmp_path):
     problem, corpus, clara = deriv_setup
     store_path = clara.save_clusters(tmp_path / "clusters.json", problem=problem.name)
 
-    direct = BatchRepairEngine(clara, workers=1).run(corpus.incorrect_sources)
+    direct = BatchRepairEngine(clara).run(corpus.incorrect_sources)
 
     fresh = Clara(cases=problem.cases)
-    loaded_engine = BatchRepairEngine.from_store(store_path, fresh, workers=1)
+    loaded_engine = BatchRepairEngine.from_store(store_path, fresh)
     loaded = loaded_engine.run(corpus.incorrect_sources)
 
     assert fresh.cluster_count == clara.cluster_count
@@ -319,8 +319,6 @@ def test_cli_cluster_build_info_batch_round_trip(tmp_path, capsys):
                 str(attempts),
                 "--clusters",
                 str(store),
-                "--workers",
-                "1",
                 "--output",
                 str(report),
             ]
@@ -480,10 +478,10 @@ def test_pre_retrieval_store_serves_identically_with_fallback_counted(
     path = clara.save_clusters(tmp_path / "clusters.json", problem=problem.name)
     _strip_retrieval(path)
 
-    baseline = BatchRepairEngine(clara, workers=1).run(corpus.incorrect_sources)
+    baseline = BatchRepairEngine(clara).run(corpus.incorrect_sources)
 
     fresh = Clara(cases=problem.cases)
-    degraded = BatchRepairEngine.from_store(path, fresh, workers=1).run(
+    degraded = BatchRepairEngine.from_store(path, fresh).run(
         corpus.incorrect_sources
     )
     assert [_outcome_key(r) for r in degraded.records] == [

@@ -3,6 +3,8 @@ with the sequential pipeline."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro import Clara, InputCase, parse_source
 from repro.engine import (
     BatchAttempt,
@@ -160,7 +162,7 @@ def test_batch_results_identical_to_sequential(deriv_cases, paper_sources):
 
     batched = Clara(deriv_cases)
     batched.add_correct_sources(correct)
-    report = BatchRepairEngine(batched, workers=4).run(attempts)
+    report = BatchRepairEngine(batched).run(attempts)
 
     assert [o.status for o in sequential] == [r.status for r in report.records]
     for seq, record in zip(sequential, report.records):
@@ -179,16 +181,30 @@ def test_batch_results_identical_to_sequential(deriv_cases, paper_sources):
 
 
 def test_batch_single_flight_dedupes_concurrent_duplicates(deriv_cases, paper_sources):
+    """Eight threads repairing one attempt on a shared pipeline (what the
+    service's repair pool does) compute it once."""
+    import threading
+
     clara = Clara(deriv_cases)
     clara.add_correct_sources([paper_sources["C1"], paper_sources["C2"]])
-    report = BatchRepairEngine(clara, workers=4).run([paper_sources["I1"]] * 8)
+    start = threading.Barrier(8)
+    statuses = []
 
-    statuses = {record.status for record in report.records}
-    assert statuses == {"repaired"}
-    # Exactly one ILP solve; the other seven attempts reuse it (possibly
+    def repair() -> None:
+        start.wait()
+        statuses.append(clara.repair_source(paper_sources["I1"]).status)
+
+    threads = [threading.Thread(target=repair) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+    assert statuses == ["repaired"] * 8
+    # Exactly one repair computed; the other seven reuse it (possibly
     # after waiting on the in-flight computation).
-    assert report.cache_stats.repair_misses == 1
-    assert report.cache_stats.repair_hits == 7
+    assert clara.caches.stats.repair_misses == 1
+    assert clara.caches.stats.repair_hits == 7
 
 
 def test_batch_preserves_submission_order_and_ids(deriv_cases, paper_sources):
@@ -198,8 +214,19 @@ def test_batch_preserves_submission_order_and_ids(deriv_cases, paper_sources):
         BatchAttempt("zz-last", paper_sources["I1"]),
         BatchAttempt("aa-first", paper_sources["I2"]),
     ]
-    report = BatchRepairEngine(clara, workers=2).run(attempts)
+    report = BatchRepairEngine(clara).run(attempts)
     assert [record.attempt_id for record in report.records] == ["zz-last", "aa-first"]
+
+
+def test_from_store_accepts_only_one_worker(tmp_path, deriv_cases, paper_sources):
+    clara = Clara(deriv_cases)
+    clara.add_correct_sources([paper_sources["C1"], paper_sources["C2"]])
+    path = clara.save_clusters(tmp_path / "clusters.json", problem="derivatives")
+
+    engine = BatchRepairEngine.from_store(path, Clara(deriv_cases), workers=1)
+    assert engine.run([paper_sources["I1"]]).records[0].status == "repaired"
+    with pytest.raises(ValueError, match="processes="):
+        BatchRepairEngine.from_store(path, Clara(deriv_cases), workers=2)
 
 
 def test_batch_report_serialises_to_jsonl(tmp_path, deriv_cases, paper_sources):
@@ -207,7 +234,7 @@ def test_batch_report_serialises_to_jsonl(tmp_path, deriv_cases, paper_sources):
 
     clara = Clara(deriv_cases)
     clara.add_correct_sources([paper_sources["C1"]])
-    report = BatchRepairEngine(clara, workers=1).run([paper_sources["I1"]])
+    report = BatchRepairEngine(clara).run([paper_sources["I1"]])
     path = report.write_jsonl(tmp_path / "report.jsonl")
 
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -221,7 +248,7 @@ def test_batch_report_serialises_to_jsonl(tmp_path, deriv_cases, paper_sources):
 
 def test_latency_percentile_ends_are_fastest_and_slowest():
     records = [BatchRecord(f"a{i}", "repaired", float(i)) for i in range(1, 11)]
-    report = BatchReport(records, [], wall_time=55.0, workers=1, cache_stats=CacheStats())
+    report = BatchReport(records, [], wall_time=55.0, cache_stats=CacheStats())
     assert report.latency_percentile(0) == 1.0
     assert report.latency_percentile(100) == 10.0
     assert report.p50_latency == 5.5
@@ -286,5 +313,5 @@ def test_timeout_outcomes_are_not_memoized(deriv_cases, paper_sources):
 def test_batch_budget_produces_timeout_status(deriv_cases, paper_sources):
     clara = Clara(deriv_cases)
     clara.add_correct_sources([paper_sources["C1"], paper_sources["C2"]])
-    report = BatchRepairEngine(clara, workers=1).run([paper_sources["I1"]], budget=0.0)
+    report = BatchRepairEngine(clara).run([paper_sources["I1"]], budget=0.0)
     assert report.records[0].status == "timeout"

@@ -58,6 +58,48 @@ def test_attempt_records_have_metrics(small_result):
         assert attempt.repaired_passes is True
 
 
+def test_run_problem_generates_each_pairs_fixed_sites_once(monkeypatch):
+    """The best-first pre-pass's fixed sites reach the search: no (attempt,
+    cluster) pair's fixed-site candidates are computed a second time."""
+    from collections import Counter
+
+    import repro.core.localrepair as localrepair
+    import repro.core.repair as repair_module
+    from repro.core.pipeline import Clara
+
+    attempt = [0]
+    computed = [0]
+    generated = Counter()
+    original_repair_source = Clara.repair_source
+    original_fixed = localrepair.generate_fixed_sites
+    original_target = localrepair._candidates_for_target
+
+    def repair_source(self, *args, **kwargs):
+        attempt[0] += 1
+        return original_repair_source(self, *args, **kwargs)
+
+    def target_spy(*args, **kwargs):
+        computed[0] += 1
+        return original_target(*args, **kwargs)
+
+    def fixed_spy(implementation, cluster, *args, **kwargs):
+        before = computed[0]
+        result = original_fixed(implementation, cluster, *args, **kwargs)
+        if computed[0] > before:
+            generated[attempt[0], cluster.cluster_id] += 1
+        return result
+
+    monkeypatch.setattr(Clara, "repair_source", repair_source)
+    monkeypatch.setattr(localrepair, "_candidates_for_target", target_spy)
+    monkeypatch.setattr(localrepair, "generate_fixed_sites", fixed_spy)
+    monkeypatch.setattr(repair_module, "generate_fixed_sites", fixed_spy)
+
+    result = run_problem("derivatives", n_correct=8, n_incorrect=5, seed=9)
+    assert result.n_repaired >= 2
+    assert generated
+    assert set(generated.values()) == {1}, generated
+
+
 def test_metrics_functions(small_result):
     results = [small_result]
     histogram = relative_size_histogram(results)

@@ -376,7 +376,7 @@ class TestEngineCrashIsolation:
             return original(source, budget=budget)
 
         clara._repair_attempt = explode_once
-        engine = BatchRepairEngine(clara, workers=1)
+        engine = BatchRepairEngine(clara)
         report = engine.run(
             [
                 BatchAttempt(attempt_id="boom", source=corpora["derivatives"].incorrect_sources[0]),
@@ -755,6 +755,42 @@ class TestFleetRecovery:
             assert response["ok"] is False
             assert response["error"]["code"] in ("worker-crashed", "shard-unavailable")
             assert supervisor.state == "unavailable"
+        finally:
+            supervisor.stop()
+
+    def test_idle_heartbeat_catches_a_hung_worker(self, stores, corpora, tmp_path):
+        """The heartbeat ping itself hangs on the first incarnation: the
+        watchdog kills the worker, the ping is dropped rather than retried,
+        and the respawn serves the next repair."""
+        plan_path = FaultPlan(
+            [Fault(action="hang", op="ping", request=0, worker=0, incarnation=0, seconds=3600)]
+        ).save(tmp_path / "plan.json")
+        supervisor = WorkerSupervisor(
+            0,
+            stores[:1],
+            fault_plan_path=plan_path,
+            backoff=BackoffPolicy(base=0.02, factor=2.0, max_strikes=3),
+            kill_after=0.5,
+            heartbeat_interval=0.2,
+        )
+        supervisor.start()
+        try:
+            assert supervisor.wait_ready(60)
+            limit = time.monotonic() + 30
+            while supervisor.incarnation < 1 and time.monotonic() < limit:
+                time.sleep(0.05)
+            assert supervisor.wait_ready(30)
+            counters = supervisor.counters
+            assert counters["kills"] == 1
+            assert counters["crashes"] == 1
+            assert counters["retries"] == 0  # internal pings are dropped
+            assert supervisor.incarnation == 1
+            future = supervisor.submit(
+                _repair_line(corpora["derivatives"].incorrect_sources[0]), request_id="r"
+            )
+            response = future.result(timeout=60)
+            assert response["ok"] is True and response["status"] == "repaired"
+            assert supervisor.counters["served"] == 1
         finally:
             supervisor.stop()
 

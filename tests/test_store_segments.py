@@ -122,7 +122,7 @@ def test_open_lazy_reads_only_the_header(store_path):
 
 def test_repairing_one_attempt_pages_only_its_skeleton_segment(spec, store_path):
     clara = _fresh(spec)
-    engine = BatchRepairEngine.from_store(store_path, clara, workers=1)
+    engine = BatchRepairEngine.from_store(store_path, clara)
     assert clara.store_paging()["segments_loaded"] == 0
 
     record = engine.run([TWO_LOOP_BROKEN]).records[0]
@@ -137,7 +137,7 @@ def test_repairing_one_attempt_pages_only_its_skeleton_segment(spec, store_path)
 
 def test_family_attempt_skips_the_two_loop_segment(spec, store_path):
     clara = _fresh(spec)
-    engine = BatchRepairEngine.from_store(store_path, clara, workers=1)
+    engine = BatchRepairEngine.from_store(store_path, clara)
     record = engine.run([FAMILY_ATTEMPT]).records[0]
     assert record.status == "repaired"
     counters = clara.store_paging()
@@ -153,10 +153,10 @@ def test_lazy_store_repairs_like_the_in_memory_pipeline(spec, corpus, store_path
     def rows(engine):
         return report_rows(engine.run(list(corpus.incorrect_sources) + [TWO_LOOP_BROKEN]))
 
-    lazy = BatchRepairEngine.from_store(store_path, _fresh(spec), workers=1)
+    lazy = BatchRepairEngine.from_store(store_path, _fresh(spec))
     in_memory = _fresh(spec)
     in_memory.add_correct_sources(list(corpus.correct_sources) + [TWO_LOOP])
-    assert rows(lazy) == rows(BatchRepairEngine(in_memory, workers=1))
+    assert rows(lazy) == rows(BatchRepairEngine(in_memory))
     assert in_memory.store_paging() is None  # in-memory pipelines have no pager
 
 

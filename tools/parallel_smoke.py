@@ -7,7 +7,7 @@ Drives the real CLI end to end (the same entry points an operator uses):
 2. ``batch --profile`` with 1 and 2 processes, and ``batch`` with 4,
    over a smoke corpus that spans two CFG-skeleton families plus a
    duplicate, a non-ASCII attempt and a second single-loop attempt;
-3. ``batch --processes 1 --workers 1 --profile`` over each shard's
+3. ``batch --processes 1 --profile`` over each shard's
    sub-corpus: the distinct sources dealt round-robin, each repeat with
    its first copy (:func:`shard_of`, written out here rather than
    imported, so the smoke also pins the plan);
@@ -136,7 +136,6 @@ def _batch(workdir: Path, attempts: Path, store: Path, processes: int, *extra: s
         "--problem", "derivatives",
         "--attempts", str(attempts),
         "--clusters", str(store),
-        "--workers", "1",
         "--processes", str(processes),
         "--output", str(report_path),
         *extra,
